@@ -1,7 +1,8 @@
-"""Benchmark the Sturm-bisection eigenvalue kernel: numba JIT vs pure numpy.
+"""Benchmark the Sturm-multisection eigenvalue solve: numba JIT vs pure numpy.
 
 The Sturm count is the inner loop of the finite-difference validation engine:
-O(N) strictly sequential work per shift, called ~60-90 times per eigenvalue.
+O(N) strictly sequential work per shift; multisection makes about 10-12
+passes of up to 256 shifts per solve.
 This script times the full lowest-eigenvalue solve on a realistic Hamiltonian
 (singular oscillator, k1 = 3/2) for both kernel paths and checks that they
 agree bitwise.
@@ -68,7 +69,7 @@ def run_backend(pure_numpy: bool) -> dict:
 
 def main() -> int:
     print("=" * 72)
-    print(f"Sturm bisection: lowest {EIGENVALUE_COUNT} eigenvalues, "
+    print(f"Sturm multisection: lowest {EIGENVALUE_COUNT} eigenvalues, "
           f"best of {REPEATS} runs")
     print("=" * 72)
     numba_run = run_backend(pure_numpy=False)

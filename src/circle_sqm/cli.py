@@ -6,8 +6,8 @@ of its own) and printed with 17 significant digits, so identical
 configurations produce byte-identical files.  Angles are radians throughout.
 Files are written atomically (temp file then rename).  JSON payloads carry a
 ``schema: "circle-sqm/1"`` key; CSV output is RFC-4180 style with a header
-row.  Environment: CIRCLE_SQM_THREADS caps validation-suite parallelism,
-CIRCLE_SQM_PURE_NUMPY=1 selects the numpy kernel fallback.
+row.  Environment: CIRCLE_SQM_PURE_NUMPY=1 selects the numpy kernel
+fallback.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 The Sturm-sequence eigenvalue count is the inner loop of the whole
 finite-difference validation engine: one pass is O(N) and strictly
-sequential in the matrix index, and bisection calls it ~60-90 times per
-requested eigenvalue on grids up to N = 16384.
+sequential in the matrix index.  The multisection eigensolver calls it
+about 10-12 times per solve on grids up to N = 16384, with up to 256 shifts
+per pass; the numpy recurrence costs about the same for 1 shift or 256,
+while the numba kernel loops over the shifts.
 
 Selection: numba is an optional dependency.  The numba kernel runs when
 ``CIRCLE_SQM_PURE_NUMPY`` is not ``1`` and ``import numba`` succeeds;

@@ -32,6 +32,9 @@ def gauss_legendre_rule(
     ``panel_count`` uniform panels; with ``endpoint_refinement = L > 0`` the
     first and last panel are each split into L extra panels whose widths
     halve toward the endpoint.  Weights sum to b - a exactly up to roundoff.
+    Refinement so deep that panels or nodes collapse in floating point (break
+    points not strictly increasing, or a node not strictly inside (a, b)) is
+    refused with ``DomainError``.
     """
     if not b > a:
         raise DomainError(f"empty interval: a = {a!r}, b = {b!r}")
@@ -48,6 +51,9 @@ def gauss_legendre_rule(
         left = [a + width / 2.0**j for j in range(endpoint_refinement, 0, -1)]
         right = [b - width / 2.0**j for j in range(1, endpoint_refinement + 1)]
         breaks = [a] + left + breaks[1:-1] + right + [b]
+    if not all(lo < hi for lo, hi in zip(breaks[:-1], breaks[1:])):
+        raise DomainError(f"rule ({panel_count}, {order}, {endpoint_refinement}) collapses "
+                          f"panels on ({a!r}, {b!r})")
 
     xs, ws = _base_rule(order)
     nodes, weights = [], []
@@ -55,7 +61,11 @@ def gauss_legendre_rule(
         half = 0.5 * (hi - lo)
         nodes.append(lo + half * (xs + 1.0))
         weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes = np.concatenate(nodes)
+    if not np.all((nodes > a) & (nodes < b)):
+        raise DomainError(f"rule ({panel_count}, {order}, {endpoint_refinement}) puts a node "
+                          f"outside the open interval ({a!r}, {b!r})")
+    return nodes, np.concatenate(weights)
 
 
 def integrate(fn, panel_count: int, order: int, a: float, b: float,

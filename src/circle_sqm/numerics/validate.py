@@ -12,8 +12,6 @@ consumption through the CLI.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -492,11 +490,7 @@ def _contraction_cases():
 
 
 def run_suite(name: str) -> list[ValidationReport]:
-    """Run a named validation suite; reports are merged sorted by case id.
-
-    Independent cases fan out over CIRCLE_SQM_THREADS workers (default 1);
-    the merge order is deterministic either way.
-    """
+    """Run a named validation suite; reports are merged sorted by case id."""
     if name == "all":
         cases = (_oscillator_fd_cases() + _coulomb_fd_cases() + _norm_cases()
                  + [specfun_reports] + _contraction_cases())
@@ -513,12 +507,6 @@ def run_suite(name: str) -> list[ValidationReport]:
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
 
-    workers = max(1, int(os.environ.get("CIRCLE_SQM_THREADS", "1")))
-    if workers == 1:
-        batches = [case() for case in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda case: case(), cases))
-    reports = [report for batch in batches for report in batch]
+    reports = [report for case in cases for report in case()]
     reports.sort(key=lambda report: report.case_id)
     return reports

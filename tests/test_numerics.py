@@ -1,4 +1,4 @@
-"""Numerics layer: quadrature, FD assembly, Sturm bisection, residuals,
+"""Numerics layer: quadrature, FD assembly, Sturm multisection, residuals,
 Richardson, and the validation/contraction machinery."""
 
 import math
@@ -26,6 +26,7 @@ from circle_sqm.numerics import (
     run_suite,
     validate_system,
 )
+from circle_sqm.numerics import eigensolve
 from circle_sqm.numerics._kernels import _sturm_counts_numpy, sturm_counts
 from circle_sqm.numerics.validate import _report
 
@@ -57,6 +58,21 @@ class TestQuadrature:
         mine = integrate(fn, 12, 10, 0.0, 2.0)
         reference = trapezoid_romberg(fn, 0.0, 2.0)
         assert mine == pytest.approx(reference, rel=1e-11)
+
+    def test_refinement_that_lands_a_node_on_the_endpoint_is_refused(self):
+        # the last panel is ~67 ulps wide, so its top node rounds onto pi/2
+        with pytest.raises(DomainError):
+            gauss_legendre_rule(96, 16, 0.0, math.pi / 2, endpoint_refinement=40)
+
+    def test_refinement_that_collapses_panels_is_refused(self):
+        # the deepest right panels are narrower than ulp(pi/2)
+        with pytest.raises(DomainError):
+            gauss_legendre_rule(48, 12, 0.0, math.pi / 2, endpoint_refinement=50)
+
+    def test_validation_rule_is_accepted(self):
+        nodes, _ = gauss_legendre_rule(48, 12, 0.0, math.pi / 2, endpoint_refinement=40)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert 0.0 < nodes[0] and nodes[-1] < math.pi / 2
 
 
 class TestBuildHamiltonian:
@@ -114,6 +130,39 @@ class TestSturmEigenvalues:
             dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
             scale = max(1.0, float(np.max(np.abs(dense))))
             assert np.max(np.abs(mine - dense[:count])) <= 1e-11 * scale
+
+    def test_exact_multiplicities(self):
+        matrix = TridiagonalMatrix(np.array([1.0, 1.0, 1.0, 2.0, 2.0, -3.0]),
+                                   np.zeros(5), 1.0, 0.0)
+        lam = lowest_eigenvalues(matrix, 6)
+        assert np.allclose(lam, [-3.0, 1.0, 1.0, 1.0, 2.0, 2.0], rtol=0.0, atol=1e-11)
+
+    def test_full_spectrum(self):
+        rng = np.random.default_rng(41)
+        diag = rng.uniform(-5.0, 5.0, 40)
+        off = rng.uniform(-2.0, 2.0, 39)
+        mine = lowest_eigenvalues(TridiagonalMatrix(diag, off, 1.0, 0.0), 40)
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(mine - dense)) <= 1e-11 * scale
+
+    def test_multisection_pass_count(self, monkeypatch):
+        # one Sturm pass per midpoint would need 63 passes here
+        passes = []
+
+        def counting(diag, off_sq, shifts, pivmin):
+            passes.append(len(shifts))
+            return sturm_counts(diag, off_sq, shifts, pivmin)
+
+        monkeypatch.setattr(eigensolve, "sturm_counts", counting)
+        system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
+                                      branch=Branch.PLUS)
+        matrix = build_hamiltonian(lambda phi: osc.potential(system, phi), 1.0,
+                                   (0.0, math.pi / 2), 4096)
+        lam = lowest_eigenvalues(matrix, 5)
+        assert len(passes) <= 16
+        exact = np.array([osc.energy_level(system, n) for n in range(5)])
+        assert np.max(np.abs(lam - exact) / exact) <= 1e-4
 
     def test_sorted_output(self):
         rng = np.random.default_rng(3)
