@@ -24,7 +24,7 @@ import numpy as np
 from . import coulomb, oscillator
 from .errors import CircleSqmError
 from .numerics.validate import SUITE_NAMES, run_suite
-from .systems import Branch, CircleGeometry
+from .systems import Branch, CircleGeometry, merged_levels
 
 
 def _fmt(value: float) -> str:
@@ -92,25 +92,15 @@ def _spectrum_records(args) -> list[dict]:
     if args.levels < 0:
         raise ValueError("--levels must be >= 0")
     module = oscillator if args.system == "oscillator" else coulomb
-    if args.branch == "both":
-        system = _build_system(argparse.Namespace(**{**vars(args), "branch": "plus"}))
-    else:
-        system = _build_system(args)
+    system = _build_system(args)  # "both" builds the plus member
     if args.levels == 0:
         return []
-    n_max = args.levels - 1
     records = []
-    if args.branch == "both":
-        rows = module.spectrum(system, n_max)
-    else:
-        branch = system.branch
-        rows = [(n, branch, module.energy_level(system, n)) for n in range(n_max + 1)]
-        rows.sort(key=lambda row: (row[2], row[1].value, row[0]))
-    geometry = CircleGeometry(args.radius)
-    for n, branch, energy in rows:
-        record = {"system": args.system, "n": n, "branch": branch.value}
+    for n, member, energy in merged_levels(system, args.levels - 1, module.energy_level):
+        if args.branch not in ("both", member.branch.value):
+            continue
+        record = {"system": args.system, "n": n, "branch": member.branch.value}
         if args.system == "coulomb":
-            member = coulomb.CoulombSystem(geometry, mu=args.mu, k1=args.k1, branch=branch)
             qn = coulomb.quantize(member, n)
             record["nu"] = qn.nu
             record["sigma"] = qn.sigma

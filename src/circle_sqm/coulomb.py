@@ -41,7 +41,8 @@ import numpy as np
 
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
-from .systems import Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible
+from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
+                      merged_levels)
 
 _SINGULAR_TOL = 1e-12
 
@@ -157,16 +158,7 @@ def energy_level(sys: CoulombSystem, n: int) -> float:
 
 def spectrum(sys: CoulombSystem, n_max: int) -> list[tuple[int, Branch, float]]:
     """Levels n = 0..n_max merged over admissible branches, sorted by energy."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    branches = [Branch.PLUS, Branch.MINUS] if 0.0 < sys.k1 <= 0.5 else [Branch.PLUS]
-    rows = []
-    for branch in branches:
-        member = CoulombSystem(sys.geometry, sys.mu, sys.k1, branch)
-        for n in range(n_max + 1):
-            rows.append((n, branch, energy_level(member, n)))
-    rows.sort(key=lambda row: (row[2], row[1].value, row[0]))
-    return rows
+    return [(n, m.branch, e) for n, m, e in merged_levels(sys, n_max, energy_level)]
 
 
 def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
@@ -235,6 +227,16 @@ def _check_open_interval(phi_arr: np.ndarray, lo: float, hi: float) -> None:
         raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
 
 
+def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndarray:
+    """The closed form of :func:`wavefunction` at angles phi_abs in [0, pi), unchecked."""
+    n = qn.n
+    c = norm_constant(n, qn.nu, qn.sigma, sys.geometry.radius)
+    series = specfun.hyp2f1_terminating(
+        n, complex(qn.nu, qn.sigma), complex(2.0 * qn.nu), 1.0 - np.exp(2j * phi_abs)
+    )
+    return c * np.sin(phi_abs) ** qn.nu * np.exp(-1j * phi_abs * complex(n, -qn.sigma)) * series
+
+
 def wavefunction(sys: CoulombSystem, n: int, phi) -> complex | np.ndarray:
     """Bound-state wavefunction on (0, pi).
 
@@ -246,16 +248,7 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> complex | np.ndarray:
     qn = quantize(sys, n)
     phi_arr = np.asarray(phi, dtype=float)
     _check_open_interval(phi_arr, 0.0, math.pi)
-    c = norm_constant(n, qn.nu, qn.sigma, sys.geometry.radius)
-    series = specfun.hyp2f1_terminating(
-        n, complex(qn.nu, qn.sigma), complex(2.0 * qn.nu), 1.0 - np.exp(2j * phi_arr)
-    )
-    values = (
-        c
-        * np.sin(phi_arr) ** qn.nu
-        * np.exp(-1j * phi_arr * complex(n, -qn.sigma))
-        * series
-    )
+    values = _evaluate(sys, qn, phi_arr)
     return complex(values[()]) if phi_arr.ndim == 0 else values
 
 
@@ -305,13 +298,7 @@ def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> complex | 
     qn = quantize(sys, n)
     phi_arr = np.asarray(phi, dtype=float)
     _check_open_interval(phi_arr, -math.pi, math.pi)
-    phi_abs = np.abs(phi_arr)
-    c = norm_constant(n, qn.nu, qn.sigma, sys.geometry.radius)
-    series = specfun.hyp2f1_terminating(
-        n, complex(qn.nu, qn.sigma), complex(2.0 * qn.nu), 1.0 - np.exp(2j * phi_abs)
-    )
-    base = c * np.sin(phi_abs) ** qn.nu * np.exp(-1j * phi_abs * complex(n, -qn.sigma)) * series
+    values = _evaluate(sys, qn, np.abs(phi_arr))
     if parity is Parity.ODD:
-        base = np.sign(phi_arr) * base
-    values = base
+        values = np.sign(phi_arr) * values
     return complex(values[()]) if phi_arr.ndim == 0 else values

@@ -10,7 +10,6 @@ from .quadrature import gauss_legendre_rule, integrate
 from .residual import ode_residual, residual_rate, richardson_extrapolate
 from .validate import (
     SUITE_NAMES,
-    ContractionFrame,
     ValidationReport,
     contraction_check,
     flat_limit_energy,
@@ -31,7 +30,6 @@ __all__ = [
     "residual_rate",
     "richardson_extrapolate",
     "SUITE_NAMES",
-    "ContractionFrame",
     "ValidationReport",
     "contraction_check",
     "flat_limit_energy",

@@ -7,7 +7,6 @@ the potential callable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int,
     lo_bound = float(np.min(d - reach))
     hi_bound = float(np.max(d + reach))
     scale = max(abs(lo_bound), abs(hi_bound), 1.0)
-    pivmin = 1e-300 * max(1.0, float(np.max(e2)))
+    pivmin = 1e-300 * max(1.0, float(np.max(e2, initial=0.0)))
     abs_floor = rel_tol * rel_tol * scale
 
     lo = np.full(count, lo_bound)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
-from ..systems import Branch, CircleGeometry
+from ..systems import Branch, CircleGeometry, merged_levels
 from .eigensolve import eigenvalue_with_refinement
 from .quadrature import gauss_legendre_rule
 from .residual import residual_rate
@@ -102,15 +102,14 @@ def _real_part_checked(values: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def _analytic_levels(system, n_max: int) -> list[float]:
-    if isinstance(system, oscillator.OscillatorSystem):
-        rows = oscillator.spectrum(system, n_max)
-        return [energy for _, _, energy in rows][: n_max + 1]
-    if system.nu < 1.0:
+    if isinstance(system, coulomb.CoulombSystem) and system.nu < 1.0:
         raise DomainError(
             "FD eigenvalue validation needs boundary exponent nu >= 1 "
             f"(got nu = {system.nu:g}); use norm/residual checks instead"
         )
-    return [coulomb.energy_level(system, n) for n in range(n_max + 1)]
+    module = oscillator if isinstance(system, oscillator.OscillatorSystem) else coulomb
+    rows = merged_levels(system, n_max, module.energy_level)
+    return [energy for _, _, energy in rows][: n_max + 1]
 
 
 def validate_system(system, n_max: int, grid: int,
@@ -175,9 +174,7 @@ def _residual_reports(system, levels: tuple[int, ...], label: str,
                       rate_floor: float) -> list[ValidationReport]:
     radius = system.geometry.radius
     if isinstance(system, oscillator.OscillatorSystem):
-        lo, hi = system.motion_domain
-        if system.two_branch:
-            lo = 0.0  # stay on the fundamental half where the formula lives
+        lo, hi = 0.0, math.pi / 2  # the fundamental half, where the formula lives
         k0, k1 = system.k0, system.k1
 
         def bracket_for(n):
@@ -232,29 +229,6 @@ def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> np.ndarray:
     return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
 
 
-@dataclass(frozen=True)
-class ContractionFrame:
-    """Fixed scaled grid for the contraction comparison.
-
-    ``y`` is the flat-space coordinate grid, ``x`` the corresponding physical
-    coordinate (y = 2 mu x/(n + nu)); the circle angle at radius R is x/R.
-    """
-
-    y: np.ndarray
-    x: np.ndarray
-    radii: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.diff(self.radii) > 0.0):
-            raise ValueError("radii must be strictly increasing")
-
-
-def _make_frame(mu: float, nu: float, n: int, radii) -> ContractionFrame:
-    y = np.linspace(0.05, 24.0, 120)
-    x = y * (n + nu) / (2.0 * mu)
-    return ContractionFrame(y=y, x=x, radii=np.asarray(radii, dtype=float))
-
-
 def contraction_check(sys: coulomb.CoulombSystem, n: int, radii,
                       shape_tolerance: float = 0.999) -> list[ValidationReport]:
     """Contraction-limit reports for one (system, n) across increasing radii.
@@ -295,13 +269,15 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii,
     reports.append(_report(f"{tag}/gap-decay-rate", [-2.0], [slope], 5e-5,
                            convergence_rate=slope))
 
-    # (c) wavefunction shape convergence
-    frame = _make_frame(mu, nu, n, radii)
-    target = flat_limit_wavefunction(mu, nu, n, frame.y)
+    # (c) wavefunction shape convergence on a fixed grid of the flat-space
+    # coordinate y = 2 mu x/(n + nu); the circle angle at radius R is x/R
+    y = np.linspace(0.05, 24.0, 120)
+    x = y * (n + nu) / (2.0 * mu)
+    target = flat_limit_wavefunction(mu, nu, n, y)
     target_peak = float(np.max(np.abs(target)))
     deviations = []
-    for r in frame.radii:
-        phi = frame.x / r
+    for r in radii:
+        phi = x / r
         if np.any(phi >= math.pi):
             raise DomainError(f"scaled grid leaves (0, pi) at R = {r:g}")
         member = coulomb.CoulombSystem(CircleGeometry(float(r)), mu, k1, branch)

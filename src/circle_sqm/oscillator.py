@@ -7,12 +7,13 @@ With polar angle phi (s0 = R cos phi, s1 = R sin phi) the potential reads
 
     V(phi) = (omega^2 R^2 / 2) tan^2(phi) + (k1^2 - 1/4) / (2 R^2 sin^2 phi).
 
-For k1 > 1/2 the inverse-square term is repulsive and the motion is confined
-to phi in (0, pi/2); only the plus branch exists.  For 0 < |k1| <= 1/2 both
-sign branches are admissible and the motion extends over (-pi/2, pi/2); each
-branch is treated as an independent family normalized on [0, pi/2], and
-negative angles are evaluated by mirror reflection (the same convention the
-Coulomb module uses for its parity extension).
+Both systems share one branch rule (:func:`~circle_sqm.systems.two_branch`):
+the minus branch is admissible exactly when 0 < |k1| <= 1/2.  There the motion
+extends over (-pi/2, pi/2); each branch is treated as an independent family
+normalized on [0, pi/2], and negative angles are evaluated by mirror
+reflection (the same convention the Coulomb module uses for its parity
+extension).  For k1 > 1/2 the inverse-square term is repulsive, the motion is
+confined to phi in (0, pi/2) and only the plus branch exists.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import BranchError, DomainError, SingularPointError
-from .systems import Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible
+from .errors import DomainError, SingularPointError
+from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
+                      merged_levels, two_branch)
 
 _SINGULAR_TOL = 1e-12
 
@@ -53,14 +55,9 @@ class OscillatorSystem:
 
     @property
     def motion_domain(self) -> tuple[float, float]:
-        if self.k1 > 0.5:
-            return (0.0, math.pi / 2)
-        return (-math.pi / 2, math.pi / 2)
-
-    @property
-    def two_branch(self) -> bool:
-        """True when both sign branches contribute (|k1| <= 1/2)."""
-        return abs(self.k1) <= 0.5
+        if two_branch(self.k1):
+            return (-math.pi / 2, math.pi / 2)
+        return (0.0, math.pi / 2)
 
 
 def _lgamma(x: float) -> float:
@@ -126,16 +123,7 @@ def spectrum(sys: OscillatorSystem, n_max: int) -> list[tuple[int, Branch, float
     For k1 > 1/2 only the plus branch exists; for |k1| <= 1/2 both branch
     families are included regardless of which branch ``sys`` carries.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    branches = [Branch.PLUS, Branch.MINUS] if sys.two_branch else [Branch.PLUS]
-    rows = []
-    for branch in branches:
-        member = OscillatorSystem(sys.geometry, sys.omega, sys.k1, branch)
-        for n in range(n_max + 1):
-            rows.append((n, branch, energy_level(member, n)))
-    rows.sort(key=lambda row: (row[2], row[1].value, row[0]))
-    return rows
+    return [(n, m.branch, e) for n, m, e in merged_levels(sys, n_max, energy_level)]
 
 
 def _norm_constant(sys: OscillatorSystem, n: int) -> float:

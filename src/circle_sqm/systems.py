@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import BranchError
+from .errors import BranchError, DomainError
 
 
 class Branch(enum.Enum):
@@ -25,12 +25,36 @@ class Branch(enum.Enum):
         return 1 if self is Branch.PLUS else -1
 
 
+def two_branch(k1: float) -> bool:
+    """The branch rule of both systems: MINUS is admissible iff 0 < |k1| <= 1/2."""
+    return 0.0 < abs(k1) <= 0.5
+
+
 def check_branch_admissible(branch: Branch, k1: float) -> None:
     """Raise BranchError unless (branch, k1) is an admissible combination."""
-    if branch is Branch.MINUS and not (0.0 < abs(k1) <= 0.5):
+    if branch is Branch.MINUS and not two_branch(k1):
         raise BranchError(
             f"minus branch requires 0 < |k1| <= 1/2, got k1 = {k1:g}"
         )
+
+
+def merged_levels(system, n_max: int, energy_level) -> list[tuple[int, object, float]]:
+    """Levels n = 0..n_max of every admissible branch of ``system``, sorted by energy.
+
+    ``system`` is a frozen dataclass with ``k1`` and ``branch`` fields and
+    ``energy_level(member, n)`` gives its levels.  Rows are (n, member,
+    energy), where member is ``system`` with its branch replaced by the
+    row's branch; ties in energy are broken by branch name, then n.
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    branches = (Branch.PLUS, Branch.MINUS) if two_branch(system.k1) else (Branch.PLUS,)
+    rows = []
+    for branch in branches:
+        member = replace(system, branch=branch)
+        rows.extend((n, member, energy_level(member, n)) for n in range(n_max + 1))
+    rows.sort(key=lambda row: (row[2], row[1].branch.value, row[0]))
+    return rows
 
 
 @dataclass(frozen=True)

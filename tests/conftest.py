@@ -1,5 +1,16 @@
 """Shared pytest config: collect acceptance pass/fail lines and print them in
-the terminal summary so they are visible regardless of capture mode."""
+the terminal summary so they are visible regardless of capture mode.
+
+pyproject.toml puts ``src`` on this process's path; it is also put on
+PYTHONPATH so that tests which start a fresh interpreter import the same
+checkout."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    path for path in (_SRC, os.environ.get("PYTHONPATH")) if path)
 
 ACCEPTANCE_LINES: list[str] = []
 

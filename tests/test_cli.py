@@ -54,6 +54,21 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["records"] == []
 
+    def test_single_branch_rows(self, capsys):
+        system = osc.OscillatorSystem(CircleGeometry(1.0), 1.0, 0.3)
+        for branch in (Branch.MINUS, Branch.PLUS):
+            code, out, _ = run_cli(
+                ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1",
+                 "--k1", "0.3", "--branch", branch.value, "--levels", "4"], capsys)
+            assert code == 0
+            records = json.loads(out)["records"]
+            member = osc.OscillatorSystem(CircleGeometry(1.0), 1.0, 0.3, branch)
+            assert [(r["n"], r["branch"]) for r in records] == [
+                (n, branch.value) for n in range(4)]
+            energies = [r["energy"] for r in records]
+            assert energies == sorted(energies)
+            assert energies == [osc.energy_level(member, n) for n in range(4)]
+
     def test_branch_rule_violation_exits_2(self, capsys):
         code, _, err = run_cli(
             ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1",

@@ -11,7 +11,6 @@ from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm.errors import DomainError, SingularPointError
 from circle_sqm.numerics import (
-    ContractionFrame,
     TridiagonalMatrix,
     build_hamiltonian,
     contraction_check,
@@ -130,6 +129,12 @@ class TestSturmEigenvalues:
             dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
             scale = max(1.0, float(np.max(np.abs(dense))))
             assert np.max(np.abs(mine - dense[:count])) <= 1e-11 * scale
+
+    def test_one_by_one(self):
+        # the off-diagonal is empty, so no pivot floor can be read from it
+        for a in (2.0, -3.5):
+            matrix = TridiagonalMatrix(np.array([a]), np.array([]), 1.0, 0.0)
+            assert lowest_eigenvalues(matrix, 1).tolist() == [a]
 
     def test_exact_multiplicities(self):
         matrix = TridiagonalMatrix(np.array([1.0, 1.0, 1.0, 2.0, 2.0, -3.0]),
@@ -303,9 +308,10 @@ class TestContraction:
                 norm = float(np.dot(w, phi2)) * (n + nu) / 2.0
                 assert norm == pytest.approx(0.5, abs=1e-7)
 
-    def test_frame_requires_increasing_radii(self):
-        with pytest.raises(ValueError):
-            ContractionFrame(np.array([1.0]), np.array([1.0]), np.array([10.0, 5.0]))
+    def test_contraction_check_requires_increasing_radii(self):
+        system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
+        with pytest.raises(DomainError):
+            contraction_check(system, 0, (1e4, 1e3))
 
     def test_contraction_check_reports(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.MINUS)
