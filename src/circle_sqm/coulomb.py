@@ -273,9 +273,10 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None)
     if m is None:
         m = n
     if quad is None:
-        from .numerics.quadrature import gauss_legendre_rule
+        from .numerics.quadrature import NORM_RULE, gauss_legendre_rule
 
-        quad = gauss_legendre_rule(48, 12, 0.0, math.pi, endpoint_refinement=40)
+        quad = gauss_legendre_rule(*NORM_RULE[:2], 0.0, math.pi,
+                                   endpoint_refinement=NORM_RULE[2])
     nodes, weights = quad
     integrand = wavefunction(sys, n, nodes) * diamond_conjugate(sys, m, nodes)
     value = sys.geometry.radius * np.dot(weights, integrand)

@@ -13,6 +13,8 @@ import numpy as np
 
 from ..errors import DomainError
 
+NORM_RULE = (48, 12, 40)  # panels, order, endpoint refinement levels of the norm checks
+
 
 @lru_cache(maxsize=32)
 def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

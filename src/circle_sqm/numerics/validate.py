@@ -21,10 +21,8 @@ from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
 from ..systems import Branch, CircleGeometry, merged_levels
 from .eigensolve import eigenvalue_with_refinement
-from .quadrature import gauss_legendre_rule
+from .quadrature import NORM_RULE, gauss_legendre_rule
 from .residual import residual_rate
-
-_NORM_RULE = (48, 12, 40)  # panels, order, endpoint refinement levels
 
 
 @dataclass(frozen=True)
@@ -156,16 +154,16 @@ def validate_system(system, n_max: int, grid: int,
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
     if isinstance(system, oscillator.OscillatorSystem):
         lo, hi = 0.0, math.pi / 2
-        rule = gauss_legendre_rule(*_NORM_RULE[:2], lo, hi,
-                                   endpoint_refinement=_NORM_RULE[2])
+        rule = gauss_legendre_rule(*NORM_RULE[:2], lo, hi,
+                                   endpoint_refinement=NORM_RULE[2])
         nodes, weights = rule
         norms = []
         for n in range(n_max + 1):
             psi = oscillator.wavefunction(system, n, nodes)
             norms.append(system.geometry.radius * float(np.dot(weights, psi * psi)))
         return [_report(f"{label}/l2-norm", [1.0] * len(norms), norms, 1e-8)]
-    rule = gauss_legendre_rule(*_NORM_RULE[:2], 0.0, math.pi,
-                               endpoint_refinement=_NORM_RULE[2])
+    rule = gauss_legendre_rule(*NORM_RULE[:2], 0.0, math.pi,
+                               endpoint_refinement=NORM_RULE[2])
     norms = [coulomb.diamond_norm(system, n, quad=rule) for n in range(n_max + 1)]
     return [_report(f"{label}/diamond-norm", [0.5] * len(norms), norms, 1e-8)]
 
@@ -242,8 +240,8 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii,
     is fitted per radius, per the normalization-matching convention).
     """
     radii = np.asarray(radii, dtype=float)
-    if not np.all(np.diff(radii) > 0.0):
-        raise DomainError("radii must be strictly increasing")
+    if radii.size < 2 or not np.all(np.diff(radii) > 0.0):
+        raise DomainError(f"need at least two strictly increasing radii, got {radii.tolist()}")
     mu, nu, k1, branch = sys.mu, sys.nu, sys.k1, sys.branch
     tag = f"contraction[nu={nu:g},n={n}]"
 

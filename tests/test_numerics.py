@@ -26,7 +26,7 @@ from circle_sqm.numerics import (
     validate_system,
 )
 from circle_sqm.numerics import eigensolve
-from circle_sqm.numerics._kernels import _sturm_counts_numpy, sturm_counts
+from circle_sqm.numerics._kernels import sturm_counts
 from circle_sqm.numerics.validate import _report
 
 from oracles import trapezoid_romberg
@@ -186,14 +186,22 @@ class TestSturmEigenvalues:
         with pytest.raises(ValueError):
             TridiagonalMatrix(np.array([1.0, np.nan]), np.array([0.5]), 1.0, 0.0)
 
-    def test_numpy_fallback_matches_numba_path(self):
+    def test_sturm_counts_match_dense_eigenvalues(self):
         rng = np.random.default_rng(123)
-        diag = rng.uniform(-4, 4, 300)
-        off2 = rng.uniform(0, 4, 299)
-        shifts = rng.uniform(-6, 6, 17)
-        dispatched = sturm_counts(diag, off2, shifts, 1e-300)
-        fallback = _sturm_counts_numpy(diag, off2, shifts, 1e-300)
-        assert np.array_equal(dispatched, fallback)
+        d = rng.uniform(-4.0, 4.0, 300)
+        e = rng.uniform(-2.0, 2.0, 299)
+        dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        shifts = rng.uniform(dense[0] - 1.0, dense[-1] + 1.0, 20)
+        # a shift this close to an eigenvalue would test the oracle's roundoff
+        assert np.min(np.abs(shifts[:, None] - dense[None, :])) > 1e-8
+        counts = sturm_counts(d, e**2, shifts, 1e-300 * float(np.max(e**2)))
+        expected = [int(np.sum(dense < s)) for s in shifts]
+        assert counts.tolist() == expected
+
+    def test_sturm_count_includes_eigenvalue_at_shift(self):
+        # the pivot at row 1 is exactly zero; -pivmin makes it count as negative
+        counts = sturm_counts(np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([2.0]), 1e-300)
+        assert counts.tolist() == [2]
 
 
 class TestBoxSpectrum:
@@ -310,8 +318,9 @@ class TestContraction:
 
     def test_contraction_check_requires_increasing_radii(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
-        with pytest.raises(DomainError):
-            contraction_check(system, 0, (1e4, 1e3))
+        for radii in ((1e4, 1e3), (1e3,), ()):
+            with pytest.raises(DomainError):
+                contraction_check(system, 0, radii)
 
     def test_contraction_check_reports(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.MINUS)
