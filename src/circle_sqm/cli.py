@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -74,6 +73,9 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+_MODULES = {"oscillator": oscillator, "coulomb": coulomb}
+
+
 def _build_system(args):
     geometry = CircleGeometry(args.radius)
     branch = Branch.MINUS if args.branch == "minus" else Branch.PLUS
@@ -90,7 +92,7 @@ def _build_system(args):
 def _spectrum_records(args) -> list[dict]:
     if args.levels < 0:
         raise ValueError("--levels must be >= 0")
-    module = oscillator if args.system == "oscillator" else coulomb
+    module = _MODULES[args.system]
     system = _build_system(args)  # "both" builds the plus member
     if args.levels == 0:
         return []
@@ -98,16 +100,10 @@ def _spectrum_records(args) -> list[dict]:
     for n, member, energy in merged_levels(system, args.levels - 1, module.energy_level):
         if args.branch not in ("both", member.branch.value):
             continue
-        record = {"system": args.system, "n": n, "branch": member.branch.value}
-        if args.system == "coulomb":
-            qn = coulomb.quantize(member, n)
-            record["nu"] = qn.nu
-            record["sigma"] = qn.sigma
-        else:
-            record["nu"] = None
-            record["sigma"] = None
-        record["energy"] = energy
-        records.append(record)
+        qn = coulomb.quantize(member, n) if args.system == "coulomb" else None
+        records.append({"system": args.system, "n": n, "branch": member.branch.value,
+                        "nu": qn.nu if qn else None, "sigma": qn.sigma if qn else None,
+                        "energy": energy})
     return records
 
 
@@ -133,16 +129,10 @@ def _cmd_wavefunction(args) -> int:
     if args.samples < 2:
         raise ValueError("--samples must be >= 2")
     system = _build_system(args)
-    if args.system == "oscillator":
-        lo, hi = system.motion_domain
-    else:
-        lo, hi = 0.0, math.pi
+    lo, hi = system.motion_domain
     step = (hi - lo) / args.samples
     phis = lo + (np.arange(args.samples) + 0.5) * step
-    if args.system == "oscillator":
-        values = np.asarray(oscillator.wavefunction(system, args.n, phis), dtype=complex)
-    else:
-        values = coulomb.wavefunction(system, args.n, phis)
+    values = np.asarray(_MODULES[args.system].wavefunction(system, args.n, phis), dtype=complex)
     records = [{"phi": float(phi), "re": float(val.real), "im": float(val.imag)}
                for phi, val in zip(phis, values)]
     if args.format == "json":

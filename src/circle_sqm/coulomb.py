@@ -42,7 +42,7 @@ import numpy as np
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      merged_levels)
+                      finite_result, merged_levels)
 
 _SINGULAR_TOL = 1e-12
 
@@ -89,6 +89,11 @@ class CoulombSystem:
         motion is confined to one of phi > 0 or phi < 0.
         """
         return self.p_squared <= 0.25
+
+    @property
+    def motion_domain(self) -> tuple[float, float]:
+        """The domain (0, pi) of :func:`wavefunction`; :func:`extend_parity` covers (-pi, pi)."""
+        return (0.0, math.pi)
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,9 @@ def quantize(sys: CoulombSystem, n: int) -> CoulombQuantumNumbers:
     return CoulombQuantumNumbers(n=n, nu=nu, sigma=sigma, k0=complex(-(n + nu), sigma))
 
 
+@finite_result
 def energy_level(sys: CoulombSystem, n: int) -> float:
-    """Bound-state energy E_n = (n + nu)^2/(2 R^2) - mu^2/(2 (n + nu)^2)."""
+    """Bound-state energy E_n = (n + nu)^2/(2 R^2) - mu^2/(2 (n + nu)^2), if finite."""
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     nu = sys.nu
@@ -247,7 +253,7 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> complex | np.ndarray:
     """
     qn = quantize(sys, n)
     phi_arr = np.asarray(phi, dtype=float)
-    _check_open_interval(phi_arr, 0.0, math.pi)
+    _check_open_interval(phi_arr, *sys.motion_domain)
     values = _evaluate(sys, qn, phi_arr)
     return complex(values[()]) if phi_arr.ndim == 0 else values
 
@@ -270,16 +276,15 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None)
     Gauss rule with endpoint refinement is used (the integrand behaves like
     (sin phi)^(2 nu) at the ends, with nu as small as 1/4).
     """
-    if m is None:
-        m = n
     if quad is None:
         from .numerics.quadrature import NORM_RULE, gauss_legendre_rule
 
-        quad = gauss_legendre_rule(*NORM_RULE[:2], 0.0, math.pi,
+        quad = gauss_legendre_rule(*NORM_RULE[:2], *sys.motion_domain,
                                    endpoint_refinement=NORM_RULE[2])
     nodes, weights = quad
-    integrand = wavefunction(sys, n, nodes) * diamond_conjugate(sys, m, nodes)
-    value = sys.geometry.radius * np.dot(weights, integrand)
+    psi = wavefunction(sys, n, nodes)
+    partner = psi if m is None or m == n else wavefunction(sys, m, nodes)
+    value = sys.geometry.radius * np.dot(weights, psi * np.conj(partner))
     return float(np.real(value))
 
 

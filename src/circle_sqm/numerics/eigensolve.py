@@ -16,6 +16,8 @@ from ._kernels import sturm_counts
 from .residual import richardson_extrapolate
 
 _SHIFTS = 256  # shifts per Sturm pass; a numpy pass costs about the same for 1 to 256
+_REL_TOL = 1e-12  # bracket width, relative to the eigenvalue, at which it closes
+_MAX_PASSES = 250  # cap on Sturm passes; a well-formed matrix needs far fewer
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     return TridiagonalMatrix(diagonal=diag, off_diagonal=off, grid_step=h, grid_offset=a)
 
 
-def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int,
-                       rel_tol: float = 1e-12, max_iter: int = 250) -> np.ndarray:
+def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
     """The lowest ``count`` eigenvalues by Sturm counting plus multisection.
 
     Every eigenvalue starts bracketed by the Gershgorin bounds.  Each pass
@@ -79,10 +80,10 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int,
     numpy pass costs about the same for 1 shift or 256); every count then
     tightens every bracket, as in LAPACK ``dstebz``: the j-th eigenvalue lies
     above each shift counting fewer than j eigenvalues and below each shift
-    counting at least j.  A bracket closes once its width drops below rel_tol
-    relative to the eigenvalue, with an absolute floor of rel_tol^2 times the
+    counting at least j.  A bracket closes once its width drops below _REL_TOL
+    relative to the eigenvalue, with an absolute floor of _REL_TOL^2 times the
     spectral radius (so that eigenvalues crossing zero still terminate); the
-    result is its midpoint.  ``max_iter`` caps the number of passes.
+    result is its midpoint.  _MAX_PASSES caps the number of passes.
     Deterministic: fixed bracketing, fixed shifts, no randomness.
     """
     if count < 1 or count > matrix.dimension:
@@ -97,13 +98,13 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int,
     hi_bound = float(np.max(d + reach))
     scale = max(abs(lo_bound), abs(hi_bound), 1.0)
     pivmin = 1e-300 * max(1.0, float(np.max(e2, initial=0.0)))
-    abs_floor = rel_tol * rel_tol * scale
+    abs_floor = _REL_TOL * _REL_TOL * scale
 
     lo = np.full(count, lo_bound)
     hi = np.full(count, hi_bound)
     want = np.arange(1, count + 1)[:, None]
-    for _ in range(max_iter):
-        tol = rel_tol * np.maximum(np.abs(lo), np.abs(hi)) + abs_floor
+    for _ in range(_MAX_PASSES):
+        tol = _REL_TOL * np.maximum(np.abs(lo), np.abs(hi)) + abs_floor
         open_ = hi - lo > tol
         if not np.any(open_):
             return 0.5 * (lo + hi)
@@ -116,7 +117,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int,
         lo = np.maximum(lo, np.max(np.where(below, shifts, -np.inf), axis=1))
         hi = np.minimum(hi, np.min(np.where(below, np.inf, shifts), axis=1))
     raise ConvergenceError(
-        f"multisection failed to converge in {max_iter} passes (malformed matrix?)"
+        f"multisection failed to converge in {_MAX_PASSES} passes (malformed matrix?)"
     )
 
 

@@ -24,6 +24,11 @@ from .eigensolve import eigenvalue_with_refinement
 from .quadrature import NORM_RULE, gauss_legendre_rule
 from .residual import residual_rate
 
+RATE_FLOOR = 1.8  # least measured convergence order of FD levels and ODE residuals
+SHAPE_TOLERANCE = 0.999  # largest ratio of consecutive contraction shape deviations
+IMAG_TOL = 1e-10  # largest relative imaginary residue accepted as roundoff
+_NORM_CASES = {oscillator: ("l2-norm", 1.0), coulomb: ("diamond-norm", 0.5)}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -84,13 +89,13 @@ def _rate_report(case_id: str, rate: float, floor: float) -> ValidationReport:
     )
 
 
-def _real_part_checked(values: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Strip an imaginary residue that should only be roundoff."""
+def _real_part_checked(values: np.ndarray) -> np.ndarray:
+    """Strip an imaginary residue that should only be roundoff (IMAG_TOL)."""
     values = np.asarray(values)
     scale = float(np.max(np.abs(values))) or 1.0
     worst = float(np.max(np.abs(values.imag))) / scale
-    if worst > tol:
-        raise DomainError(f"imaginary residue {worst:.3e} exceeds {tol:g}")
+    if worst > IMAG_TOL:
+        raise DomainError(f"imaginary residue {worst:.3e} exceeds {IMAG_TOL:g}")
     return values.real
 
 
@@ -99,44 +104,41 @@ def _real_part_checked(values: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _module(system):
+    """The closed-form module of ``system``: the engine's one dispatch on system type."""
+    return oscillator if isinstance(system, oscillator.OscillatorSystem) else coulomb
+
+
 def _analytic_levels(system, n_max: int) -> list[float]:
     if isinstance(system, coulomb.CoulombSystem) and system.nu < 1.0:
         raise DomainError(
             "FD eigenvalue validation needs boundary exponent nu >= 1 "
             f"(got nu = {system.nu:g}); use norm/residual checks instead"
         )
-    module = oscillator if isinstance(system, oscillator.OscillatorSystem) else coulomb
-    rows = merged_levels(system, n_max, module.energy_level)
+    rows = merged_levels(system, n_max, _module(system).energy_level)
     return [energy for _, _, energy in rows][: n_max + 1]
 
 
-def validate_system(system, n_max: int, grid: int,
-                    tolerance: float, rate_floor: float = 1.8,
+def validate_system(system, n_max: int, grid: int, tolerance: float,
                     residual_levels: tuple[int, ...] = (0, 2, 5),
                     label: str | None = None) -> list[ValidationReport]:
     """Full cross-check of one system: FD spectrum, norms, residual rates.
 
-    The FD oracle uses grids (grid, 2*grid) with Richardson extrapolation
-    and sees only the potential.  For two-branch oscillator systems the FD
-    spectrum on the full motion domain is compared against the sorted union
-    of both analytic branch families.
+    The FD oracle uses grids (grid, 2*grid) on ``system.motion_domain`` with
+    Richardson extrapolation and sees only the potential; for two-branch
+    oscillator systems it meets the sorted union of both branch families.
+    FD level and ODE residual orders must reach RATE_FLOOR.  ``label``
+    defaults to the module name, ``oscillator`` or ``coulomb``.
     """
-    if isinstance(system, oscillator.OscillatorSystem):
-        kind = "oscillator"
-        domain = system.motion_domain
-        potential_fn = lambda phi: oscillator.potential(system, phi)
-    else:
-        kind = "coulomb"
-        domain = (0.0, math.pi)
-        potential_fn = lambda phi: coulomb.potential(system, phi)
-    label = label or kind
-    radius = system.geometry.radius
+    module = _module(system)
+    label = label or module.__name__.rsplit(".", 1)[-1]
     schedule = f"N={grid}/{2 * grid}"
     count = n_max + 1
 
     analytic = _analytic_levels(system, n_max)
     coarse, fine, extrapolated = eigenvalue_with_refinement(
-        potential_fn, radius, domain, grid, count
+        lambda phi: module.potential(system, phi), system.geometry.radius,
+        system.motion_domain, grid, count
     )
     reports = [
         _report(f"{label}/levels[{schedule}]", analytic, extrapolated, tolerance)
@@ -145,59 +147,39 @@ def validate_system(system, n_max: int, grid: int,
     err_fine = np.abs(fine - np.asarray(analytic))
     orders = np.log2(err_coarse / err_fine)
     reports.append(_rate_report(f"{label}/levels-order[{schedule}]",
-                                float(np.min(orders)), rate_floor))
+                                float(np.min(orders)), RATE_FLOOR))
     reports.extend(_norm_reports(system, min(n_max, 5), label))
-    reports.extend(_residual_reports(system, residual_levels, label, rate_floor))
+    reports.extend(_residual_reports(system, residual_levels, label, RATE_FLOOR))
     return reports
 
 
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
-    if isinstance(system, oscillator.OscillatorSystem):
-        lo, hi = 0.0, math.pi / 2
-        rule = gauss_legendre_rule(*NORM_RULE[:2], lo, hi,
-                                   endpoint_refinement=NORM_RULE[2])
-        nodes, weights = rule
-        norms = []
-        for n in range(n_max + 1):
-            psi = oscillator.wavefunction(system, n, nodes)
-            norms.append(system.geometry.radius * float(np.dot(weights, psi * psi)))
-        return [_report(f"{label}/l2-norm", [1.0] * len(norms), norms, 1e-8)]
-    rule = gauss_legendre_rule(*NORM_RULE[:2], 0.0, math.pi,
-                               endpoint_refinement=NORM_RULE[2])
-    norms = [coulomb.diamond_norm(system, n, quad=rule) for n in range(n_max + 1)]
-    return [_report(f"{label}/diamond-norm", [0.5] * len(norms), norms, 1e-8)]
+    """R * integral of psi_n conj(psi_n) over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
+    module = _module(system)
+    nodes, weights = gauss_legendre_rule(*NORM_RULE[:2], 0.0, system.motion_domain[1],
+                                         endpoint_refinement=NORM_RULE[2])
+    norms = []
+    for n in range(n_max + 1):
+        psi = module.wavefunction(system, n, nodes)
+        norms.append(float(np.real(system.geometry.radius
+                                   * np.dot(weights, psi * np.conj(psi)))))
+    case, target = _NORM_CASES[module]
+    return [_report(f"{label}/{case}", [target] * len(norms), norms, 1e-8)]
 
 
 def _residual_reports(system, levels: tuple[int, ...], label: str,
                       rate_floor: float) -> list[ValidationReport]:
-    radius = system.geometry.radius
-    if isinstance(system, oscillator.OscillatorSystem):
-        lo, hi = 0.0, math.pi / 2  # the fundamental half, where the formula lives
-        k0, k1 = system.k0, system.k1
-
-        def bracket_for(n):
-            eps = oscillator.reduced_eigenvalue(n, k0, k1, system.branch)
-            return lambda phi: (eps - (k0 * k0 - 0.25) / np.cos(phi) ** 2
-                                - (k1 * k1 - 0.25) / np.sin(phi) ** 2)
-
-        wavefn_for = lambda n: (lambda phi: oscillator.wavefunction(system, n, phi))
-    else:
-        lo, hi = 0.0, math.pi
-        mu = system.mu
-        psq = system.p_squared
-
-        def bracket_for(n):
-            energy = coulomb.energy_level(system, n)
-            return lambda phi: (2.0 * radius * radius * energy
-                                + 2.0 * mu * radius / np.tan(phi)
-                                + (psq - 0.25) / np.sin(phi) ** 2)
-
-        wavefn_for = lambda n: (lambda phi: coulomb.wavefunction(system, n, phi))
-
-    window = (lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+    """Order of the residual psi'' + 2 R^2 (E_n - V) psi on the middle 60% of (0, hi)."""
+    module = _module(system)
+    two_r2 = 2.0 * system.geometry.radius**2
+    hi = system.motion_domain[1]
+    window = (0.2 * hi, hi - 0.2 * hi)
     reports = []
     for n in levels:
-        rate, _, _ = residual_rate(wavefn_for(n), bracket_for(n), window, 2000)
+        energy = module.energy_level(system, n)
+        rate, _, _ = residual_rate(
+            lambda phi: module.wavefunction(system, n, phi),
+            lambda phi: two_r2 * (energy - module.potential(system, phi)), window, 2000)
         reports.append(_rate_report(f"{label}/residual-order[n={n}]", rate, rate_floor))
     return reports
 
@@ -227,8 +209,7 @@ def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> np.ndarray:
     return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
 
 
-def contraction_check(sys: coulomb.CoulombSystem, n: int, radii,
-                      shape_tolerance: float = 0.999) -> list[ValidationReport]:
+def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[ValidationReport]:
     """Contraction-limit reports for one (system, n) across increasing radii.
 
     Three reports: (a) the energy-gap identity E_n(R) - E_n(inf) ==
@@ -236,8 +217,9 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii,
     route loses ~8 digits to cancellation at R = 1e4 and cannot certify
     1e-14); (b) the log-log decay rate of the float-route gap, which must be
     -2; (c) the sup-norm deviation of the rescaled wavefunction from the
-    flat-space profile, which must shrink strictly with R (one positive scale
-    is fitted per radius, per the normalization-matching convention).
+    flat-space profile, whose consecutive ratios must stay at or below
+    ``SHAPE_TOLERANCE`` (one positive scale is fitted per radius, per the
+    normalization-matching convention).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or not np.all(np.diff(radii) > 0.0):
@@ -290,8 +272,8 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii,
         abs_err=tuple(deviations),
         rel_err=ratios,
         convergence_rate=None,
-        passed=max(ratios) <= shape_tolerance,
-        tolerance=shape_tolerance,
+        passed=max(ratios) <= SHAPE_TOLERANCE,
+        tolerance=SHAPE_TOLERANCE,
     ))
     return reports
 

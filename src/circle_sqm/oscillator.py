@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      merged_levels, two_branch)
+                      finite_result, merged_levels, two_branch)
 
 _SINGULAR_TOL = 1e-12
 
@@ -48,8 +48,9 @@ class OscillatorSystem:
         check_branch_admissible(self.branch, self.k1)
 
     @property
+    @finite_result
     def k0(self) -> float:
-        """Positive root of k0^2 = omega^2 R^4 + 1/4 (>= 1/2)."""
+        """Positive root of k0^2 = omega^2 R^4 + 1/4 (>= 1/2); DomainError if not finite."""
         r2 = self.geometry.radius**2
         return math.sqrt(self.omega**2 * r2 * r2 + 0.25)
 
@@ -103,12 +104,13 @@ def reduced_eigenvalue(n: int, k0: float, k1: float, branch: Branch) -> float:
     return (2.0 * n + branch.sign * k1 + k0 + 1.0) ** 2
 
 
+@finite_result
 def energy_level(sys: OscillatorSystem, n: int) -> float:
     """Bound-state energy E_n = [(2n +- k1 + 1/2)^2 + (2 k0 + 1)(2n +- k1 + 1)] / (2 R^2).
 
     Algebraically identical to routing reduced_eigenvalue through
     :func:`energy_from_reduced`; both forms are kept and cross-checked because
-    they exercise different cancellation patterns.
+    they exercise different cancellation patterns.  Non-finite levels raise DomainError.
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")

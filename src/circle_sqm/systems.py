@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,6 +37,22 @@ def check_branch_admissible(branch: Branch, k1: float) -> None:
         raise BranchError(
             f"minus branch requires 0 < |k1| <= 1/2, got k1 = {k1:g}"
         )
+
+
+def finite_result(formula):
+    """Make a scalar formula raise DomainError on overflow, division by zero or inf/nan."""
+
+    @functools.wraps(formula)
+    def checked(*args):
+        try:
+            value = formula(*args)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"{formula.__name__} is not a finite double for these parameters")
+        return value
+
+    return checked
 
 
 def merged_levels(system, n_max: int, energy_level) -> list[tuple[int, object, float]]:

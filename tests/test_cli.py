@@ -90,6 +90,21 @@ class TestSpectrumCommand:
         assert code == 2
         assert "--mu" in err
 
+    @pytest.mark.parametrize("system_args", [
+        ("--system", "coulomb", "--mu", "1e200", "--radius", "1"),
+        ("--system", "oscillator", "--omega", "1e200", "--radius", "1"),
+        ("--system", "coulomb", "--mu", "1", "--radius", "1e-200"),
+        ("--system", "coulomb", "--mu", "1", "--radius", "1e-160"),
+        ("--system", "coulomb", "--mu", "1", "--radius", "1e160"),
+    ], ids=["coulomb-mu-overflow", "oscillator-k0-overflow", "coulomb-radius-underflow",
+            "coulomb-energy-inf", "coulomb-radius-overflow"])
+    def test_non_finite_energy_exits_2(self, capsys, system_args):
+        code, out, err = run_cli(
+            ["spectrum", *system_args, "--k1", "1", "--levels", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             ["spectrum", "--system", "coulomb", "--mu", "1", "--radius", "1",

@@ -47,6 +47,12 @@ class TestSystemInvariants:
         assert case_ii(Branch.PLUS).nu == 0.75
         assert case_ii(Branch.MINUS).nu == 0.25
 
+    def test_motion_domain(self):
+        for system in (case_i(), cou.CoulombSystem(UNIT, mu=1.0, k1=0.5)):
+            assert system.motion_domain == (0.0, math.pi)
+        assert case_i().two_sided
+        assert not cou.CoulombSystem(UNIT, mu=1.0, k1=0.5).two_sided
+
     def test_p_squared(self):
         assert case_i().p_squared == pytest.approx(0.25)
         assert case_ii(Branch.PLUS).p_squared == pytest.approx(7.0 / 16.0)
@@ -253,6 +259,21 @@ class TestDiamond:
         for system in (case_i(), case_ii(Branch.PLUS), case_ii(Branch.MINUS)):
             for n in (0, 2):
                 assert cou.diamond_norm(system, n) == pytest.approx(0.5, abs=1e-8)
+
+    def test_diagonal_evaluates_wavefunction_once(self, monkeypatch):
+        calls = []
+        evaluate = cou._evaluate
+
+        def counting(*args):
+            calls.append(args[1].n)
+            return evaluate(*args)
+
+        monkeypatch.setattr(cou, "_evaluate", counting)
+        cou.diamond_norm(case_i(), 1)
+        assert calls == [1]
+        calls.clear()
+        cou.diamond_norm(case_i(), 0, 2)
+        assert calls == [0, 2]
 
     def test_off_diagonal_reported_not_asserted(self):
         # distinct-n pairings are not claimed to vanish; record what they are

@@ -27,7 +27,7 @@ from circle_sqm.numerics import (
 )
 from circle_sqm.numerics import eigensolve
 from circle_sqm.numerics._kernels import sturm_counts
-from circle_sqm.numerics.validate import _report
+from circle_sqm.numerics.validate import _report, _residual_reports
 
 from oracles import trapezoid_romberg
 
@@ -287,6 +287,16 @@ class TestValidationReports:
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.PLUS)
         with pytest.raises(DomainError):
             validate_system(system, 2, 64, 1e-4)
+
+    @pytest.mark.parametrize("module, system", [
+        (osc, osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)),
+        (cou, cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)),
+    ], ids=["oscillator", "coulomb"])
+    def test_residual_check_catches_wrong_energy(self, monkeypatch, module, system):
+        assert _residual_reports(system, (0,), "x", 1.8)[0].passed
+        exact = module.energy_level
+        monkeypatch.setattr(module, "energy_level", lambda sys, n: exact(sys, n) + 1e-3)
+        assert _residual_reports(system, (0,), "x", 1.8)[0].passed is False
 
     def test_report_dict_round_trip(self):
         report = _report("case", [1.0], [1.0], 1e-8)
