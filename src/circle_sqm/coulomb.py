@@ -16,10 +16,14 @@ this bracket, which the ODE-residual validation confirms numerically.
 Normalization convention
 ------------------------
 Wavefunctions carry the real positive constant of :func:`norm_constant` and
-are real-valued on (0, pi) up to roundoff.  The bilinear pairing used for
+are real on (0, pi): the closed form's Gauss series in 1 - e^(2 i phi), times
+its phase e^(-i n phi), is a Jacobi polynomial with conjugate parameters at an
+imaginary argument, which :func:`wavefunction` evaluates as a real
+recurrence in cos(phi) and sin(phi) (the Romanovski form of Raposo, Weber,
+Alvarez-Castillo and Kirchbach 2007).  The bilinear pairing used for
 normalization conjugates one factor and reflects its angle, where the
 negative-angle values follow the mirror determination of the wavefunction;
-on (0, pi) the pairing therefore reduces to plain conjugation, and
+on (0, pi) the pairing therefore reduces to the plain product, and
 
     R * integral_0^pi psi_n psi_n^diamond dphi = 1/2
 
@@ -144,11 +148,13 @@ def duality_parameters(sys: CoulombSystem, energy: float) -> PoschlTellerForm:
 
 
 def quantize(sys: CoulombSystem, n: int) -> CoulombQuantumNumbers:
-    """Quantum numbers of the n-th bound state."""
+    """Quantum numbers of the n-th bound state; DomainError if sigma is not finite."""
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     nu = sys.nu
     sigma = sys.mu * sys.geometry.radius / (n + nu)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma = mu R/(n + nu) is not a finite double, got {sigma!r}")
     return CoulombQuantumNumbers(n=n, nu=nu, sigma=sigma, k0=complex(-(n + nu), sigma))
 
 
@@ -167,6 +173,7 @@ def spectrum(sys: CoulombSystem, n_max: int) -> list[tuple[int, Branch, float]]:
     return [(n, m.branch, e) for n, m, e in merged_levels(sys, n_max, energy_level)]
 
 
+@finite_result
 def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
     """Real positive normalization constant in the sigma parameterization.
 
@@ -175,7 +182,8 @@ def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
 
     Assembled entirely in log space: exp(sigma pi/2) and |Gamma(nu+i sigma)|
     overflow/underflow separately already for sigma of a few hundred while
-    their product stays O(sigma^(nu - 1/2)).
+    their product stays O(sigma^(nu - 1/2)).  A constant that is not a finite
+    double raises DomainError.
     """
     if nu <= 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
@@ -235,38 +243,45 @@ def _check_open_interval(phi_arr: np.ndarray, lo: float, hi: float) -> None:
 
 def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndarray:
     """The closed form of :func:`wavefunction` at angles phi_abs in [0, pi), unchecked."""
-    n = qn.n
-    c = norm_constant(n, qn.nu, qn.sigma, sys.geometry.radius)
-    series = specfun.hyp2f1_terminating(
-        n, complex(qn.nu, qn.sigma), complex(2.0 * qn.nu), 1.0 - np.exp(2j * phi_abs)
-    )
-    return c * np.sin(phi_abs) ** qn.nu * np.exp(-1j * phi_abs * complex(n, -qn.sigma)) * series
+    n, nu, sigma = qn.n, qn.nu, qn.sigma
+    c = norm_constant(n, nu, sigma, sys.geometry.radius)
+    scale = math.prod(-2.0 * (m + 1) / (2.0 * nu + m) for m in range(n))  # (-2)^n n!/(2 nu)_n
+    big_n = n + nu
+    s = np.sin(phi_abs)
+    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        romanovski = specfun.jacobi_scaled(n, -2.0 * big_n, big_n**2 + sigma**2,
+                                           np.cos(phi_abs), 2.0 * sigma * s, -s * s)
+        return c * scale * s**nu * np.exp(-sigma * phi_abs) * romanovski
 
 
-def wavefunction(sys: CoulombSystem, n: int, phi) -> complex | np.ndarray:
-    """Bound-state wavefunction on (0, pi).
+@finite_result
+def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
+    """Bound-state wavefunction on (0, pi), as a real float64 value or array.
 
     psi = C (sin phi)^nu e^(-i phi (n - i sigma)) F(-n, nu + i sigma; 2 nu;
-    1 - e^(2 i phi)) with the real constant C of :func:`norm_constant`.  The
-    value is real up to roundoff (the series and the phase factor conspire),
-    but is returned as complex since all intermediate arithmetic is complex.
+    1 - e^(2 i phi)) with the real constant C of :func:`norm_constant`.  With
+    N = n + nu this equals C (-2)^n n!/(2 nu)_n (sin phi)^nu e^(-sigma phi) Q_n,
+    where Q_n = sin^n(phi) i^(-n) P_n^(-N + i sigma, -N - i sigma)(i cot phi)
+    is real and is evaluated by :func:`specfun.jacobi_scaled` in real
+    arithmetic.  Values that are not finite doubles raise DomainError.
     """
     qn = quantize(sys, n)
     phi_arr = np.asarray(phi, dtype=float)
     _check_open_interval(phi_arr, *sys.motion_domain)
     values = _evaluate(sys, qn, phi_arr)
-    return complex(values[()]) if phi_arr.ndim == 0 else values
+    return float(values[()]) if phi_arr.ndim == 0 else values
 
 
-def diamond_conjugate(sys: CoulombSystem, n: int, phi) -> complex | np.ndarray:
+def diamond_conjugate(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     """Diamond partner: conjugate combined with angle reflection.
 
     The reflected side is the mirror determination of the wavefunction, so on
-    (0, pi) this is the plain complex conjugate of :func:`wavefunction` (see
-    the module docstring for why the principal-branch alternative is not a
-    normalizable convention).  The operation is an involution.
+    (0, pi) this is the complex conjugate of the real :func:`wavefunction`,
+    i.e. the wavefunction itself (see the module docstring for why the
+    principal-branch alternative is not a normalizable convention).  The
+    operation is an involution.
     """
-    return np.conj(wavefunction(sys, n, phi))
+    return wavefunction(sys, n, phi)
 
 
 def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None) -> float:
@@ -284,11 +299,11 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None)
     nodes, weights = quad
     psi = wavefunction(sys, n, nodes)
     partner = psi if m is None or m == n else wavefunction(sys, m, nodes)
-    value = sys.geometry.radius * np.dot(weights, psi * np.conj(partner))
-    return float(np.real(value))
+    return float(sys.geometry.radius * np.dot(weights, psi * partner))
 
 
-def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> complex | np.ndarray:
+@finite_result
+def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> float | np.ndarray:
     """Even/odd extension of the bound state to the full circle (-pi, pi).
 
     psi_even(phi) = psi(|phi|) and psi_odd(phi) = sign(phi) psi(|phi|); both
@@ -307,4 +322,4 @@ def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> complex | 
     values = _evaluate(sys, qn, np.abs(phi_arr))
     if parity is Parity.ODD:
         values = np.sign(phi_arr) * values
-    return complex(values[()]) if phi_arr.ndim == 0 else values
+    return float(values[()]) if phi_arr.ndim == 0 else values

@@ -11,8 +11,8 @@ consumption through the CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +26,12 @@ from .residual import residual_rate
 
 RATE_FLOOR = 1.8  # least measured convergence order of FD levels and ODE residuals
 SHAPE_TOLERANCE = 0.999  # largest ratio of consecutive contraction shape deviations
-IMAG_TOL = 1e-10  # largest relative imaginary residue accepted as roundoff
 _NORM_CASES = {oscillator: ("l2-norm", 1.0), coulomb: ("diamond-norm", 0.5)}
+# the (k1, branch) families of the Coulomb norm and contraction suites: nu = 1/4, 3/4, 1
+_COULOMB_FAMILIES = ((0.5, Branch.MINUS), (0.5, Branch.PLUS), (1.0, Branch.PLUS))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ValidationReport:
     """Outcome of one numeric-vs-analytic cross-check.
 
@@ -52,16 +53,7 @@ class ValidationReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "analytic": list(self.analytic),
-            "numeric": list(self.numeric),
-            "abs_err": list(self.abs_err),
-            "rel_err": list(self.rel_err),
-            "convergence_rate": self.convergence_rate,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
+        return dataclasses.asdict(self)
 
 
 def _report(case_id: str, analytic, numeric, tolerance: float,
@@ -87,16 +79,6 @@ def _rate_report(case_id: str, rate: float, floor: float) -> ValidationReport:
         passed=shortfall == 0.0,
         tolerance=0.0,
     )
-
-
-def _real_part_checked(values: np.ndarray) -> np.ndarray:
-    """Strip an imaginary residue that should only be roundoff (IMAG_TOL)."""
-    values = np.asarray(values)
-    scale = float(np.max(np.abs(values))) or 1.0
-    worst = float(np.max(np.abs(values.imag))) / scale
-    if worst > IMAG_TOL:
-        raise DomainError(f"imaginary residue {worst:.3e} exceeds {IMAG_TOL:g}")
-    return values.real
 
 
 # ---------------------------------------------------------------------------
@@ -149,26 +131,24 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     reports.append(_rate_report(f"{label}/levels-order[{schedule}]",
                                 float(np.min(orders)), RATE_FLOOR))
     reports.extend(_norm_reports(system, min(n_max, 5), label))
-    reports.extend(_residual_reports(system, residual_levels, label, RATE_FLOOR))
+    reports.extend(_residual_reports(system, residual_levels, label))
     return reports
 
 
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
-    """R * integral of psi_n conj(psi_n) over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
+    """R * integral of psi_n^2 over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
     module = _module(system)
     nodes, weights = gauss_legendre_rule(*NORM_RULE[:2], 0.0, system.motion_domain[1],
                                          endpoint_refinement=NORM_RULE[2])
     norms = []
     for n in range(n_max + 1):
         psi = module.wavefunction(system, n, nodes)
-        norms.append(float(np.real(system.geometry.radius
-                                   * np.dot(weights, psi * np.conj(psi)))))
+        norms.append(float(system.geometry.radius * np.dot(weights, psi * psi)))
     case, target = _NORM_CASES[module]
     return [_report(f"{label}/{case}", [target] * len(norms), norms, 1e-8)]
 
 
-def _residual_reports(system, levels: tuple[int, ...], label: str,
-                      rate_floor: float) -> list[ValidationReport]:
+def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[ValidationReport]:
     """Order of the residual psi'' + 2 R^2 (E_n - V) psi on the middle 60% of (0, hi)."""
     module = _module(system)
     two_r2 = 2.0 * system.geometry.radius**2
@@ -180,7 +160,7 @@ def _residual_reports(system, levels: tuple[int, ...], label: str,
         rate, _, _ = residual_rate(
             lambda phi: module.wavefunction(system, n, phi),
             lambda phi: two_r2 * (energy - module.potential(system, phi)), window, 2000)
-        reports.append(_rate_report(f"{label}/residual-order[n={n}]", rate, rate_floor))
+        reports.append(_rate_report(f"{label}/residual-order[n={n}]", rate, RATE_FLOOR))
     return reports
 
 
@@ -261,7 +241,7 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
         if np.any(phi >= math.pi):
             raise DomainError(f"scaled grid leaves (0, pi) at R = {r:g}")
         member = coulomb.CoulombSystem(CircleGeometry(float(r)), mu, k1, branch)
-        psi = _real_part_checked(coulomb.wavefunction(member, n, phi))
+        psi = coulomb.wavefunction(member, n, phi)
         scale = float(np.dot(psi, target) / np.dot(psi, psi))
         deviations.append(float(np.max(np.abs(scale * psi - target))) / target_peak)
     ratios = tuple(deviations[i + 1] / deviations[i] for i in range(len(deviations) - 1))
@@ -373,96 +353,68 @@ def specfun_reports() -> list[ValidationReport]:
 # suites
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("oscillator-fd", "coulomb-fd", "norms", "specfun", "contraction", "all")
-
-
-def _oscillator_fd_cases():
+def _oscillator_fd_suite() -> list[ValidationReport]:
     geometry = CircleGeometry(1.0)
     main = oscillator.OscillatorSystem(geometry, omega=1.0, k1=1.5, branch=Branch.PLUS)
     union = oscillator.OscillatorSystem(geometry, omega=1.0, k1=0.5, branch=Branch.PLUS)
-    return [
-        lambda: validate_system(main, n_max=4, grid=4096, tolerance=1e-5,
-                                label="oscillator-fd"),
-        lambda: validate_system(union, n_max=5, grid=4096, tolerance=1e-5,
-                                residual_levels=(0, 2),
-                                label="oscillator-fd/branch-union"),
-    ]
+    return (validate_system(main, n_max=4, grid=4096, tolerance=1e-5, label="oscillator-fd")
+            + validate_system(union, n_max=5, grid=4096, tolerance=1e-5,
+                              residual_levels=(0, 2), label="oscillator-fd/branch-union"))
 
 
-def _coulomb_fd_cases():
+def _coulomb_fd_suite() -> list[ValidationReport]:
     system = coulomb.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0, branch=Branch.PLUS)
-    return [lambda: validate_system(system, n_max=3, grid=8192, tolerance=1e-4,
-                                    label="coulomb-fd")]
+    return validate_system(system, n_max=3, grid=8192, tolerance=1e-4, label="coulomb-fd")
 
 
-def _norm_cases():
+def _norm_suite() -> list[ValidationReport]:
     geometry = CircleGeometry(1.0)
-
-    def oscillator_norms():
-        reports = []
-        for k1, branch in ((1.5, Branch.PLUS), (0.75, Branch.PLUS),
-                           (0.5, Branch.PLUS), (0.5, Branch.MINUS),
-                           (0.3, Branch.MINUS)):
-            system = oscillator.OscillatorSystem(geometry, omega=1.0, k1=k1, branch=branch)
+    reports = []
+    for k1, branch in ((1.5, Branch.PLUS), (0.75, Branch.PLUS), (0.5, Branch.PLUS),
+                       (0.5, Branch.MINUS), (0.3, Branch.MINUS)):
+        system = oscillator.OscillatorSystem(geometry, omega=1.0, k1=k1, branch=branch)
+        reports.extend(_norm_reports(system, 4, f"norms/oscillator[k1={k1:g},{branch.value}]"))
+    diffs = []  # contour-route against sigma-route normalization constants
+    for k1, branch in _COULOMB_FAMILIES:
+        for mu_r in (0.5, 1.0, 2.0):
+            system = coulomb.CoulombSystem(geometry, mu=mu_r, k1=k1, branch=branch)
             reports.extend(_norm_reports(
-                system, 4, f"norms/oscillator[k1={k1:g},{branch.value}]"))
-        return reports
-
-    def coulomb_norms():
-        reports = []
-        for nu, k1, branch in ((0.25, 0.5, Branch.MINUS), (0.75, 0.5, Branch.PLUS),
-                               (1.0, 1.0, Branch.PLUS)):
-            for mu_r in (0.5, 1.0, 2.0):
-                system = coulomb.CoulombSystem(geometry, mu=mu_r, k1=k1, branch=branch)
-                reports.extend(_norm_reports(
-                    system, 5, f"norms/coulomb[nu={nu:g},muR={mu_r:g}]"))
-        return reports
-
-    def constant_consistency():
-        diffs = []
-        for k1, branch in ((0.5, Branch.MINUS), (0.5, Branch.PLUS), (1.0, Branch.PLUS)):
-            nu = 0.5 * (1.0 + branch.sign * k1)
-            for mu_r in (0.5, 1.0, 2.0):
-                for n in range(6):
-                    sigma = mu_r / (n + nu)
-                    k0 = complex(-(n + nu), sigma)
-                    general = abs(coulomb.contour_norm_constant(n, k0, k1, 1.0, branch))
-                    direct = coulomb.norm_constant(n, nu, sigma, 1.0)
-                    diffs.append(abs(general - direct) / direct)
-        return [_report("norms/constant-consistency", [0.0] * len(diffs), diffs, 1e-10)]
-
-    return [oscillator_norms, coulomb_norms, constant_consistency]
+                system, 5, f"norms/coulomb[nu={system.nu:g},muR={mu_r:g}]"))
+            for n in range(6):
+                qn = coulomb.quantize(system, n)
+                general = abs(coulomb.contour_norm_constant(n, qn.k0, k1, 1.0, branch))
+                direct = coulomb.norm_constant(n, qn.nu, qn.sigma, 1.0)
+                diffs.append(abs(general - direct) / direct)
+    reports.append(_report("norms/constant-consistency", [0.0] * len(diffs), diffs, 1e-10))
+    return reports
 
 
-def _contraction_cases():
-    radii = (1e2, 1e3, 1e4)
-    cases = []
-    for nu, k1, branch in ((0.25, 0.5, Branch.MINUS), (0.75, 0.5, Branch.PLUS),
-                           (1.0, 1.0, Branch.PLUS)):
+def _contraction_suite() -> list[ValidationReport]:
+    reports = []
+    for k1, branch in _COULOMB_FAMILIES:
+        system = coulomb.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=k1, branch=branch)
         for n in (0, 1, 2):
-            system = coulomb.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=k1, branch=branch)
-            cases.append(lambda s=system, m=n: contraction_check(s, m, radii))
-    return cases
+            reports.extend(contraction_check(system, n, (1e2, 1e3, 1e4)))
+    return reports
+
+
+# each entry looks its functions up when called, so a wrapper installed on a
+# module attribute (a profiler, a test double) sees every call
+_SUITES = {
+    "oscillator-fd": _oscillator_fd_suite,
+    "coulomb-fd": _coulomb_fd_suite,
+    "norms": _norm_suite,
+    "specfun": lambda: specfun_reports(),
+    "contraction": _contraction_suite,
+}
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str) -> list[ValidationReport]:
-    """Run a named validation suite; reports are merged sorted by case id."""
-    if name == "all":
-        cases = (_oscillator_fd_cases() + _coulomb_fd_cases() + _norm_cases()
-                 + [specfun_reports] + _contraction_cases())
-    elif name == "oscillator-fd":
-        cases = _oscillator_fd_cases()
-    elif name == "coulomb-fd":
-        cases = _coulomb_fd_cases()
-    elif name == "norms":
-        cases = _norm_cases()
-    elif name == "specfun":
-        cases = [specfun_reports]
-    elif name == "contraction":
-        cases = _contraction_cases()
-    else:
+    """Run a named validation suite (``all`` runs every suite); reports are sorted by case id."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-
-    reports = [report for case in cases for report in case()]
+    suites = _SUITES.values() if name == "all" else (_SUITES[name],)
+    reports = [report for suite in suites for report in suite()]
     reports.sort(key=lambda report: report.case_id)
     return reports

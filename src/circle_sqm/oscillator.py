@@ -129,31 +129,32 @@ def spectrum(sys: OscillatorSystem, n_max: int) -> list[tuple[int, Branch, float
 
 
 def _norm_constant(sys: OscillatorSystem, n: int) -> float:
-    # Unit L2 norm on [0, pi/2] with measure R dphi.  All gamma factors are
-    # combined in log space so large n does not overflow.  The +-k1 sign is
-    # carried uniformly through every gamma argument.
+    # Unit L2 norm on [0, pi/2] with measure R dphi: the Jacobi norm for
+    # P_n^(a, k0)(cos 2 phi), a = +-k1.  The gamma factors are combined in log
+    # space so large n does not overflow.
     a = sys.branch.sign * sys.k1
     k0 = sys.k0
     ln_c2 = (
         math.log(2.0 * (2.0 * n + k0 + a + 1.0))
-        + _lgamma(n + a + 1.0)
+        + _lgamma(n + 1.0)
         + _lgamma(n + k0 + a + 1.0)
+        - _lgamma(n + a + 1.0)
         - _lgamma(n + k0 + 1.0)
-        - _lgamma(n + 1.0)
-        - 2.0 * _lgamma(1.0 + a)
         - math.log(sys.geometry.radius)
     )
     return math.exp(0.5 * ln_c2)
 
 
+@finite_result
 def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     """Normalized bound-state wavefunction at angle(s) phi.
 
-    The value is ``C (sin phi)^(1/2 +- k1) (cos phi)^(1/2 + k0)`` times the
-    terminating Gauss series in sin^2(phi), with C fixed by unit norm on
-    [0, pi/2].  Endpoints of the motion domain are hard errors (clamping
-    would silently corrupt quadrature); for the two-branch regime negative
-    angles return the mirror value psi(|phi|).
+    The value is ``C (sin phi)^(1/2 + a) (cos phi)^(1/2 + k0) P_n^(a, k0)(cos 2 phi)``
+    with a = +-k1, the Jacobi polynomial from :func:`specfun.jacobi_scaled`
+    and C fixed by unit norm on [0, pi/2].  Endpoints of the motion domain are
+    hard errors (clamping would silently corrupt quadrature); for the
+    two-branch regime negative angles return the mirror value psi(|phi|);
+    values that are not finite doubles raise DomainError.
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
@@ -166,6 +167,7 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     a = sys.branch.sign * sys.k1
     k0 = sys.k0
     s, c = np.sin(phi_abs), np.cos(phi_abs)
-    series = specfun.hyp2f1_terminating(n, n + k0 + a + 1.0, 1.0 + a, s * s)
-    values = _norm_constant(sys, n) * s ** (0.5 + a) * c ** (0.5 + k0) * np.real(series)
+    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        jacobi = specfun.jacobi_scaled(n, a + k0, a * k0, np.cos(2.0 * phi_abs), a - k0, 1.0)
+        values = _norm_constant(sys, n) * s ** (0.5 + a) * c ** (0.5 + k0) * jacobi
     return float(values[()]) if phi_arr.ndim == 0 else values

@@ -1,9 +1,9 @@
-"""Special-function kernel: complex log-gamma, |Gamma|, Pochhammer symbols and
-terminating hypergeometric sums.
+"""Special-function kernel: complex log-gamma, |Gamma|, Pochhammer symbols,
+terminating hypergeometric sums and the Jacobi three-term recurrence.
 
-Everything downstream (wavefunction prefactors, normalization constants, the
-flat-space limit) is assembled from these four primitives, so the conventions
-are pinned here once:
+Everything downstream (wavefunctions, normalization constants, the flat-space
+limit) is assembled from these primitives, so the conventions are pinned here
+once:
 
 * ``ln_gamma_complex`` uses a Lanczos approximation on ``Re z >= 1/2`` and the
   reflection formula below that line.  On the Lanczos half-plane the result is
@@ -14,6 +14,8 @@ are pinned here once:
 * Terminating hypergeometric series are summed by forward term recurrence
   with compensated (Neumaier) accumulation; no gamma-ratio prefactors are
   formed, so negative-integer upper parameters are handled exactly.
+* Both wavefunctions are Jacobi polynomials, evaluated by the forward
+  three-term recurrence in real arithmetic (:func:`jacobi_scaled`).
 """
 
 from __future__ import annotations
@@ -165,3 +167,26 @@ def hyp1f1_terminating(n: int, c: complex, y) -> complex | np.ndarray:
     c = _check_finite(c, "c")
     _check_lower_parameter(c, n, "c")
     return _terminating_sum(n, lambda j: (-n + j) / ((c + j) * (j + 1)), y)
+
+
+def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> np.ndarray:
+    """w^n P_n^(alpha, beta)(x) by the forward three-term recurrence (DLMF 18.9.2).
+
+    Only ``ab_sum`` = alpha + beta, ``ab_product`` = alpha beta, ``x_w`` = x w,
+    ``d_w`` = (alpha - beta) w and ``w_sq`` = w^2 enter, so every step is real
+    when they are: w = 1 gives P_n at real x for real alpha, beta, and
+    alpha, beta = -N +- i sigma at x = i cot(phi) with w = -i sin(phi) gives the
+    real Romanovski form of the Coulomb states, finite where cot(phi) is not.
+    Arrays broadcast; ``x_w`` sets the shape.
+    """
+    if n < 0:
+        raise DomainError(f"polynomial degree must be >= 0, got {n}")
+    x_w = np.asarray(x_w, dtype=float)
+    prev, value = np.ones_like(x_w), 0.5 * (d_w + (ab_sum + 2.0) * x_w)
+    for m in range(1, n):
+        t = 2.0 * m + ab_sum
+        den = 2.0 * (m + 1) * (m + ab_sum + 1.0) * t
+        step = ((t + 1.0) * (t + 2.0) * t / den) * x_w + ((t + 1.0) * ab_sum / den) * d_w
+        back = 2.0 * (m * m + m * ab_sum + ab_product) * (t + 2.0) / den
+        prev, value = value, step * value - back * w_sq * prev
+    return prev if n == 0 else value

@@ -7,6 +7,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import BranchError, DomainError
 
 
@@ -40,7 +42,7 @@ def check_branch_admissible(branch: Branch, k1: float) -> None:
 
 
 def finite_result(formula):
-    """Make a scalar formula raise DomainError on overflow, division by zero or inf/nan."""
+    """Make a formula raise DomainError on overflow, division by zero or any inf/nan value."""
 
     @functools.wraps(formula)
     def checked(*args):
@@ -48,7 +50,8 @@ def finite_result(formula):
             value = formula(*args)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-        if not math.isfinite(value):
+        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                else math.isfinite(value)):
             raise DomainError(f"{formula.__name__} is not a finite double for these parameters")
         return value
 

@@ -161,6 +161,23 @@ class TestWavefunctionCommand:
         assert code == 2
         assert "--samples" in err
 
+    @pytest.mark.parametrize("system_args, quantity", [
+        (("--system", "coulomb", "--mu", "1e200", "--radius", "1", "--k1", "1", "--n", "0",
+          "--samples", "2"), "norm_constant"),
+        (("--system", "coulomb", "--mu", "1e300", "--radius", "1e10", "--k1", "1", "--n", "0",
+          "--samples", "2"), "sigma"),
+        (("--system", "coulomb", "--mu", "1e7", "--radius", "1", "--k1", "1", "--n", "100",
+          "--samples", "5"), "wavefunction"),
+        (("--system", "oscillator", "--omega", "1e6", "--radius", "1", "--k1", "1.5",
+          "--n", "500", "--samples", "5"), "wavefunction"),
+    ], ids=["coulomb-constant-overflow", "coulomb-sigma-inf", "coulomb-values-nan",
+            "oscillator-values-nan"])
+    def test_non_finite_wavefunction_exits_2(self, capsys, system_args, quantity):
+        code, out, err = run_cli(["wavefunction", *system_args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and quantity in err
+
     def test_values_match_library(self, capsys):
         import numpy as np
 

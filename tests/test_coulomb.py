@@ -3,6 +3,7 @@ reality, diamond pairing and both normalization-constant routes."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,30 @@ class TestWavefunction:
         assert all(b < a for a, b in zip(ladder, ladder[1:]))
         assert ladder[-1] < 0.05
 
+    @pytest.mark.parametrize("system", [case_i(), case_ii(Branch.MINUS), case_i(mu=10.0)],
+                             ids=["nu=1", "nu=0.25", "nu=1,muR=10"])
+    def test_high_n_against_mpmath(self, system):
+        # the complex Gauss-series closed form at 50 digits, not the recurrence
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for n in (40, 100):
+                qn = cou.quantize(system, n)
+                nu, sigma = mp.mpf(qn.nu), mp.mpf(qn.sigma)
+                c = (mp.exp(sigma * mp.pi / 2) * 2**nu * abs(mp.gamma(nu + 1j * sigma))
+                     / mp.gamma(2 * nu)
+                     * mp.sqrt(((n + nu) ** 2 + sigma**2) * mp.gamma(n + 2 * nu)
+                               / (4 * mp.pi * (n + nu) * mp.factorial(n))))
+                for phi in (0.3, 1.5, 2.8):
+                    want = (c * mp.sin(phi) ** nu * mp.exp(-1j * phi * (n - 1j * sigma))
+                            * mp.hyp2f1(-n, nu + 1j * sigma, 2 * nu, 1 - mp.exp(2j * phi)))
+                    got = cou.wavefunction(system, n, phi)
+                    assert abs(got - complex(want)) <= 1e-11 * max(1.0, abs(complex(want)))
+
+    def test_returns_float64(self):
+        values = cou.wavefunction(case_ii(Branch.PLUS), 3, np.linspace(0.1, 3.0, 7))
+        assert values.dtype == np.float64
+        assert type(cou.wavefunction(case_ii(Branch.PLUS), 3, 0.5)) is float
+
     def test_vectorized_matches_scalar(self):
         # batched numpy ufuncs may take SIMD paths one ulp off the scalar ones
         system = case_i()
@@ -257,7 +282,7 @@ class TestDiamond:
 
     def test_half_norm(self):
         for system in (case_i(), case_ii(Branch.PLUS), case_ii(Branch.MINUS)):
-            for n in (0, 2):
+            for n in (0, 2, 25, 40, 100):
                 assert cou.diamond_norm(system, n) == pytest.approx(0.5, abs=1e-8)
 
     def test_diagonal_evaluates_wavefunction_once(self, monkeypatch):
@@ -310,6 +335,12 @@ class TestParityExtension:
 
     def test_odd_vanishes_at_origin(self):
         assert cou.extend_parity(case_i(), 1, 0.0, Parity.ODD) == 0.0
+
+    def test_origin_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1, 40):
+                assert cou.extend_parity(case_i(), n, 0.0, Parity.ODD) == 0.0
 
     def test_one_sided_motion_rejected(self):
         with pytest.raises(BranchError):

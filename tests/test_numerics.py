@@ -293,10 +293,10 @@ class TestValidationReports:
         (cou, cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)),
     ], ids=["oscillator", "coulomb"])
     def test_residual_check_catches_wrong_energy(self, monkeypatch, module, system):
-        assert _residual_reports(system, (0,), "x", 1.8)[0].passed
+        assert _residual_reports(system, (0,), "x")[0].passed
         exact = module.energy_level
         monkeypatch.setattr(module, "energy_level", lambda sys, n: exact(sys, n) + 1e-3)
-        assert _residual_reports(system, (0,), "x", 1.8)[0].passed is False
+        assert _residual_reports(system, (0,), "x")[0].passed is False
 
     def test_report_dict_round_trip(self):
         report = _report("case", [1.0], [1.0], 1e-8)

@@ -184,7 +184,7 @@ class TestWavefunction:
     def test_unit_norm(self, k1, branch):
         system = osc.OscillatorSystem(UNIT, omega=1.0, k1=k1, branch=branch)
         nodes, weights = norm_rule()
-        for n in (0, 1, 4):
+        for n in (0, 1, 4, 25, 40, 100):
             psi = osc.wavefunction(system, n, nodes)
             assert float(np.dot(weights, psi * psi)) == pytest.approx(1.0, abs=1e-8)
 
@@ -220,6 +220,27 @@ class TestWavefunction:
         vec = osc.wavefunction(system, 3, phis)
         for phi, value in zip(phis, vec):
             assert osc.wavefunction(system, 3, float(phi)) == value
+
+    @pytest.mark.parametrize("omega,k1,branch", [
+        (1.0, 1.5, Branch.PLUS), (1.0, 0.3, Branch.MINUS), (10.0, 0.5, Branch.PLUS)])
+    def test_high_n_against_mpmath(self, omega, k1, branch):
+        # the Gauss-series closed form at 50 digits, not the Jacobi recurrence
+        mp = pytest.importorskip("mpmath")
+        system = osc.OscillatorSystem(UNIT, omega=omega, k1=k1, branch=branch)
+        with mp.workdps(50):
+            a = branch.sign * mp.mpf(k1)
+            k0 = mp.sqrt(mp.mpf(omega) ** 2 + mp.mpf(1) / 4)
+            for n in (40, 100):
+                ln_c2 = (mp.log(2 * (2 * n + k0 + a + 1)) + mp.loggamma(n + a + 1)
+                         + mp.loggamma(n + k0 + a + 1) - mp.loggamma(n + k0 + 1)
+                         - mp.loggamma(n + 1) - 2 * mp.loggamma(1 + a))
+                for phi in (0.1, 0.7, 1.3):
+                    s, c = mp.sin(phi), mp.cos(phi)
+                    want = float(mp.exp(ln_c2 / 2) * s ** (mp.mpf(1) / 2 + a)
+                                 * c ** (mp.mpf(1) / 2 + k0)
+                                 * mp.hyp2f1(-n, n + k0 + a + 1, 1 + a, s * s))
+                    got = osc.wavefunction(system, n, phi)
+                    assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_large_n_prefactor_stays_finite(self):
         # naive gamma products overflow doubles near n ~ 170; the log-space

@@ -184,3 +184,41 @@ class TestHyp1F1Terminating:
             exact = hyp1f1_exact(n, c, y)
             got = complex(specfun.hyp1f1_terminating(n, c.to_complex(), y.to_complex()))
             assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0)
+
+
+class TestJacobiScaled:
+    def test_degree_zero_and_one(self):
+        xs = np.array([-0.5, 0.0, 0.75])
+        assert np.array_equal(specfun.jacobi_scaled(0, 1.7, 0.6, xs, -0.7, 1.0), np.ones(3))
+        # P_1^(a, b)(x) = (a - b)/2 + (a + b + 2) x/2 with a = 0.5, b = 1.2
+        expected = -0.35 + 1.85 * xs
+        assert np.allclose(specfun.jacobi_scaled(1, 1.7, 0.6, xs, -0.7, 1.0), expected,
+                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 1.2), (-0.5, 0.5), (1.5, math.sqrt(1.25)),
+                                     (-0.3, 10.0)])
+    def test_real_parameters_against_mpmath(self, a, b):
+        mp = pytest.importorskip("mpmath")
+        xs = np.linspace(-0.95, 0.95, 9)
+        with mp.workdps(50):
+            for n in (2, 7, 40):
+                got = specfun.jacobi_scaled(n, a + b, a * b, xs, a - b, 1.0)
+                for x, value in zip(xs, got):
+                    want = float(mp.jacobi(n, a, b, x))
+                    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_conjugate_parameters_against_mpmath(self):
+        # (-i sin phi)^n P_n^(-N + i s, -N - i s)(i cot phi) is real; the
+        # recurrence returns it from cos, sin and real coefficients only
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for n, nu, sigma in ((3, 0.25, 0.4), (12, 1.0, 2.5), (40, 0.75, 0.1)):
+                big_n = n + nu
+                for phi in (0.2, 1.6, 3.0):
+                    s, c = math.sin(phi), math.cos(phi)
+                    got = specfun.jacobi_scaled(n, -2.0 * big_n, big_n**2 + sigma**2, c,
+                                                2.0 * sigma * s, -s * s)
+                    want = complex((-1j * mp.sin(phi)) ** n * mp.jacobi(
+                        n, mp.mpc(-big_n, sigma), mp.mpc(-big_n, -sigma), 1j * mp.cot(phi)))
+                    assert abs(want.imag) <= 1e-30
+                    assert abs(got - want.real) <= 1e-12 * max(1.0, abs(want.real))
