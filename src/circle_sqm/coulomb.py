@@ -49,6 +49,11 @@ from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_adm
                       finite_result, merged_levels)
 
 _SINGULAR_TOL = 1e-12
+# Largest mu R at which diamond_norm's default NORM_RULE is trusted: every
+# n <= 100 there gives |norm - 1/2| <= 2.2e-9, but the rule's endpoint
+# refinement does not follow the e^(-sigma phi) decay beyond it (6.5e-7 at
+# mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
+_NORM_RULE_MAX_MU_R = 1e3
 
 
 @dataclass(frozen=True)
@@ -289,9 +294,18 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None)
 
     ``quad`` may supply (nodes, weights) on (0, pi); by default a composite
     Gauss rule with endpoint refinement is used (the integrand behaves like
-    (sin phi)^(2 nu) at the ends, with nu as small as 1/4).
+    (sin phi)^(2 nu) at the ends, with nu as small as 1/4).  The default
+    rule is refused with DomainError for mu R > 1e3, where it stops
+    resolving the e^(-sigma phi) decay; a rule passed as ``quad`` is used
+    as given.
     """
     if quad is None:
+        mu_r = sys.mu * sys.geometry.radius
+        if mu_r > _NORM_RULE_MAX_MU_R:
+            raise DomainError(
+                f"the default norm rule is not resolved at mu R = {mu_r:g} "
+                f"> {_NORM_RULE_MAX_MU_R:g}; pass a rule as quad="
+            )
         from .numerics.quadrature import NORM_RULE, gauss_legendre_rule
 
         quad = gauss_legendre_rule(*NORM_RULE[:2], *sys.motion_domain,

@@ -1,12 +1,29 @@
-"""The Sturm-count kernel of the finite-difference eigensolver.
+"""The Sturm-count kernels of the finite-difference eigensolver.
 
-The Sturm-sequence eigenvalue count (Kahan 1966) is the inner loop of the
-whole finite-difference validation engine: one pass is O(N) and strictly
-sequential in the matrix index.  The multisection eigensolver calls it
-about 10-12 times per solve on grids up to N = 16384, with up to 256 shifts
-per pass.  There is one implementation, a numpy recurrence with the loop
-over matrix rows in Python and the shift batch vectorized, so a pass costs
-about the same for 1 shift or 256.
+The Sturm count (the number of eigenvalues of a symmetric tridiagonal T
+below a shift s) is the inner loop of the whole finite-difference validation
+engine.  There are two kernels:
+
+* :func:`sturm_counts`, the solver's kernel: odd-even (cyclic) reduction
+  (Buzbee, Golub & Nielson 1970).  Sylvester's law of inertia and
+  Haynsworth's inertia additivity give count(T - s) = (negative pivots of
+  the even rows, whose block is diagonal) + count(Schur complement on the
+  odd rows), and that Schur complement is again tridiagonal and half the
+  size.  A pass is log2(N) numpy steps, each vectorised over shifts x rows,
+  so its cost is proportional to the number of shifts it carries.
+* :func:`_serial_counts`, the row-by-row LDL^T sign sequence (Kahan 1966).
+  It is backward stable but loops over the rows in Python, one shift at a
+  time, at about 0.2 us per row and shift.
+
+Parallel counts such as the reduction are not backward stable (Demmel,
+Dhillon & Ren 1995).  The reduction loses the count where a small pivot of
+an eliminated row spreads a large rank-one update over both its neighbours,
+whose later cancellation leaves only rounding error: on the free Laplacian,
+whose half-size blocks share its eigenvalues, a shift 1e-10 from an
+eigenvalue grows the pivots by 2.5e8 and miscounts.  So :func:`sturm_counts`
+recounts serially every shift whose pivots grow beyond _GROWTH times the
+largest entry of T - s, and the eigensolver certifies its final brackets
+with one serial pass.
 """
 
 from __future__ import annotations
@@ -15,24 +32,77 @@ import numpy as np
 
 USE_NUMBA = False  # read by perfbench/provenance.py; there is no numba kernel
 
+# Largest pivot growth, relative to the largest entry of T - s, that the
+# reduction may reach before its count is replaced by the serial count.  The
+# 64-point free Laplacian miscounts at growth 2.5e8 (a shift 1e-10 below its
+# second eigenvalue) and counts right at 2.5e7.  The matrices of
+# `validate --suite all` grow by at most 8e2, except at each solve's first
+# midpoint, which lands on the constant part of the diagonal (4e6 to 1e11).
+_GROWTH = 1e4
+
 
 def sturm_counts(
     diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, pivmin: float
 ) -> np.ndarray:
-    """Number of eigenvalues below each shift, via the LDL^T sign sequence.
+    """Number of eigenvalues below each shift, by odd-even reduction.
 
-    Pivots with magnitude below ``pivmin`` are replaced by ``-pivmin``
-    (LAPACK's convention), which keeps the count deterministic at exact
-    pivot zeros: an eigenvalue equal to a shift is counted.
+    ``off_sq`` holds the squared off-diagonal; the reduction carries
+    |e| = ``sqrt(off_sq)`` (exact for a square that neither overflowed nor
+    underflowed) rather than e^2, whose products overflow first.  Pivots with magnitude below ``pivmin`` are replaced by
+    ``-pivmin`` (LAPACK's convention), which keeps the count deterministic
+    at exact pivot zeros: an eigenvalue equal to a shift is counted.
+    Shifts whose pivots grow past _GROWTH times max |T - s|, overflow
+    included, are counted again by :func:`_serial_counts`.
     """
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
-    off_sq = np.ascontiguousarray(off_sq, dtype=np.float64)
     shifts = np.ascontiguousarray(shifts, dtype=np.float64)
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        q = diag[i] - shifts - off_sq[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts += q < 0.0
+    diag = np.asarray(diag, dtype=np.float64)
+    d = diag[None, :] - shifts[:, None]  # (shifts, rows); each shift is independent
+    e = np.sqrt(np.asarray(off_sq, dtype=np.float64))[None, :]
+    widest = np.maximum(np.max(diag) - shifts, shifts - np.min(diag))  # max |d - s|
+    bound = _GROWTH * np.maximum(widest, np.max(e, initial=0.0))
+    counts = np.zeros(shifts.shape[0], dtype=np.int64)
+    largest = np.zeros(shifts.shape[0])
+    # Every entry is a pivot at some step, so the largest pivot measures the
+    # growth; overflow and inf - inf stay within a shift that it then marks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d.shape[1] > 0:
+            size = np.abs(d[:, 0::2])
+            largest = np.maximum(largest, np.max(size, axis=1))
+            p = np.where(size < pivmin, -pivmin, d[:, 0::2])
+            counts += np.count_nonzero(p < 0.0, axis=1)
+            kept = d[:, 1::2]
+            left, right = e[:, 0::2], e[:, 1::2]
+            width = right.shape[1]
+            ratio = right / p[:, 1:1 + width]
+            d = kept - left * (left / p[:, :kept.shape[1]])
+            d[:, :width] -= right * ratio
+            e = ratio[:, :kept.shape[1] - 1] * e[:, 2::2]  # its sign never matters
+    grown = ~(largest <= bound)  # NaN counts as grown
+    if np.any(grown):
+        counts[grown] = _serial_counts(diag, off_sq, shifts[grown], pivmin)
     return counts
+
+
+def _serial_counts(
+    diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, pivmin: float
+) -> np.ndarray:
+    """Number of eigenvalues below each shift, via the row-by-row LDL^T signs.
+
+    Same ``pivmin`` rule as :func:`sturm_counts`.  Backward stable; a Python
+    loop over the rows of each shift, so the solver calls it once per solve
+    and :func:`sturm_counts` only for the shifts it cannot trust.
+    """
+    diag = np.asarray(diag, dtype=np.float64).tolist()
+    off_sq = [0.0] + np.asarray(off_sq, dtype=np.float64).tolist()
+    pivmin = float(pivmin)
+    counts = []
+    for shift in np.asarray(shifts, dtype=np.float64).tolist():
+        q, count = 1.0, 0
+        for d, e2 in zip(diag, off_sq):
+            q = d - shift - e2 / q
+            if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
+                if q > -pivmin:
+                    q = -pivmin
+                count += 1
+        counts.append(count)
+    return np.array(counts, dtype=np.int64)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ._kernels import sturm_counts
+from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
-_SHIFTS = 256  # shifts per Sturm pass; a numpy pass costs about the same for 1 to 256
 _REL_TOL = 1e-12  # bracket width, relative to the eigenvalue, at which it closes
 _MAX_PASSES = 250  # cap on Sturm passes; a well-formed matrix needs far fewer
 
@@ -72,19 +71,26 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
 
 
 def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues by Sturm counting plus multisection.
+    """The lowest ``count`` eigenvalues by Sturm counting plus bisection.
 
     Every eigenvalue starts bracketed by the Gershgorin bounds.  Each pass
-    spreads a budget of ``_SHIFTS`` evenly spaced interior points over the
-    distinct brackets still open and counts them all in one Sturm pass (a
-    numpy pass costs about the same for 1 shift or 256); every count then
-    tightens every bracket, as in LAPACK ``dstebz``: the j-th eigenvalue lies
-    above each shift counting fewer than j eigenvalues and below each shift
-    counting at least j.  A bracket closes once its width drops below _REL_TOL
-    relative to the eigenvalue, with an absolute floor of _REL_TOL^2 times the
-    spectral radius (so that eigenvalues crossing zero still terminate); the
-    result is its midpoint.  _MAX_PASSES caps the number of passes.
-    Deterministic: fixed bracketing, fixed shifts, no randomness.
+    counts the midpoint of every distinct open bracket in one
+    :func:`sturm_counts` pass (whose cost is proportional to its shifts);
+    every count then tightens every bracket, as in LAPACK ``dstebz``: the
+    j-th eigenvalue lies above each shift counting fewer than j eigenvalues
+    and below each shift counting at least j.  A bracket closes once its
+    width drops below _REL_TOL relative to the eigenvalue, with an absolute
+    floor of _REL_TOL^2 times the spectral radius (so that eigenvalues
+    crossing zero still terminate); the result is its midpoint.
+
+    The reduction count is not backward stable, so two checks stand between
+    it and the result.  A bracket that inverts (lo > hi, a count that is not
+    monotone in the shift) raises ConvergenceError at once.  The closed
+    brackets are then certified by one serial LDL^T pass: with
+    tau = 8 eps max(|Gershgorin bounds|, 1), the j-th bracket must count
+    fewer than j eigenvalues below lo_j - tau and at least j below
+    hi_j + tau, or ConvergenceError is raised.  _MAX_PASSES caps the number
+    of passes.  Deterministic: fixed bracketing, fixed shifts, no randomness.
     """
     if count < 1 or count > matrix.dimension:
         raise DomainError(f"count must be in 1..{matrix.dimension}, got {count}")
@@ -102,23 +108,35 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
 
     lo = np.full(count, lo_bound)
     hi = np.full(count, hi_bound)
-    want = np.arange(1, count + 1)[:, None]
+    want = np.arange(1, count + 1)
     for _ in range(_MAX_PASSES):
         tol = _REL_TOL * np.maximum(np.abs(lo), np.abs(hi)) + abs_floor
         open_ = hi - lo > tol
         if not np.any(open_):
+            _certify(d, e2, lo, hi, pivmin, 8.0 * np.finfo(float).eps * scale)
             return 0.5 * (lo + hi)
-        brackets = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0)
-        points = max(1, _SHIFTS // brackets.shape[0])
-        fractions = np.arange(1, points + 1) / (points + 1)
-        left, right = brackets[:, :1], brackets[:, 1:]
-        shifts = np.unique(left + fractions * (right - left))
-        below = sturm_counts(d, e2, shifts, pivmin) < want
+        shifts = np.unique(0.5 * (lo[open_] + hi[open_]))
+        below = sturm_counts(d, e2, shifts, pivmin)[None, :] < want[:, None]
         lo = np.maximum(lo, np.max(np.where(below, shifts, -np.inf), axis=1))
         hi = np.minimum(hi, np.min(np.where(below, np.inf, shifts), axis=1))
+        if np.any(lo > hi):
+            raise ConvergenceError(
+                "Sturm counts not monotone in the shift: a bisection bracket inverted"
+            )
     raise ConvergenceError(
-        f"multisection failed to converge in {_MAX_PASSES} passes (malformed matrix?)"
+        f"bisection failed to converge in {_MAX_PASSES} passes (malformed matrix?)"
     )
+
+
+def _certify(d, e2, lo, hi, pivmin: float, tau: float) -> None:
+    """Refuse brackets that one serial LDL^T count does not confirm."""
+    want = np.arange(1, lo.shape[0] + 1)
+    counts = _serial_counts(d, e2, np.concatenate((lo - tau, hi + tau)), pivmin)
+    below_lo, below_hi = counts[: lo.shape[0]], counts[lo.shape[0]:]
+    if np.any(below_lo >= want) or np.any(below_hi < want):
+        raise ConvergenceError(
+            "the serial Sturm count does not confirm the bisection brackets"
+        )
 
 
 def eigenvalue_with_refinement(potential, radius: float, domain: tuple[float, float],

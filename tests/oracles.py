@@ -6,6 +6,7 @@ cross-checks do not share a code path with what they verify:
 * exact complex-rational terminating hypergeometric sums (Fraction arithmetic,
   zero roundoff);
 * a plain trapezoid-with-Richardson integrator for smooth integrands;
+* a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
 * closed-form spot values frozen from well-known identities.
 """
 
@@ -89,3 +90,30 @@ def trapezoid_romberg(fn, a: float, b: float, levels: int = 14) -> float:
             row.append(row[j - 1] + (row[j - 1] - table[-1][j - 1]) / (4.0**j - 1.0))
         table.append(row)
     return table[-1][-1]
+
+
+def exact_sturm_counts(diag, off, shifts, digits: int = 400) -> list[int]:
+    """Eigenvalues of the tridiagonal (diag, off) below each shift, by LDL^T in mpmath.
+
+    The float entries and shifts are taken exactly and the recurrence runs
+    at ``digits`` digits, so the count is exact unless a shift lies within
+    about 10^-digits of an eigenvalue.  An exactly zero pivot is read as a
+    negative infinitesimal, so an eigenvalue equal to the shift is counted.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        d = [mpmath.mpf(float(x)) for x in diag]
+        e2 = [mpmath.mpf(0)] + [mpmath.mpf(float(x)) ** 2 for x in off]
+        infinitesimal = mpmath.mpf(10) ** (-4 * digits)
+        counts = []
+        for shift in shifts:
+            s = mpmath.mpf(float(shift))
+            q, count = mpmath.mpf(1), 0
+            for di, ei in zip(d, e2):
+                q = di - s - ei / q
+                if q == 0:
+                    q = -infinitesimal
+                count += q < 0
+            counts.append(count)
+    return counts

@@ -285,6 +285,17 @@ class TestDiamond:
             for n in (0, 2, 25, 40, 100):
                 assert cou.diamond_norm(system, n) == pytest.approx(0.5, abs=1e-8)
 
+    def test_default_rule_refused_beyond_mu_r_1e3(self):
+        # the default rule holds to 2.2e-9 at mu R = 1e3 and n = 100 and is
+        # 1.2e-2 off at mu R = 1e4 and n = 50; a rule passed in is not refused
+        assert cou.diamond_norm(case_i(mu=1e3), 100) == pytest.approx(0.5, abs=1e-8)
+        uniform = gauss_legendre_rule(4000, 20, 0.0, math.pi)
+        for system, n in ((case_i(mu=3e3), 20), (case_i(mu=1e3, radius=2.0), 20),
+                          (case_i(mu=1e4), 50)):
+            with pytest.raises(DomainError, match="mu R"):
+                cou.diamond_norm(system, n)
+            assert cou.diamond_norm(system, n, quad=uniform) == pytest.approx(0.5, abs=1e-10)
+
     def test_diagonal_evaluates_wavefunction_once(self, monkeypatch):
         calls = []
         evaluate = cou._evaluate

@@ -1,7 +1,8 @@
-"""Numerics layer: quadrature, FD assembly, Sturm multisection, residuals,
+"""Numerics layer: quadrature, FD assembly, Sturm bisection, residuals,
 Richardson, and the validation/contraction machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
-from circle_sqm.errors import DomainError, SingularPointError
+from circle_sqm.errors import ConvergenceError, DomainError, SingularPointError
 from circle_sqm.numerics import (
     TridiagonalMatrix,
     build_hamiltonian,
@@ -25,11 +26,11 @@ from circle_sqm.numerics import (
     run_suite,
     validate_system,
 )
-from circle_sqm.numerics import eigensolve
+from circle_sqm.numerics import _kernels, eigensolve
 from circle_sqm.numerics._kernels import sturm_counts
 from circle_sqm.numerics.validate import _report, _residual_reports
 
-from oracles import trapezoid_romberg
+from oracles import exact_sturm_counts, trapezoid_romberg
 
 
 class TestQuadrature:
@@ -151,8 +152,9 @@ class TestSturmEigenvalues:
         scale = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(mine - dense)) <= 1e-11 * scale
 
-    def test_multisection_pass_count(self, monkeypatch):
-        # one Sturm pass per midpoint would need 63 passes here
+    def test_bisection_work_bound(self, monkeypatch):
+        # plain bisection: one midpoint per distinct open bracket, so a pass
+        # carries at most `count` shifts, and about 63 passes close 5 levels
         passes = []
 
         def counting(diag, off_sq, shifts, pivmin):
@@ -164,10 +166,35 @@ class TestSturmEigenvalues:
                                       branch=Branch.PLUS)
         matrix = build_hamiltonian(lambda phi: osc.potential(system, phi), 1.0,
                                    (0.0, math.pi / 2), 4096)
-        lam = lowest_eigenvalues(matrix, 5)
-        assert len(passes) <= 16
-        exact = np.array([osc.energy_level(system, n) for n in range(5)])
+        count = 5
+        lam = lowest_eigenvalues(matrix, count)
+        assert max(passes) <= count
+        assert sum(passes) <= 64 * count
+        exact = np.array([osc.energy_level(system, n) for n in range(count)])
         assert np.max(np.abs(lam - exact) / exact) <= 1e-4
+
+    def test_inverted_bracket_refused(self, monkeypatch):
+        # counts reversed within a pass are not monotone in the shift: the
+        # second pass puts a bracket's lower end above its upper end
+        def reversed_counts(diag, off_sq, shifts, pivmin):
+            return sturm_counts(diag, off_sq, shifts, pivmin)[::-1]
+
+        monkeypatch.setattr(eigensolve, "sturm_counts", reversed_counts)
+        matrix = TridiagonalMatrix(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(3), 1.0, 0.0)
+        with pytest.raises(ConvergenceError, match="inverted"):
+            lowest_eigenvalues(matrix, 4)
+
+    def test_certificate_refuses_a_wrong_count(self, monkeypatch):
+        # a monotone count of T - 0.5 closes every bracket 0.5 too high; only
+        # the serial certificate can see it
+        def offset_counts(diag, off_sq, shifts, pivmin):
+            return sturm_counts(diag, off_sq, shifts - 0.5, pivmin)
+
+        monkeypatch.setattr(eigensolve, "sturm_counts", offset_counts)
+        rng = np.random.default_rng(5)
+        matrix = TridiagonalMatrix(rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 49), 1.0, 0.0)
+        with pytest.raises(ConvergenceError, match="serial"):
+            lowest_eigenvalues(matrix, 3)
 
     def test_sorted_output(self):
         rng = np.random.default_rng(3)
@@ -202,6 +229,122 @@ class TestSturmEigenvalues:
         # the pivot at row 1 is exactly zero; -pivmin makes it count as negative
         counts = sturm_counts(np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([2.0]), 1e-300)
         assert counts.tolist() == [2]
+
+
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _solver_pivmin(off):
+    return 1e-300 * max(1.0, float(np.max(off * off, initial=0.0)))
+
+
+def _glued_wilkinson(copies=20, link=1e-14):
+    diag = np.tile(np.abs(np.arange(-10.0, 11.0)), copies)
+    off = np.ones(21 * copies - 1)
+    off[20::21] = link
+    return diag, off
+
+
+def _graded(n, span, rng):
+    """Random indefinite graded matrix: entries of size 10^-span .. 10^span."""
+    g = 10.0 ** np.linspace(-span, span, n)
+    diag = g * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+    off = np.sqrt(g[:-1] * g[1:]) * rng.uniform(0.1, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    return diag, off
+
+
+def _hard_matrices():
+    rng = np.random.default_rng(2026)
+    laplacian = build_hamiltonian(lambda phi: 0.0 * phi, 1.3, (0.0, math.pi), 64)
+    h = laplacian.grid_step
+    on_eigenvalues = (1.0 - np.cos(np.arange(1, 11) * math.pi / 64)) / (1.3**2 * h * h)
+    g = 10.0 ** np.linspace(-100, 100, 200)
+    tiny = 2.0**-532  # ~1.1e-160, chosen so that off**2 is an exact subnormal
+    return {
+        "free-laplacian": (laplacian.diagonal, laplacian.off_diagonal, on_eigenvalues),
+        "zero-diagonal": (np.zeros(100), rng.uniform(0.5, 2.0, 99) * rng.choice([-1, 1], 99),
+                          np.array([0.0, 1e-320, -1e-320])),
+        "glued-wilkinson": (*_glued_wilkinson(), np.array([0.0, 1.0, 5.0, 10.0])),
+        "graded-positive": (g, 0.5 * np.sqrt(g[:-1] * g[1:]), np.array([0.0, -1e90, 1e-50])),
+        "entries-1e150": (rng.uniform(-2.0, 2.0, 100) * 1e150,
+                          rng.uniform(0.5, 1.5, 99) * 1e150, np.array([0.0])),
+        "entries-1e-160": (rng.uniform(-2.0, 2.0, 100) * tiny,
+                           rng.integers(1, 32, 99) * tiny, np.array([0.0])),
+    }
+
+
+class TestSturmHardCases:
+    """The reduction kernel against oracles that share no code with it:
+    ``np.linalg.eigvalsh`` and a 400-digit LDL^T count (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("name", list(_hard_matrices()))
+    def test_counts_match_dense_eigenvalues(self, name):
+        diag, off, special = _hard_matrices()[name]
+        dense = np.linalg.eigvalsh(_tridiagonal(diag, off))
+        norm = float(np.max(np.abs(dense)))
+        gaps = np.concatenate(([dense[0] - norm], 0.5 * (dense[:-1] + dense[1:]),
+                               [dense[-1] + norm]))
+        shifts = np.concatenate((gaps, dense, special))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = sturm_counts(diag, off * off, shifts, _solver_pivmin(off))
+        delta = 1e-8 * norm
+        lower = np.searchsorted(dense, shifts - delta, side="left")
+        upper = np.searchsorted(dense, shifts + delta, side="right")
+        far = lower == upper
+        assert np.all(counts[far] == lower[far])
+        # nearer than delta the dense eigenvalues cannot decide; stay inside them
+        assert np.all((lower <= counts) & (counts <= upper))
+        if name != "free-laplacian":  # whose special shifts sit on eigenvalues
+            assert counts[-len(special):].tolist() == exact_sturm_counts(diag, off, special)
+
+    def test_counts_match_exact_on_oscillator_hamiltonian(self):
+        system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
+                                      branch=Branch.PLUS)
+        matrix = build_hamiltonian(lambda phi: osc.potential(system, phi), 1.0,
+                                   (0.0, math.pi / 2), 16384)
+        diag, off = matrix.diagonal, matrix.off_diagonal
+        norm = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))  # >= ||T||
+        # between levels 2 and 3, and on the constant part of the diagonal
+        shifts = np.array([37.0, 1.088e8])
+        delta = 1e-8 * norm
+        below = exact_sturm_counts(diag, off, shifts - delta)
+        assert below == exact_sturm_counts(diag, off, shifts + delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = sturm_counts(diag, off * off, shifts, _solver_pivmin(off))
+        assert counts.tolist() == below
+
+    def test_random_graded_sweep(self):
+        # 60 indefinite graded matrices: every level within 1e-11 ||T|| of the
+        # dense eigenvalues, or the solve is refused
+        rng = np.random.default_rng(60)
+        refused = 0
+        for _ in range(60):
+            n = int(np.exp(rng.uniform(math.log(50), math.log(600))))
+            diag, off = _graded(n, rng.uniform(5.0, 60.0), rng)
+            dense = np.linalg.eigvalsh(_tridiagonal(diag, off))
+            try:
+                got = lowest_eigenvalues(TridiagonalMatrix(diag, off, 1.0, 0.0), n)
+            except ConvergenceError:
+                refused += 1
+                continue
+            assert np.max(np.abs(got - dense)) <= 1e-11 * np.max(np.abs(dense))
+        print(f"graded sweep: {refused} of 60 refused")
+
+    def test_growth_guard_on_pinned_miscount(self, monkeypatch):
+        # without its growth guard the reduction counts 4 here; the exact count is 3
+        n = 800
+        g = 10.0 ** np.linspace(-30, 30, n)
+        diag = g * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        off = 0.9 * np.sqrt(g[:-1] * g[1:])
+        shift = np.array([-2.9808692615895942e29])
+        assert exact_sturm_counts(diag, off, shift) == [3]
+        assert int(np.sum(np.linalg.eigvalsh(_tridiagonal(diag, off)) < shift[0])) == 3
+        assert sturm_counts(diag, off * off, shift, _solver_pivmin(off)).tolist() == [3]
+        monkeypatch.setattr(_kernels, "_GROWTH", np.inf)
+        assert sturm_counts(diag, off * off, shift, _solver_pivmin(off)).tolist() == [4]
 
 
 class TestBoxSpectrum:
