@@ -39,6 +39,7 @@ USE_NUMBA = False  # read by perfbench/provenance.py; there is no numba kernel
 # `validate --suite all` grow by at most 8e2, except at each solve's first
 # midpoint, which lands on the constant part of the diagonal (4e6 to 1e11).
 _GROWTH = 1e4
+_SERIAL_BLOCK = 2048  # rows converted to Python floats at a time
 
 
 def sturm_counts(
@@ -48,15 +49,17 @@ def sturm_counts(
 
     ``off_sq`` holds the squared off-diagonal; the reduction carries
     |e| = ``sqrt(off_sq)`` (exact for a square that neither overflowed nor
-    underflowed) rather than e^2, whose products overflow first.  Pivots with magnitude below ``pivmin`` are replaced by
-    ``-pivmin`` (LAPACK's convention), which keeps the count deterministic
-    at exact pivot zeros: an eigenvalue equal to a shift is counted.
+    underflowed) rather than e^2, whose products overflow first.  Pivots
+    with magnitude below ``pivmin`` are replaced by ``-pivmin`` (LAPACK's
+    convention), which keeps the count deterministic at exact pivot zeros:
+    an eigenvalue equal to a shift is counted.
     Shifts whose pivots grow past _GROWTH times max |T - s|, overflow
     included, are counted again by :func:`_serial_counts`.
     """
     shifts = np.ascontiguousarray(shifts, dtype=np.float64)
     diag = np.asarray(diag, dtype=np.float64)
-    d = diag[None, :] - shifts[:, None]  # (shifts, rows); each shift is independent
+    even = diag[None, 0::2] - shifts[:, None]  # (shifts, rows); each shift is independent
+    kept = diag[None, 1::2] - shifts[:, None]
     e = np.sqrt(np.asarray(off_sq, dtype=np.float64))[None, :]
     widest = np.maximum(np.max(diag) - shifts, shifts - np.min(diag))  # max |d - s|
     bound = _GROWTH * np.maximum(widest, np.max(e, initial=0.0))
@@ -65,18 +68,23 @@ def sturm_counts(
     # Every entry is a pivot at some step, so the largest pivot measures the
     # growth; overflow and inf - inf stay within a shift that it then marks.
     with np.errstate(over="ignore", invalid="ignore"):
-        while d.shape[1] > 0:
-            size = np.abs(d[:, 0::2])
-            largest = np.maximum(largest, np.max(size, axis=1))
-            p = np.where(size < pivmin, -pivmin, d[:, 0::2])
-            counts += np.count_nonzero(p < 0.0, axis=1)
-            kept = d[:, 1::2]
+        while even.shape[1] > 0:
+            largest = np.maximum(largest, np.maximum(np.max(even, axis=1),
+                                                     -np.min(even, axis=1)))
+            negative = even < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
+            counts += np.count_nonzero(negative, axis=1)
+            tiny = negative & (even > -pivmin)
+            p = np.where(tiny, -pivmin, even) if np.any(tiny) else even
             left, right = e[:, 0::2], e[:, 1::2]
-            width = right.shape[1]
+            width, rows = right.shape[1], kept.shape[1]
             ratio = right / p[:, 1:1 + width]
-            d = kept - left * (left / p[:, :kept.shape[1]])
-            d[:, :width] -= right * ratio
-            e = ratio[:, :kept.shape[1] - 1] * e[:, 2::2]  # its sign never matters
+            e = ratio[:, :rows - 1] * e[:, 2::2]  # its sign never matters
+            d = left / p[:, :rows]
+            d *= left
+            np.subtract(kept, d, out=d)
+            ratio *= right
+            d[:, :width] -= ratio
+            even, kept = d[:, 0::2], d[:, 1::2]
     grown = ~(largest <= bound)  # NaN counts as grown
     if np.any(grown):
         counts[grown] = _serial_counts(diag, off_sq, shifts[grown], pivmin)
@@ -92,17 +100,22 @@ def _serial_counts(
     loop over the rows of each shift, so the solver calls it once per solve
     and :func:`sturm_counts` only for the shifts it cannot trust.
     """
-    diag = np.asarray(diag, dtype=np.float64).tolist()
-    off_sq = [0.0] + np.asarray(off_sq, dtype=np.float64).tolist()
+    diag = np.asarray(diag, dtype=np.float64)
+    off_sq = np.concatenate(([0.0], np.asarray(off_sq, dtype=np.float64)))
     pivmin = float(pivmin)
-    counts = []
-    for shift in np.asarray(shifts, dtype=np.float64).tolist():
-        q, count = 1.0, 0
-        for d, e2 in zip(diag, off_sq):
-            q = d - shift - e2 / q
-            if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
-                if q > -pivmin:
-                    q = -pivmin
-                count += 1
-        counts.append(count)
+    shifts = np.asarray(shifts, dtype=np.float64).tolist()
+    pivots, counts = [1.0] * len(shifts), [0] * len(shifts)
+    # rows go to Python floats a block at a time, which bounds their memory
+    for start in range(0, diag.shape[0], _SERIAL_BLOCK):
+        block_d = diag[start:start + _SERIAL_BLOCK].tolist()
+        block_e2 = off_sq[start:start + _SERIAL_BLOCK].tolist()
+        for k, shift in enumerate(shifts):
+            q, count = pivots[k], counts[k]
+            for d, e2 in zip(block_d, block_e2):
+                q = d - shift - e2 / q
+                if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
+                    if q > -pivmin:
+                        q = -pivmin
+                    count += 1
+            pivots[k], counts[k] = q, count
     return np.array(counts, dtype=np.int64)
