@@ -61,20 +61,19 @@ def sturm_counts(
     even = diag[None, 0::2] - shifts[:, None]  # (shifts, rows); each shift is independent
     kept = diag[None, 1::2] - shifts[:, None]
     e = np.sqrt(np.asarray(off_sq, dtype=np.float64))[None, :]
-    widest = np.maximum(np.max(diag) - shifts, shifts - np.min(diag))  # max |d - s|
-    bound = _GROWTH * np.maximum(widest, np.max(e, initial=0.0))
+    widest = np.maximum(diag.max() - shifts, shifts - diag.min())  # max |d - s|
+    bound = _GROWTH * np.maximum(widest, e.max(initial=0.0))
     counts = np.zeros(shifts.shape[0], dtype=np.int64)
     largest = np.zeros(shifts.shape[0])
     # Every entry is a pivot at some step, so the largest pivot measures the
     # growth; overflow and inf - inf stay within a shift that it then marks.
     with np.errstate(over="ignore", invalid="ignore"):
         while even.shape[1] > 0:
-            largest = np.maximum(largest, np.maximum(np.max(even, axis=1),
-                                                     -np.min(even, axis=1)))
+            largest = np.maximum(largest, np.maximum(even.max(axis=1), -even.min(axis=1)))
             negative = even < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
-            counts += np.count_nonzero(negative, axis=1)
+            counts += negative.sum(axis=1)
             tiny = negative & (even > -pivmin)
-            p = np.where(tiny, -pivmin, even) if np.any(tiny) else even
+            p = np.where(tiny, -pivmin, even) if tiny.any() else even
             left, right = e[:, 0::2], e[:, 1::2]
             width, rows = right.shape[1], kept.shape[1]
             ratio = right / p[:, 1:1 + width]
@@ -86,7 +85,7 @@ def sturm_counts(
             d[:, :width] -= ratio
             even, kept = d[:, 0::2], d[:, 1::2]
     grown = ~(largest <= bound)  # NaN counts as grown
-    if np.any(grown):
+    if grown.any():
         counts[grown] = _serial_counts(diag, off_sq, shifts[grown], pivmin)
     return counts
 
