@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import coulomb, oscillator
-from .errors import CircleSqmError
+from .errors import CircleSqmError, DomainError
 from .numerics.validate import SUITE_NAMES, run_suite
 from .systems import Branch, CircleGeometry, merged_levels
 
@@ -81,17 +81,17 @@ def _build_system(args):
     branch = Branch.MINUS if args.branch == "minus" else Branch.PLUS
     if args.system == "oscillator":
         if args.omega is None:
-            raise ValueError("--omega is required for the oscillator system")
+            raise DomainError("--omega is required for the oscillator system")
         return oscillator.OscillatorSystem(geometry, omega=args.omega, k1=args.k1,
                                            branch=branch)
     if args.mu is None:
-        raise ValueError("--mu is required for the coulomb system")
+        raise DomainError("--mu is required for the coulomb system")
     return coulomb.CoulombSystem(geometry, mu=args.mu, k1=args.k1, branch=branch)
 
 
 def _spectrum_records(args) -> list[dict]:
     if args.levels < 0:
-        raise ValueError("--levels must be >= 0")
+        raise DomainError("--levels must be >= 0")
     module = _MODULES[args.system]
     system = _build_system(args)  # "both" builds the plus member
     if args.levels == 0:
@@ -125,16 +125,16 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     if args.n < 0:
-        raise ValueError("--n must be >= 0")
+        raise DomainError("--n must be >= 0")
     if args.samples < 2:
-        raise ValueError("--samples must be >= 2")
+        raise DomainError("--samples must be >= 2")
     system = _build_system(args)
     lo, hi = system.motion_domain
     step = (hi - lo) / args.samples
     phis = lo + (np.arange(args.samples) + 0.5) * step
-    values = np.asarray(_MODULES[args.system].wavefunction(system, args.n, phis), dtype=complex)
-    records = [{"phi": float(phi), "re": float(val.real), "im": float(val.imag)}
-               for phi, val in zip(phis, values)]
+    values = _MODULES[args.system].wavefunction(system, args.n, phis)
+    records = [{"phi": phi, "re": value, "im": 0.0}
+               for phi, value in zip(phis.tolist(), values.tolist())]
     if args.format == "json":
         text = _json_text({"schema": "circle-sqm/1", "kind": "wavefunction",
                            "records": records}) + "\n"
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CircleSqmError, ValueError) as exc:
+    except (CircleSqmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,9 +73,9 @@ class CoulombSystem:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
+            raise DomainError(f"mu must be finite and > 0, got {self.mu!r}")
         if not (math.isfinite(self.k1) and 0.0 <= self.k1 < math.sqrt(2.0)):
-            raise ValueError(
+            raise DomainError(
                 f"k1 must satisfy 0 <= k1 < sqrt(2) (so that 0 < p^2 <= 1/2), got {self.k1!r}"
             )
         check_branch_admissible(self.branch, self.k1)
@@ -277,20 +277,14 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     return float(values[()]) if phi_arr.ndim == 0 else values
 
 
-def diamond_conjugate(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
-    """Diamond partner: conjugate combined with angle reflection.
-
-    The reflected side is the mirror determination of the wavefunction, so on
-    (0, pi) this is the complex conjugate of the real :func:`wavefunction`,
-    i.e. the wavefunction itself (see the module docstring for why the
-    principal-branch alternative is not a normalizable convention).  The
-    operation is an involution.
-    """
-    return wavefunction(sys, n, phi)
-
-
 def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None) -> float:
     """R * integral_0^pi psi_n psi_m^diamond dphi by quadrature (1/2 when n == m).
+
+    The diamond partner conjugates and reflects the angle; the reflected side
+    is the mirror determination of the wavefunction, so on (0, pi) the
+    partner of the real :func:`wavefunction` is the wavefunction itself (see
+    the module docstring for why the principal-branch alternative is not a
+    normalizable convention).
 
     ``quad`` may supply (nodes, weights) on (0, pi); by default a composite
     Gauss rule with endpoint refinement is used (the integrand behaves like

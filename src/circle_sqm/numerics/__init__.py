@@ -6,7 +6,7 @@ from .eigensolve import (
     eigenvalue_with_refinement,
     lowest_eigenvalues,
 )
-from .quadrature import gauss_legendre_rule, integrate
+from .quadrature import gauss_legendre_rule
 from .residual import ode_residual, residual_rate, richardson_extrapolate
 from .validate import (
     SUITE_NAMES,
@@ -25,7 +25,6 @@ __all__ = [
     "eigenvalue_with_refinement",
     "lowest_eigenvalues",
     "gauss_legendre_rule",
-    "integrate",
     "ode_residual",
     "residual_rate",
     "richardson_extrapolate",

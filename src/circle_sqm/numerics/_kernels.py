@@ -39,7 +39,6 @@ USE_NUMBA = False  # read by perfbench/provenance.py; there is no numba kernel
 # `validate --suite all` grow by at most 8e2, except at each solve's first
 # midpoint, which lands on the constant part of the diagonal (4e6 to 1e11).
 _GROWTH = 1e4
-_SERIAL_BLOCK = 2048  # rows converted to Python floats at a time
 
 
 def sturm_counts(
@@ -99,22 +98,17 @@ def _serial_counts(
     loop over the rows of each shift, so the solver calls it once per solve
     and :func:`sturm_counts` only for the shifts it cannot trust.
     """
-    diag = np.asarray(diag, dtype=np.float64)
-    off_sq = np.concatenate(([0.0], np.asarray(off_sq, dtype=np.float64)))
+    diag = np.asarray(diag, dtype=np.float64).tolist()
+    off_sq = [0.0] + np.asarray(off_sq, dtype=np.float64).tolist()
     pivmin = float(pivmin)
-    shifts = np.asarray(shifts, dtype=np.float64).tolist()
-    pivots, counts = [1.0] * len(shifts), [0] * len(shifts)
-    # rows go to Python floats a block at a time, which bounds their memory
-    for start in range(0, diag.shape[0], _SERIAL_BLOCK):
-        block_d = diag[start:start + _SERIAL_BLOCK].tolist()
-        block_e2 = off_sq[start:start + _SERIAL_BLOCK].tolist()
-        for k, shift in enumerate(shifts):
-            q, count = pivots[k], counts[k]
-            for d, e2 in zip(block_d, block_e2):
-                q = d - shift - e2 / q
-                if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
-                    if q > -pivmin:
-                        q = -pivmin
-                    count += 1
-            pivots[k], counts[k] = q, count
+    counts = []
+    for shift in np.asarray(shifts, dtype=np.float64).tolist():
+        q, count = 1.0, 0
+        for d, e2 in zip(diag, off_sq):
+            q = d - shift - e2 / q
+            if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
+                if q > -pivmin:
+                    q = -pivmin
+                count += 1
+        counts.append(count)
     return np.array(counts, dtype=np.int64)

@@ -21,25 +21,20 @@ _MAX_PASSES = 250  # cap on Sturm passes; a well-formed matrix needs far fewer
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix plus the grid it was built on."""
+    """Symmetric tridiagonal matrix."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    grid_step: float
-    grid_offset: float
 
     def __post_init__(self) -> None:
         if self.off_diagonal.shape[0] != self.diagonal.shape[0] - 1:
-            raise ValueError("off_diagonal must have length len(diagonal) - 1")
+            raise DomainError("off_diagonal must have length len(diagonal) - 1")
         if not (np.all(np.isfinite(self.diagonal)) and np.all(np.isfinite(self.off_diagonal))):
-            raise ValueError("matrix entries must be finite")
+            raise DomainError("matrix entries must be finite")
 
     @property
     def dimension(self) -> int:
         return self.diagonal.shape[0]
-
-    def nodes(self) -> np.ndarray:
-        return self.grid_offset + (np.arange(self.dimension) + 0.5) * self.grid_step
 
 
 def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
@@ -67,7 +62,7 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     diag[0] += c
     diag[-1] += c
     off = np.full(n_nodes - 1, -c)
-    return TridiagonalMatrix(diagonal=diag, off_diagonal=off, grid_step=h, grid_offset=a)
+    return TridiagonalMatrix(diagonal=diag, off_diagonal=off)
 
 
 def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:

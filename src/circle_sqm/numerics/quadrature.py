@@ -69,9 +69,3 @@ def gauss_legendre_rule(
                           f"outside the open interval ({a!r}, {b!r})")
     return nodes, np.concatenate(weights)
 
-
-def integrate(fn, panel_count: int, order: int, a: float, b: float,
-              endpoint_refinement: int = 0) -> float | complex:
-    """Convenience wrapper: integral of ``fn`` over (a, b) with the rule above."""
-    nodes, weights = gauss_legendre_rule(panel_count, order, a, b, endpoint_refinement)
-    return np.dot(weights, fn(nodes))

@@ -413,7 +413,7 @@ SUITE_NAMES = (*_SUITES, "all")
 def run_suite(name: str) -> list[ValidationReport]:
     """Run a named validation suite (``all`` runs every suite); reports are sorted by case id."""
     if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suites = _SUITES.values() if name == "all" else (_SUITES[name],)
     reports = [report for suite in suites for report in suite()]
     reports.sort(key=lambda report: report.case_id)

@@ -42,9 +42,9 @@ class OscillatorSystem:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega!r}")
+            raise DomainError(f"omega must be finite and >= 0, got {self.omega!r}")
         if not (math.isfinite(self.k1) and self.k1 > 0.0):
-            raise ValueError(f"k1 must be finite and > 0, got {self.k1!r}")
+            raise DomainError(f"k1 must be finite and > 0, got {self.k1!r}")
         check_branch_admissible(self.branch, self.k1)
 
     @property

@@ -1,5 +1,5 @@
-"""Special-function kernel: complex log-gamma, |Gamma|, Pochhammer symbols,
-terminating hypergeometric sums and the Jacobi three-term recurrence.
+"""Special-function kernel: complex log-gamma, |Gamma|, terminating
+hypergeometric sums and the Jacobi three-term recurrence.
 
 Everything downstream (wavefunctions, normalization constants, the flat-space
 limit) is assembled from these primitives, so the conventions are pinned here
@@ -97,21 +97,6 @@ def ln_gamma_complex(z: complex) -> complex:
 def gamma_abs(z: complex) -> float:
     """|Gamma(z)|, strictly positive away from the poles."""
     return math.exp(ln_gamma_complex(z).real)
-
-
-def pochhammer(a: complex, j: int) -> complex:
-    """Rising factorial (a)_j = a (a+1) ... (a+j-1) by direct product.
-
-    The direct product makes negative-integer ``a`` exact: (-3)_4 == 0 with
-    no gamma-ratio indeterminacy.
-    """
-    if j < 0:
-        raise DomainError(f"pochhammer order must be >= 0, got {j}")
-    a = _check_finite(a, "a")
-    result = complex(1.0)
-    for i in range(j):
-        result *= a + i
-    return result
 
 
 def _check_lower_parameter(c: complex, n: int, name: str) -> None:

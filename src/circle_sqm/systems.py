@@ -85,7 +85,7 @@ class CircleGeometry:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
+            raise DomainError(f"radius must be finite and > 0, got {self.radius!r}")
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,17 @@ class TestDeterminismAndGoldens:
                 capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
+    @pytest.mark.parametrize("target", ["", "missing/out.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        code, out, err = run_cli(
+            ["spectrum", "--system", "coulomb", "--mu", "1", "--radius", "1",
+             "--k1", "1", "--levels", "2", "--output", str(tmp_path / target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_golden_spectrum(self, capsys, tmp_path):
         out_path = tmp_path / "spectrum.json"
         code, _, _ = run_cli(

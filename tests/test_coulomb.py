@@ -11,7 +11,7 @@ import pytest
 from circle_sqm import Branch, CircleGeometry, Parity
 from circle_sqm import coulomb as cou
 from circle_sqm.errors import BranchError, DomainError, SingularPointError
-from circle_sqm.numerics.quadrature import gauss_legendre_rule
+from circle_sqm.numerics.quadrature import NORM_RULE, gauss_legendre_rule
 
 UNIT = CircleGeometry(1.0)
 
@@ -26,15 +26,15 @@ def case_ii(branch, mu=1.0, radius=1.0):
 
 class TestSystemInvariants:
     def test_mu_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             cou.CoulombSystem(UNIT, mu=0.0, k1=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             cou.CoulombSystem(UNIT, mu=-1.0, k1=1.0)
 
     def test_k1_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             cou.CoulombSystem(UNIT, mu=1.0, k1=math.sqrt(2.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             cou.CoulombSystem(UNIT, mu=1.0, k1=-0.5)
         cou.CoulombSystem(UNIT, mu=1.0, k1=0.0)  # p^2 = 1/2 boundary is included
 
@@ -266,20 +266,6 @@ class TestWavefunction:
 
 
 class TestDiamond:
-    def test_involution(self):
-        system = case_ii(Branch.PLUS)
-        phis = np.linspace(0.2, 2.9, 9)
-        once = cou.diamond_conjugate(system, 2, phis)
-        again = np.conj(once)
-        assert np.max(np.abs(again - cou.wavefunction(system, 2, phis))) < 1e-12
-
-    def test_pairing_is_nonnegative(self):
-        system = case_i()
-        phis = np.linspace(0.1, 3.0, 30)
-        product = cou.wavefunction(system, 1, phis) * cou.diamond_conjugate(system, 1, phis)
-        assert np.all(product.real >= 0.0)
-        assert np.max(np.abs(product.imag)) < 1e-12 * np.max(product.real)
-
     def test_half_norm(self):
         for system in (case_i(), case_ii(Branch.PLUS), case_ii(Branch.MINUS)):
             for n in (0, 2, 25, 40, 100):
@@ -311,12 +297,17 @@ class TestDiamond:
         cou.diamond_norm(case_i(), 0, 2)
         assert calls == [0, 2]
 
-    def test_off_diagonal_reported_not_asserted(self):
-        # distinct-n pairings are not claimed to vanish; record what they are
-        system = case_i()
-        values = {m: cou.diamond_norm(system, 0, m) for m in (1, 2, 3)}
-        print(f"diamond off-diagonal pairings (n=0): {values}")
-        assert all(math.isfinite(v) for v in values.values())
+    def test_off_diagonal_pairings_vanish(self):
+        # the states are real, so the pairing is the L2 product: R * Gram = I/2
+        nodes, weights = gauss_legendre_rule(*NORM_RULE[:2], 0.0, math.pi,
+                                             endpoint_refinement=NORM_RULE[2])
+        for mu in (1.0, 10.0):
+            for system in (case_i(mu), case_ii(Branch.MINUS, mu), case_ii(Branch.PLUS, mu)):
+                psi = np.array([cou.wavefunction(system, n, nodes) for n in range(26)])
+                gram = (psi * weights) @ psi.T
+                assert np.max(np.abs(gram - 0.5 * np.eye(26))) < 1e-12
+                for m in (1, 2, 3):
+                    assert abs(cou.diamond_norm(system, 0, m)) < 1e-12
 
 
 class TestParityExtension:

@@ -21,17 +21,17 @@ def norm_rule():
 
 class TestSystemInvariants:
     def test_radius_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             CircleGeometry(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             CircleGeometry(-2.0)
 
     def test_omega_nonnegative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             osc.OscillatorSystem(UNIT, omega=-1.0, k1=1.0)
 
     def test_k1_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             osc.OscillatorSystem(UNIT, omega=1.0, k1=0.0)
 
     def test_minus_branch_rule(self):
@@ -182,9 +182,14 @@ class TestWavefunction:
          (0.3, Branch.MINUS), (2.7, Branch.PLUS)],
     )
     def test_unit_norm(self, k1, branch):
-        system = osc.OscillatorSystem(UNIT, omega=1.0, k1=k1, branch=branch)
         nodes, weights = norm_rule()
-        for n in (0, 1, 4, 25, 40, 100):
+        for omega in (0.0, 1.0, 10.0):
+            system = osc.OscillatorSystem(UNIT, omega=omega, k1=k1, branch=branch)
+            psi = np.array([osc.wavefunction(system, n, nodes) for n in range(26)])
+            gram = (psi * weights) @ psi.T  # orthonormal within one branch family
+            assert np.max(np.abs(gram - np.eye(26))) < 1e-12
+        system = osc.OscillatorSystem(UNIT, omega=1.0, k1=k1, branch=branch)
+        for n in (40, 100):
             psi = osc.wavefunction(system, n, nodes)
             assert float(np.dot(weights, psi * psi)) == pytest.approx(1.0, abs=1e-8)
 

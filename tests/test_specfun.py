@@ -96,28 +96,6 @@ class TestGammaAbs:
             assert abs(product - 1.0) < 1e-12
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert specfun.pochhammer(2.3 + 0.5j, 0) == 1.0
-
-    def test_negative_integer_hits_zero(self):
-        assert specfun.pochhammer(-3.0, 4) == 0.0
-
-    def test_half(self):
-        assert specfun.pochhammer(0.5, 3).real == pytest.approx(1.875)
-
-    def test_recurrence_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            j = int(rng.integers(0, 12))
-            assert specfun.pochhammer(a, j + 1) == specfun.pochhammer(a, j) * (a + j)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            specfun.pochhammer(1.0, -1)
-
-
 class TestHyp2F1Terminating:
     def test_degree_zero(self):
         assert specfun.hyp2f1_terminating(0, 3.7 + 1j, -0.2 + 2j, 0.9) == 1.0
