@@ -46,14 +46,14 @@ import numpy as np
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, merged_levels)
+                      finite_result, merged_levels, open_angles)
 
 _SINGULAR_TOL = 1e-12
-# Largest mu R at which diamond_norm's default NORM_RULE is trusted: every
+# Largest mu R at which diamond_norm's quadrature.norm_rule is trusted: every
 # n <= 100 there gives |norm - 1/2| <= 2.2e-9, but the rule's endpoint
 # refinement does not follow the e^(-sigma phi) decay beyond it (6.5e-7 at
 # mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
-_NORM_RULE_MAX_MU_R = 1e3
+_NORM_MAX_MU_R = 1e3
 
 
 @dataclass(frozen=True)
@@ -121,20 +121,20 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
+@finite_result
 def potential(sys: CoulombSystem, phi) -> float | np.ndarray:
     """Potential energy at angle phi in (-pi, pi) \\ {0}.
 
     V(phi) = -(mu/R) cot|phi| - (p^2 - 1/4)/(2 R^2 sin^2 phi); singular at
     phi in {0, +-pi}.
     """
-    phi_arr = np.asarray(phi, dtype=float)
-    s = np.sin(phi_arr)
+    s = np.sin(phi)
     if np.any(np.abs(s) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) vanishes")
     r = sys.geometry.radius
-    cot_abs = np.cos(phi_arr) / np.abs(s)
-    v = -(sys.mu / r) * cot_abs - (sys.p_squared - 0.25) / (2.0 * r * r * s * s)
-    return float(v[()]) if phi_arr.ndim == 0 else v
+    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        cot_abs = np.cos(phi) / np.abs(s)
+        return -(sys.mu / r) * cot_abs - (sys.p_squared - 0.25) / (2.0 * r * r * s * s)
 
 
 def duality_parameters(sys: CoulombSystem, energy: float) -> PoschlTellerForm:
@@ -241,11 +241,6 @@ def contour_norm_constant(
     return jacobian * cmath.exp(0.5 * (ln_num - ln_den))
 
 
-def _check_open_interval(phi_arr: np.ndarray, lo: float, hi: float) -> None:
-    if np.any(phi_arr <= lo) or np.any(phi_arr >= hi):
-        raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
-
-
 def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndarray:
     """The closed form of :func:`wavefunction` at angles phi_abs in [0, pi), unchecked."""
     n, nu, sigma = qn.n, qn.nu, qn.sigma
@@ -271,13 +266,10 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     arithmetic.  Values that are not finite doubles raise DomainError.
     """
     qn = quantize(sys, n)
-    phi_arr = np.asarray(phi, dtype=float)
-    _check_open_interval(phi_arr, *sys.motion_domain)
-    values = _evaluate(sys, qn, phi_arr)
-    return float(values[()]) if phi_arr.ndim == 0 else values
+    return _evaluate(sys, qn, open_angles(phi, *sys.motion_domain))
 
 
-def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None) -> float:
+def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
     """R * integral_0^pi psi_n psi_m^diamond dphi by quadrature (1/2 when n == m).
 
     The diamond partner conjugates and reflects the angle; the reflected side
@@ -286,25 +278,17 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None, *, quad=None)
     the module docstring for why the principal-branch alternative is not a
     normalizable convention).
 
-    ``quad`` may supply (nodes, weights) on (0, pi); by default a composite
-    Gauss rule with endpoint refinement is used (the integrand behaves like
-    (sin phi)^(2 nu) at the ends, with nu as small as 1/4).  The default
-    rule is refused with DomainError for mu R > 1e3, where it stops
-    resolving the e^(-sigma phi) decay; a rule passed as ``quad`` is used
-    as given.
+    The integral uses the composite Gauss rule :func:`quadrature.norm_rule`,
+    whose endpoint refinement follows the (sin phi)^(2 nu) behavior at the
+    ends (nu as small as 1/4).  It is refused with DomainError for mu R >
+    1e3, where the rule stops resolving the e^(-sigma phi) decay.
     """
-    if quad is None:
-        mu_r = sys.mu * sys.geometry.radius
-        if mu_r > _NORM_RULE_MAX_MU_R:
-            raise DomainError(
-                f"the default norm rule is not resolved at mu R = {mu_r:g} "
-                f"> {_NORM_RULE_MAX_MU_R:g}; pass a rule as quad="
-            )
-        from .numerics.quadrature import NORM_RULE, gauss_legendre_rule
+    mu_r = sys.mu * sys.geometry.radius
+    if mu_r > _NORM_MAX_MU_R:
+        raise DomainError(f"the norm rule is not resolved at mu R = {mu_r:g} > {_NORM_MAX_MU_R:g}")
+    from .numerics.quadrature import norm_rule
 
-        quad = gauss_legendre_rule(*NORM_RULE[:2], *sys.motion_domain,
-                                   endpoint_refinement=NORM_RULE[2])
-    nodes, weights = quad
+    nodes, weights = norm_rule(sys.motion_domain[1])
     psi = wavefunction(sys, n, nodes)
     partner = psi if m is None or m == n else wavefunction(sys, m, nodes)
     return float(sys.geometry.radius * np.dot(weights, psi * partner))
@@ -324,10 +308,9 @@ def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> float | np
             "parity extension needs motion on both sides of the origin "
             f"(p^2 <= 1/4), got p^2 = {sys.p_squared:g}"
         )
+    if not isinstance(parity, Parity):
+        raise DomainError(f"parity must be a Parity, got {parity!r}")
     qn = quantize(sys, n)
-    phi_arr = np.asarray(phi, dtype=float)
-    _check_open_interval(phi_arr, -math.pi, math.pi)
+    phi_arr = open_angles(phi, -math.pi, math.pi)
     values = _evaluate(sys, qn, np.abs(phi_arr))
-    if parity is Parity.ODD:
-        values = np.sign(phi_arr) * values
-    return float(values[()]) if phi_arr.ndim == 0 else values
+    return np.sign(phi_arr) * values if parity is Parity.ODD else values

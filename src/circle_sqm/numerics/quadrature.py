@@ -13,9 +13,6 @@ import numpy as np
 
 from ..errors import DomainError
 
-NORM_RULE = (48, 12, 40)  # panels, order, endpoint refinement levels of the norm checks
-
-
 @lru_cache(maxsize=32)
 def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
@@ -69,3 +66,7 @@ def gauss_legendre_rule(
                           f"outside the open interval ({a!r}, {b!r})")
     return nodes, np.concatenate(weights)
 
+
+def norm_rule(hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of every norm check on (0, hi): 48 panels of order 12, 40 refinement levels."""
+    return gauss_legendre_rule(48, 12, 0.0, hi, endpoint_refinement=40)

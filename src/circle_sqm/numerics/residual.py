@@ -39,12 +39,8 @@ def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> 
     return float(np.max(np.abs(residual))), h
 
 
-def residual_rate(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> tuple[float, float, float]:
-    """Measured convergence order of the residual under h -> h/2.
-
-    Returns (rate, residual_h, residual_h_half) with
-    rate = log2(residual_h / residual_h_half).
-    """
+def residual_rate(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> float:
+    """Measured convergence order log2(residual_h / residual_h_half) of the residual."""
     r_coarse, _ = ode_residual(wavefn, bracket, domain, n_nodes)
     r_fine, _ = ode_residual(wavefn, bracket, domain, 2 * n_nodes)
-    return float(np.log2(r_coarse / r_fine)), r_coarse, r_fine
+    return float(np.log2(r_coarse / r_fine))

@@ -19,9 +19,9 @@ import numpy as np
 
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
-from ..systems import Branch, CircleGeometry, merged_levels
+from ..systems import Branch, CircleGeometry, finite_result, merged_levels
 from .eigensolve import eigenvalue_with_refinement
-from .quadrature import NORM_RULE, gauss_legendre_rule
+from .quadrature import norm_rule
 from .residual import residual_rate
 
 RATE_FLOOR = 1.8  # least measured convergence order of FD levels and ODE residuals
@@ -138,8 +138,7 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
     """R * integral of psi_n^2 over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
     module = _module(system)
-    nodes, weights = gauss_legendre_rule(*NORM_RULE[:2], 0.0, system.motion_domain[1],
-                                         endpoint_refinement=NORM_RULE[2])
+    nodes, weights = norm_rule(system.motion_domain[1])
     norms = []
     for n in range(n_max + 1):
         psi = module.wavefunction(system, n, nodes)
@@ -157,7 +156,7 @@ def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[Valid
     reports = []
     for n in levels:
         energy = module.energy_level(system, n)
-        rate, _, _ = residual_rate(
+        rate = residual_rate(
             lambda phi: module.wavefunction(system, n, phi),
             lambda phi: two_r2 * (energy - module.potential(system, phi)), window, 2000)
         reports.append(_rate_report(f"{label}/residual-order[n={n}]", rate, RATE_FLOOR))
@@ -169,13 +168,17 @@ def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[Valid
 # ---------------------------------------------------------------------------
 
 
+@finite_result
 def flat_limit_energy(mu: float, nu: float, n: int) -> float:
     """Flat-space limit of the Coulomb level: -mu^2 / (2 (n + nu)^2)."""
     return -(mu * mu) / (2.0 * (n + nu) ** 2)
 
 
-def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> np.ndarray:
-    """Flat-space limit profile in the scaled coordinate y = 2 mu x/(n + nu)."""
+@finite_result
+def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarray:
+    """Flat-space limit profile in the scaled coordinate y = 2 mu x/(n + nu); mu > 0."""
+    if not mu > 0.0:
+        raise DomainError(f"mu must be > 0, got {mu!r}")
     y_arr = np.asarray(y, dtype=float)
     ln_pref = (
         0.5 * math.log(mu)
@@ -186,7 +189,8 @@ def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> np.ndarray:
                  - specfun.ln_gamma_complex(complex(n + 1.0)).real)
     )
     series = np.real(specfun.hyp1f1_terminating(n, complex(2.0 * nu), y_arr.astype(complex)))
-    return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
+    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
 
 
 def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[ValidationReport]:
@@ -202,8 +206,8 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     normalization-matching convention).
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size < 2 or not np.all(np.diff(radii) > 0.0):
-        raise DomainError(f"need at least two strictly increasing radii, got {radii.tolist()}")
+    if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
+        raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
     mu, nu, k1, branch = sys.mu, sys.nu, sys.k1, sys.branch
     tag = f"contraction[nu={nu:g},n={n}]"
 

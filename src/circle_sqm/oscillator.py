@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, merged_levels, two_branch)
+                      finite_result, merged_levels, open_angles, two_branch)
 
 _SINGULAR_TOL = 1e-12
 
@@ -65,19 +65,20 @@ def _lgamma(x: float) -> float:
     return specfun.ln_gamma_complex(complex(x)).real
 
 
+@finite_result
 def potential(sys: OscillatorSystem, phi) -> float | np.ndarray:
     """Potential energy at angle phi (radians).
 
     Singular at phi in {0, +-pi/2, pi} where sin or cos vanishes; evaluation
     within 1e-12 of those points raises SingularPointError.
     """
-    phi_arr = np.asarray(phi, dtype=float)
-    s, c = np.sin(phi_arr), np.cos(phi_arr)
+    s, c = np.sin(phi), np.cos(phi)
     if np.any(np.abs(s) < _SINGULAR_TOL) or np.any(np.abs(c) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) or cos(phi) vanishes")
     r = sys.geometry.radius
-    v = 0.5 * sys.omega**2 * r * r * (s / c) ** 2 + (sys.k1**2 - 0.25) / (2.0 * r * r * s * s)
-    return float(v[()]) if phi_arr.ndim == 0 else v
+    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        return (0.5 * sys.omega**2 * r * r * (s / c) ** 2
+                + (sys.k1**2 - 0.25) / (2.0 * r * r * s * s))
 
 
 def reduce_to_poschl_teller(sys: OscillatorSystem, energy: float) -> PoschlTellerForm:
@@ -90,12 +91,14 @@ def reduce_to_poschl_teller(sys: OscillatorSystem, energy: float) -> PoschlTelle
     )
 
 
+@finite_result
 def energy_from_reduced(sys: OscillatorSystem, epsilon: float) -> float:
     """Inverse of :func:`reduce_to_poschl_teller`: E = (epsilon - omega^2 R^4) / (2 R^2)."""
     r2 = sys.geometry.radius**2
     return (epsilon - sys.omega**2 * r2 * r2) / (2.0 * r2)
 
 
+@finite_result
 def reduced_eigenvalue(n: int, k0: float, k1: float, branch: Branch) -> float:
     """Reduced-equation eigenvalue epsilon_n = (2n +- k1 + k0 + 1)^2."""
     if n < 0:
@@ -158,16 +161,11 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
-    lo, hi = sys.motion_domain
-    phi_arr = np.asarray(phi, dtype=float)
-    if np.any(phi_arr <= lo) or np.any(phi_arr >= hi):
-        raise DomainError(f"phi must lie strictly inside the motion domain ({lo:g}, {hi:g})")
-    phi_abs = np.abs(phi_arr)
+    phi_abs = np.abs(open_angles(phi, *sys.motion_domain))
 
     a = sys.branch.sign * sys.k1
     k0 = sys.k0
     s, c = np.sin(phi_abs), np.cos(phi_abs)
     with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
         jacobi = specfun.jacobi_scaled(n, a + k0, a * k0, np.cos(2.0 * phi_abs), a - k0, 1.0)
-        values = _norm_constant(sys, n) * s ** (0.5 + a) * c ** (0.5 + k0) * jacobi
-    return float(values[()]) if phi_arr.ndim == 0 else values
+        return _norm_constant(sys, n) * s ** (0.5 + a) * c ** (0.5 + k0) * jacobi

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, PoleError
+from .systems import finite_result
 
 # Lanczos parameters (g = 7, 9 terms): the classic double-precision set.  It
 # keeps the relative error of Gamma below ~1e-13 on Re z >= 1/2, which the
@@ -94,8 +95,9 @@ def ln_gamma_complex(z: complex) -> complex:
     return _LN_PI - _ln_sin_pi(z) - _lanczos_ln_gamma(1.0 - z)
 
 
+@finite_result
 def gamma_abs(z: complex) -> float:
-    """|Gamma(z)|, strictly positive away from the poles."""
+    """|Gamma(z)|, strictly positive away from the poles; DomainError if not a finite double."""
     return math.exp(ln_gamma_complex(z).real)
 
 

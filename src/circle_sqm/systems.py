@@ -41,8 +41,17 @@ def check_branch_admissible(branch: Branch, k1: float) -> None:
         )
 
 
+def open_angles(phi, lo: float, hi: float) -> np.ndarray:
+    """``phi`` as a float array; DomainError unless every angle lies strictly inside (lo, hi)."""
+    phi_arr = np.asarray(phi, dtype=float)
+    if not np.all((phi_arr > lo) & (phi_arr < hi)):
+        raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
+    return phi_arr
+
+
 def finite_result(formula):
-    """Make a formula raise DomainError on overflow, division by zero or any inf/nan value."""
+    """Make a closed form return finite doubles, a Python float when 0-d; overflow,
+    division by zero or any inf/nan value raises DomainError instead."""
 
     @functools.wraps(formula)
     def checked(*args):
@@ -50,8 +59,9 @@ def finite_result(formula):
             value = formula(*args)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
-                else math.isfinite(value)):
+        array = isinstance(value, np.ndarray) and value.ndim > 0
+        value = value if array else float(value)
+        if not (np.isfinite(value).all() if array else math.isfinite(value)):
             raise DomainError(f"{formula.__name__} is not a finite double for these parameters")
         return value
 

@@ -16,7 +16,6 @@ from circle_sqm.numerics import (
     contraction_check,
     eigenvalue_with_refinement,
     flat_limit_energy,
-    gauss_legendre_rule,
     residual_rate,
 )
 
@@ -103,12 +102,11 @@ def test_criterion_4_coulomb_fd():
 
 
 def test_criterion_5_diamond_normalization():
-    rule = gauss_legendre_rule(48, 12, 0.0, math.pi, endpoint_refinement=40)
     worst = 0.0
     for nu, k1, branch, mu_r, n in norm_grid():
         system = cou.CoulombSystem(UNIT, mu=mu_r, k1=k1, branch=branch)
         assert system.nu == nu
-        worst = max(worst, abs(cou.diamond_norm(system, n, quad=rule) - 0.5))
+        worst = max(worst, abs(cou.diamond_norm(system, n) - 0.5))
     check(5, "diamond normalization = 1/2 on the 54-case grid", worst <= 1e-8,
           f"max |norm - 1/2| {worst:.3e}, tol 1e-8")
 
@@ -160,7 +158,7 @@ def test_criterion_8_ode_residual_rates():
         eps = osc.reduced_eigenvalue(n, k0, 1.5, Branch.PLUS)
         bracket = lambda phi, eps=eps: (eps - (k0 * k0 - 0.25) / np.cos(phi) ** 2
                                         - (1.5**2 - 0.25) / np.sin(phi) ** 2)
-        rate, _, _ = residual_rate(
+        rate = residual_rate(
             lambda phi, n=n: osc.wavefunction(oscillator_system, n, phi),
             bracket, (0.3, math.pi / 2 - 0.3), 2000)
         rates[f"oscillator n={n}"] = rate
@@ -171,7 +169,7 @@ def test_criterion_8_ode_residual_rates():
         bracket = lambda phi, energy=energy: (
             2.0 * energy + 2.0 / np.tan(phi)
             + (coulomb_system.p_squared - 0.25) / np.sin(phi) ** 2)
-        rate, _, _ = residual_rate(
+        rate = residual_rate(
             lambda phi, n=n: cou.wavefunction(coulomb_system, n, phi),
             bracket, (0.5, math.pi - 0.5), 2000)
         rates[f"coulomb n={n}"] = rate

@@ -232,6 +232,7 @@ class TestDeterminismAndGoldens:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / target) in err and ".circle-sqm-" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_golden_spectrum(self, capsys, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from circle_sqm import Branch, CircleGeometry, Parity
 from circle_sqm import coulomb as cou
 from circle_sqm.errors import BranchError, DomainError, SingularPointError
-from circle_sqm.numerics.quadrature import NORM_RULE, gauss_legendre_rule
+from circle_sqm.numerics.quadrature import gauss_legendre_rule, norm_rule
 
 UNIT = CircleGeometry(1.0)
 
@@ -272,15 +272,18 @@ class TestDiamond:
                 assert cou.diamond_norm(system, n) == pytest.approx(0.5, abs=1e-8)
 
     def test_default_rule_refused_beyond_mu_r_1e3(self):
-        # the default rule holds to 2.2e-9 at mu R = 1e3 and n = 100 and is
-        # 1.2e-2 off at mu R = 1e4 and n = 50; a rule passed in is not refused
+        # the norm rule holds to 2.2e-9 at mu R = 1e3 and n = 100 and is 1.2e-2
+        # off at mu R = 1e4 and n = 50; a fine uniform rule still normalizes
+        # the refused states
         assert cou.diamond_norm(case_i(mu=1e3), 100) == pytest.approx(0.5, abs=1e-8)
-        uniform = gauss_legendre_rule(4000, 20, 0.0, math.pi)
+        nodes, weights = gauss_legendre_rule(4000, 20, 0.0, math.pi)
         for system, n in ((case_i(mu=3e3), 20), (case_i(mu=1e3, radius=2.0), 20),
                           (case_i(mu=1e4), 50)):
             with pytest.raises(DomainError, match="mu R"):
                 cou.diamond_norm(system, n)
-            assert cou.diamond_norm(system, n, quad=uniform) == pytest.approx(0.5, abs=1e-10)
+            psi = cou.wavefunction(system, n, nodes)
+            norm = system.geometry.radius * np.dot(weights, psi * psi)
+            assert norm == pytest.approx(0.5, abs=1e-10)
 
     def test_diagonal_evaluates_wavefunction_once(self, monkeypatch):
         calls = []
@@ -299,8 +302,7 @@ class TestDiamond:
 
     def test_off_diagonal_pairings_vanish(self):
         # the states are real, so the pairing is the L2 product: R * Gram = I/2
-        nodes, weights = gauss_legendre_rule(*NORM_RULE[:2], 0.0, math.pi,
-                                             endpoint_refinement=NORM_RULE[2])
+        nodes, weights = norm_rule(math.pi)
         for mu in (1.0, 10.0):
             for system in (case_i(mu), case_ii(Branch.MINUS, mu), case_ii(Branch.PLUS, mu)):
                 psi = np.array([cou.wavefunction(system, n, nodes) for n in range(26)])
@@ -343,6 +345,10 @@ class TestParityExtension:
             warnings.simplefilter("error")
             for n in (0, 1, 40):
                 assert cou.extend_parity(case_i(), n, 0.0, Parity.ODD) == 0.0
+
+    def test_parity_must_be_a_parity(self):
+        with pytest.raises(DomainError, match="Parity"):
+            cou.extend_parity(case_i(), 1, -0.5, "odd")
 
     def test_one_sided_motion_rejected(self):
         with pytest.raises(BranchError):

@@ -28,6 +28,7 @@ from circle_sqm.numerics import (
 )
 from circle_sqm.numerics import _kernels, eigensolve
 from circle_sqm.numerics._kernels import sturm_counts
+from circle_sqm.numerics.quadrature import norm_rule
 from circle_sqm.numerics.validate import _report, _residual_reports
 
 from oracles import exact_sturm_counts, trapezoid_romberg
@@ -72,7 +73,7 @@ class TestQuadrature:
             gauss_legendre_rule(48, 12, 0.0, math.pi / 2, endpoint_refinement=50)
 
     def test_validation_rule_is_accepted(self):
-        nodes, _ = gauss_legendre_rule(48, 12, 0.0, math.pi / 2, endpoint_refinement=40)
+        nodes, _ = norm_rule(math.pi / 2)
         assert np.all(np.diff(nodes) > 0.0)
         assert 0.0 < nodes[0] and nodes[-1] < math.pi / 2
 
@@ -401,8 +402,8 @@ class TestOdeResidual:
         k0 = system.k0
         bracket = lambda phi: (eps - (k0 * k0 - 0.25) / np.cos(phi) ** 2
                                - (1.5**2 - 0.25) / np.sin(phi) ** 2)
-        rate, _, _ = residual_rate(lambda phi: osc.wavefunction(system, 0, phi),
-                                   bracket, (0.3, math.pi / 2 - 0.3), 1000)
+        rate = residual_rate(lambda phi: osc.wavefunction(system, 0, phi),
+                             bracket, (0.3, math.pi / 2 - 0.3), 1000)
         assert rate > 1.8
 
     def test_complex_residual_for_coulomb(self):
@@ -476,6 +477,16 @@ class TestContraction:
         for radii in ((1e4, 1e3), (1e3,), ()):
             with pytest.raises(DomainError):
                 contraction_check(system, 0, radii)
+
+    def test_contraction_check_requires_finite_radii(self):
+        system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
+        with pytest.raises(DomainError, match="finite"):
+            contraction_check(system, 0, (1e2, math.inf))
+
+    def test_flat_limit_wavefunction_requires_positive_mu(self):
+        for mu in (0.0, -1.0):
+            with pytest.raises(DomainError, match="mu"):
+                flat_limit_wavefunction(mu, 0.5, 0, [1.0])
 
     def test_contraction_check_reports(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.MINUS)

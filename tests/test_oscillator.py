@@ -9,14 +9,10 @@ import pytest
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import oscillator as osc
 from circle_sqm.errors import BranchError, DomainError, SingularPointError
-from circle_sqm.numerics.quadrature import gauss_legendre_rule
+from circle_sqm.numerics.quadrature import norm_rule
 
 UNIT = CircleGeometry(1.0)
 SQRT5_HALF = math.sqrt(5.0) / 2.0
-
-
-def norm_rule():
-    return gauss_legendre_rule(48, 12, 0.0, math.pi / 2, endpoint_refinement=40)
 
 
 class TestSystemInvariants:
@@ -182,7 +178,7 @@ class TestWavefunction:
          (0.3, Branch.MINUS), (2.7, Branch.PLUS)],
     )
     def test_unit_norm(self, k1, branch):
-        nodes, weights = norm_rule()
+        nodes, weights = norm_rule(math.pi / 2)
         for omega in (0.0, 1.0, 10.0):
             system = osc.OscillatorSystem(UNIT, omega=omega, k1=k1, branch=branch)
             psi = np.array([osc.wavefunction(system, n, nodes) for n in range(26)])
@@ -195,13 +191,13 @@ class TestWavefunction:
 
     def test_norm_carries_radius_measure(self):
         system = osc.OscillatorSystem(CircleGeometry(2.0), omega=1.0, k1=1.0)
-        nodes, weights = norm_rule()
+        nodes, weights = norm_rule(math.pi / 2)
         psi = osc.wavefunction(system, 1, nodes)
         assert 2.0 * float(np.dot(weights, psi * psi)) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality(self):
         system = osc.OscillatorSystem(UNIT, omega=1.0, k1=0.3, branch=Branch.MINUS)
-        nodes, weights = norm_rule()
+        nodes, weights = norm_rule(math.pi / 2)
         for n, m in ((0, 1), (0, 3), (2, 5)):
             overlap = np.dot(
                 weights, osc.wavefunction(system, n, nodes) * osc.wavefunction(system, m, nodes)

@@ -1,5 +1,7 @@
-"""The branch rule both systems share: the minus branch exists exactly when
-0 < |k1| <= 1/2, checked at the edges of that interval."""
+"""What both systems share: the branch rule (the minus branch exists exactly
+when 0 < |k1| <= 1/2, checked at the edges of that interval) and the contract
+of every real-valued public closed form (a finite double or DomainError, a
+float for a scalar angle)."""
 
 import math
 
@@ -9,7 +11,10 @@ import pytest
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
-from circle_sqm.errors import BranchError
+from circle_sqm import specfun
+from circle_sqm.errors import BranchError, DomainError
+from circle_sqm.numerics import validate
+from circle_sqm.systems import finite_result
 
 UNIT = CircleGeometry(1.0)
 ABOVE_HALF = float(np.nextafter(0.5, 1.0))
@@ -43,3 +48,53 @@ def test_k1_just_above_one_half_has_plus_family_only():
         osc.OscillatorSystem(UNIT, omega=1.0, k1=ABOVE_HALF, branch=Branch.MINUS)
     with pytest.raises(BranchError):
         cou.CoulombSystem(UNIT, mu=1.0, k1=ABOVE_HALF, branch=Branch.MINUS)
+
+
+OSC = osc.OscillatorSystem(UNIT, omega=1.0, k1=1.5)
+COU = cou.CoulombSystem(UNIT, mu=1.0, k1=1.0)
+TINY = CircleGeometry(1e-200)
+PHI = object()  # the place of the angle among a form's arguments
+# form: (arguments at ordinary parameters, arguments at which it overflows)
+CLOSED_FORMS = {
+    "oscillator.k0": (osc.OscillatorSystem.k0.fget, (OSC,),
+                      (osc.OscillatorSystem(UNIT, omega=1e200, k1=1.5),)),
+    "oscillator.potential": (osc.potential, (OSC, PHI),
+                             (osc.OscillatorSystem(TINY, omega=1.0, k1=1.5), 0.5)),
+    "oscillator.reduced_eigenvalue": (osc.reduced_eigenvalue, (2, OSC.k0, 1.5, Branch.PLUS),
+                                      (0, 1e200, 1.5, Branch.PLUS)),
+    "oscillator.energy_from_reduced": (osc.energy_from_reduced, (OSC, 9.0),
+                                       (osc.OscillatorSystem(TINY, omega=1.0, k1=1.5), 9.0)),
+    "oscillator.energy_level": (osc.energy_level, (OSC, 2),
+                                (osc.OscillatorSystem(CircleGeometry(1e200), 1.0, 1.5), 2)),
+    "oscillator.wavefunction": (osc.wavefunction, (OSC, 2, PHI),
+                                (osc.OscillatorSystem(UNIT, omega=1e200, k1=1.5), 2, 0.5)),
+    "coulomb.potential": (cou.potential, (COU, PHI), (cou.CoulombSystem(TINY, 1.0, 1.0), 0.5)),
+    "coulomb.energy_level": (cou.energy_level, (COU, 2), (cou.CoulombSystem(TINY, 1.0, 1.0), 2)),
+    "coulomb.norm_constant": (cou.norm_constant, (2, 1.0, 1.0 / 3.0, 1.0), (0, 1.0, 1e300, 1.0)),
+    "coulomb.wavefunction": (cou.wavefunction, (COU, 2, PHI),
+                             (cou.CoulombSystem(UNIT, 1e300, 1.0), 2, 0.5)),
+    "coulomb.extend_parity": (cou.extend_parity, (COU, 2, PHI, cou.Parity.ODD),
+                              (cou.CoulombSystem(UNIT, 1e300, 1.0), 2, 0.5, cou.Parity.ODD)),
+    "specfun.gamma_abs": (specfun.gamma_abs, (2.5 + 1j,), (200.0,)),
+    "validate.flat_limit_energy": (validate.flat_limit_energy, (1.0, 0.5, 2), (1e200, 1.0, 0)),
+    "validate.flat_limit_wavefunction": (validate.flat_limit_wavefunction, (1.0, 0.5, 2, PHI),
+                                         (1.0, 200.0, 0, 1e3)),
+}
+
+
+def call(form, args, phi):
+    return form(*(phi if arg is PHI else arg for arg in args))
+
+
+@pytest.mark.parametrize("form, args, overflowing", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_closed_form_contract(form, args, overflowing):
+    # every finite_result wrapper shares one code object
+    assert form.__code__ is finite_result(abs).__code__
+    with pytest.raises(DomainError):
+        call(form, overflowing, None)
+    assert type(call(form, args, 0.5)) is float
+    if any(arg is PHI for arg in args):
+        phi = np.linspace(0.2, 1.2, 6).reshape(2, 3)
+        values = call(form, args, phi)
+        assert type(values) is np.ndarray and values.shape == phi.shape
+        assert values[1, 2] == pytest.approx(call(form, args, 1.2), rel=1e-13)
