@@ -22,7 +22,7 @@ import numpy as np
 from . import coulomb, oscillator
 from .errors import CircleSqmError, DomainError
 from .numerics.validate import SUITE_NAMES, run_suite
-from .systems import Branch, CircleGeometry, merged_levels
+from .systems import Branch, CircleGeometry, closed_forms, spectrum
 
 
 def _fmt(value: float) -> str:
@@ -70,12 +70,16 @@ def _write_output(text: str, path: str | None) -> None:
             os.unlink(tmp_path)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    return "\r\n".join(lines) + "\r\n"
-
-
-_MODULES = {"oscillator": oscillator, "coulomb": coulomb}
+def _emit(args, kind: str, header: list[str], records: list[dict]) -> int:
+    """Write ``records`` as the JSON payload of ``kind``, or as CSV with the ``header`` columns."""
+    if args.format == "json":
+        text = _json_text({"schema": "circle-sqm/1", "kind": kind, "records": records}) + "\n"
+    else:
+        rows = [header] + [["" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+                            for v in map(record.get, header)] for record in records]
+        text = "".join(",".join(row) + "\r\n" for row in rows)
+    _write_output(text, args.output)
+    return 0
 
 
 def _build_system(args):
@@ -94,12 +98,11 @@ def _build_system(args):
 def _spectrum_records(args) -> list[dict]:
     if args.levels < 0:
         raise DomainError("--levels must be >= 0")
-    module = _MODULES[args.system]
     system = _build_system(args)  # "both" builds the plus member
     if args.levels == 0:
         return []
     records = []
-    for n, member, energy in merged_levels(system, args.levels - 1, module.energy_level):
+    for n, member, energy in spectrum(system, args.levels - 1):
         if args.branch not in ("both", member.branch.value):
             continue
         qn = coulomb.quantize(member, n) if args.system == "coulomb" else None
@@ -110,19 +113,8 @@ def _spectrum_records(args) -> list[dict]:
 
 
 def _cmd_spectrum(args) -> int:
-    records = _spectrum_records(args)
-    if args.format == "json":
-        text = _json_text({"schema": "circle-sqm/1", "kind": "spectrum",
-                           "records": records}) + "\n"
-    else:
-        header = ["system", "n", "branch", "nu", "sigma", "energy"]
-        rows = [[r["system"], str(r["n"]), r["branch"],
-                 "" if r["nu"] is None else _fmt(r["nu"]),
-                 "" if r["sigma"] is None else _fmt(r["sigma"]),
-                 _fmt(r["energy"])] for r in records]
-        text = _csv_text(header, rows)
-    _write_output(text, args.output)
-    return 0
+    return _emit(args, "spectrum", ["system", "n", "branch", "nu", "sigma", "energy"],
+                 _spectrum_records(args))
 
 
 def _cmd_wavefunction(args) -> int:
@@ -134,17 +126,10 @@ def _cmd_wavefunction(args) -> int:
     lo, hi = system.motion_domain
     step = (hi - lo) / args.samples
     phis = lo + (np.arange(args.samples) + 0.5) * step
-    values = _MODULES[args.system].wavefunction(system, args.n, phis)
-    records = [{"phi": phi, "re": value, "im": 0.0}
-               for phi, value in zip(phis.tolist(), values.tolist())]
-    if args.format == "json":
-        text = _json_text({"schema": "circle-sqm/1", "kind": "wavefunction",
-                           "records": records}) + "\n"
-    else:
-        rows = [[_fmt(r["phi"]), _fmt(r["re"]), _fmt(r["im"])] for r in records]
-        text = _csv_text(["phi", "re", "im"], rows)
-    _write_output(text, args.output)
-    return 0
+    values = closed_forms(system).wavefunction(system, args.n, phis)
+    return _emit(args, "wavefunction", ["phi", "re", "im"],
+                 [{"phi": phi, "re": value, "im": 0.0}
+                  for phi, value in zip(phis.tolist(), values.tolist())])
 
 
 def _cmd_validate(args) -> int:

@@ -46,7 +46,7 @@ import numpy as np
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, merged_levels, open_angles)
+                      finite_result, level_index, open_angles)
 
 _SINGULAR_TOL = 1e-12
 # Largest mu R at which diamond_norm's quadrature.norm_rule is trusted: every
@@ -154,8 +154,7 @@ def duality_parameters(sys: CoulombSystem, energy: float) -> PoschlTellerForm:
 
 def quantize(sys: CoulombSystem, n: int) -> CoulombQuantumNumbers:
     """Quantum numbers of the n-th bound state; DomainError if sigma is not finite."""
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    n = level_index(n)
     nu = sys.nu
     sigma = sys.mu * sys.geometry.radius / (n + nu)
     if not math.isfinite(sigma):
@@ -166,16 +165,10 @@ def quantize(sys: CoulombSystem, n: int) -> CoulombQuantumNumbers:
 @finite_result
 def energy_level(sys: CoulombSystem, n: int) -> float:
     """Bound-state energy E_n = (n + nu)^2/(2 R^2) - mu^2/(2 (n + nu)^2), if finite."""
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    n = level_index(n)
     nu = sys.nu
     r2 = sys.geometry.radius**2
     return (n + nu) ** 2 / (2.0 * r2) - sys.mu**2 / (2.0 * (n + nu) ** 2)
-
-
-def spectrum(sys: CoulombSystem, n_max: int) -> list[tuple[int, Branch, float]]:
-    """Levels n = 0..n_max merged over admissible branches, sorted by energy."""
-    return [(n, m.branch, e) for n, m, e in merged_levels(sys, n_max, energy_level)]
 
 
 @finite_result
@@ -190,6 +183,7 @@ def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
     their product stays O(sigma^(nu - 1/2)).  A constant that is not a finite
     double raises DomainError.
     """
+    n = level_index(n)
     if nu <= 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
     ln_c = (
@@ -220,6 +214,7 @@ def contour_norm_constant(
     :func:`norm_constant` on the quantized locus; the phase is an artifact of
     principal-branch choices and is not observable.
     """
+    n = level_index(n)
     check_branch_admissible(branch, k1)
     a = branch.sign * k1
     nu = 0.5 * (1.0 + a)
@@ -290,7 +285,7 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
 
     nodes, weights = norm_rule(sys.motion_domain[1])
     psi = wavefunction(sys, n, nodes)
-    partner = psi if m is None or m == n else wavefunction(sys, m, nodes)
+    partner = psi if m is None or level_index(m) == n else wavefunction(sys, m, nodes)
     return float(sys.geometry.radius * np.dot(weights, psi * partner))
 
 

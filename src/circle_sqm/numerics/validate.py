@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
-from ..systems import Branch, CircleGeometry, finite_result, merged_levels
+from ..systems import Branch, CircleGeometry, closed_forms, finite_result, spectrum
 from .eigensolve import eigenvalue_with_refinement
 from .quadrature import norm_rule
 from .residual import residual_rate
@@ -86,21 +86,6 @@ def _rate_report(case_id: str, rate: float, floor: float) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _module(system):
-    """The closed-form module of ``system``: the engine's one dispatch on system type."""
-    return oscillator if isinstance(system, oscillator.OscillatorSystem) else coulomb
-
-
-def _analytic_levels(system, n_max: int) -> list[float]:
-    if isinstance(system, coulomb.CoulombSystem) and system.nu < 1.0:
-        raise DomainError(
-            "FD eigenvalue validation needs boundary exponent nu >= 1 "
-            f"(got nu = {system.nu:g}); use norm/residual checks instead"
-        )
-    rows = merged_levels(system, n_max, _module(system).energy_level)
-    return [energy for _, _, energy in rows][: n_max + 1]
-
-
 def validate_system(system, n_max: int, grid: int, tolerance: float,
                     residual_levels: tuple[int, ...] = (0, 2, 5),
                     label: str | None = None) -> list[ValidationReport]:
@@ -112,12 +97,17 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     FD level and ODE residual orders must reach RATE_FLOOR.  ``label``
     defaults to the module name, ``oscillator`` or ``coulomb``.
     """
-    module = _module(system)
+    module = closed_forms(system)
+    if module is coulomb and system.nu < 1.0:
+        raise DomainError(
+            "FD eigenvalue validation needs boundary exponent nu >= 1 "
+            f"(got nu = {system.nu:g}); use norm/residual checks instead"
+        )
     label = label or module.__name__.rsplit(".", 1)[-1]
     schedule = f"N={grid}/{2 * grid}"
     count = n_max + 1
 
-    analytic = _analytic_levels(system, n_max)
+    analytic = [energy for _, _, energy in spectrum(system, n_max)][:count]
     coarse, fine, extrapolated = eigenvalue_with_refinement(
         lambda phi: module.potential(system, phi), system.geometry.radius,
         system.motion_domain, grid, count
@@ -137,7 +127,7 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
 
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
     """R * integral of psi_n^2 over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
-    module = _module(system)
+    module = closed_forms(system)
     nodes, weights = norm_rule(system.motion_domain[1])
     norms = []
     for n in range(n_max + 1):
@@ -149,7 +139,7 @@ def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
 
 def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[ValidationReport]:
     """Order of the residual psi'' + 2 R^2 (E_n - V) psi on the middle 60% of (0, hi)."""
-    module = _module(system)
+    module = closed_forms(system)
     two_r2 = 2.0 * system.geometry.radius**2
     hi = system.motion_domain[1]
     window = (0.2 * hi, hi - 0.2 * hi)

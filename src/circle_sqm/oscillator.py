@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, merged_levels, open_angles, two_branch)
+                      finite_result, level_index, open_angles, two_branch)
 
 _SINGULAR_TOL = 1e-12
 
@@ -101,8 +101,7 @@ def energy_from_reduced(sys: OscillatorSystem, epsilon: float) -> float:
 @finite_result
 def reduced_eigenvalue(n: int, k0: float, k1: float, branch: Branch) -> float:
     """Reduced-equation eigenvalue epsilon_n = (2n +- k1 + k0 + 1)^2."""
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    n = level_index(n)
     check_branch_admissible(branch, k1)
     return (2.0 * n + branch.sign * k1 + k0 + 1.0) ** 2
 
@@ -115,20 +114,10 @@ def energy_level(sys: OscillatorSystem, n: int) -> float:
     :func:`energy_from_reduced`; both forms are kept and cross-checked because
     they exercise different cancellation patterns.  Non-finite levels raise DomainError.
     """
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    n = level_index(n)
     m = 2.0 * n + sys.branch.sign * sys.k1 + 1.0
     k0 = sys.k0
     return ((m - 0.5) ** 2 + (2.0 * k0 + 1.0) * m) / (2.0 * sys.geometry.radius**2)
-
-
-def spectrum(sys: OscillatorSystem, n_max: int) -> list[tuple[int, Branch, float]]:
-    """All levels with n = 0..n_max, merged over admissible branches, sorted by energy.
-
-    For k1 > 1/2 only the plus branch exists; for |k1| <= 1/2 both branch
-    families are included regardless of which branch ``sys`` carries.
-    """
-    return [(n, m.branch, e) for n, m, e in merged_levels(sys, n_max, energy_level)]
 
 
 def _norm_constant(sys: OscillatorSystem, n: int) -> float:
@@ -159,8 +148,7 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     two-branch regime negative angles return the mirror value psi(|phi|);
     values that are not finite doubles raise DomainError.
     """
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    n = level_index(n)
     phi_abs = np.abs(open_angles(phi, *sys.motion_domain))
 
     a = sys.branch.sign * sys.k1

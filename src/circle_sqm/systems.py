@@ -1,10 +1,13 @@
-"""Shared geometric and branch descriptors."""
+"""What both systems share: geometric and branch descriptors, the closed-form
+contract, the level-index guard, the dispatch on system type and the spectrum."""
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,16 +71,33 @@ def finite_result(formula):
     return checked
 
 
-def merged_levels(system, n_max: int, energy_level) -> list[tuple[int, object, float]]:
+def level_index(n) -> int:
+    """``n`` as an int; DomainError unless it is an integer >= 0 (a float, even 2.0, is not)."""
+    try:
+        index = operator.index(n)
+    except TypeError:
+        index = None
+    if index is None or index < 0:
+        raise DomainError(f"level index must be an integer >= 0, got {n!r}")
+    return index
+
+
+def closed_forms(system):
+    """The module of closed forms that serves ``system``: the one dispatch on system type."""
+    from . import coulomb, oscillator
+
+    return oscillator if isinstance(system, oscillator.OscillatorSystem) else coulomb
+
+
+def spectrum(system, n_max: int) -> list[tuple[int, object, float]]:
     """Levels n = 0..n_max of every admissible branch of ``system``, sorted by energy.
 
-    ``system`` is a frozen dataclass with ``k1`` and ``branch`` fields and
-    ``energy_level(member, n)`` gives its levels.  Rows are (n, member,
-    energy), where member is ``system`` with its branch replaced by the
-    row's branch; ties in energy are broken by branch name, then n.
+    Rows are (n, member, energy), where member is ``system`` with its branch
+    replaced by the row's branch and energy is the ``energy_level`` of its
+    closed forms; ties in energy are broken by branch name, then n.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = level_index(n_max)
+    energy_level = closed_forms(system).energy_level
     branches = (Branch.PLUS, Branch.MINUS) if two_branch(system.k1) else (Branch.PLUS,)
     rows = []
     for branch in branches:
@@ -105,9 +125,13 @@ class PoschlTellerForm:
     Both systems meet in the equation
     ``psi'' + [epsilon - (k0^2 - 1/4)/cos^2 - (k1^2 - 1/4)/sin^2] psi = 0``.
     For the oscillator ``epsilon`` and ``k0`` are real with k0 >= 1/2; the
-    Coulomb duality route produces complex values.
+    Coulomb duality route produces complex values.  Both must be finite.
     """
 
     epsilon: complex | float
     k0: complex | float
     k1: float
+
+    def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.epsilon) and cmath.isfinite(self.k0)):
+            raise DomainError(f"epsilon and k0 must be finite, got {self.epsilon!r}, {self.k0!r}")

@@ -18,6 +18,7 @@ from circle_sqm.numerics import (
     flat_limit_energy,
     residual_rate,
 )
+from circle_sqm.systems import spectrum
 
 from conftest import record_acceptance
 from oracles import hyp2f1_exact, qc
@@ -76,7 +77,7 @@ def test_criterion_2_oscillator_fd():
 
 def test_criterion_3_branch_union():
     system = osc.OscillatorSystem(UNIT, omega=1.0, k1=0.5, branch=Branch.PLUS)
-    union = np.array([energy for _, _, energy in osc.spectrum(system, 5)])[:6]
+    union = np.array([energy for _, _, energy in spectrum(system, 5)])[:6]
     _, _, extrapolated = eigenvalue_with_refinement(
         lambda phi: osc.potential(system, phi), 1.0,
         (-math.pi / 2, math.pi / 2), 4096, 6

@@ -14,6 +14,7 @@ from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm.cli import main
+from circle_sqm.systems import spectrum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,7 +44,7 @@ class TestSpectrumCommand:
         assert code == 0
         payload = json.loads(out)
         system = osc.OscillatorSystem(CircleGeometry(0.8), 1.25, 0.5)
-        expected = {(r[0], r[1].value): r[2] for r in osc.spectrum(system, 3)}
+        expected = {(r[0], r[1].branch.value): r[2] for r in spectrum(system, 3)}
         for record in payload["records"]:
             assert record["energy"] == expected[(record["n"], record["branch"])]
 

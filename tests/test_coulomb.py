@@ -12,6 +12,7 @@ from circle_sqm import Branch, CircleGeometry, Parity
 from circle_sqm import coulomb as cou
 from circle_sqm.errors import BranchError, DomainError, SingularPointError
 from circle_sqm.numerics.quadrature import gauss_legendre_rule, norm_rule
+from circle_sqm.systems import spectrum
 
 UNIT = CircleGeometry(1.0)
 
@@ -87,6 +88,12 @@ class TestDuality:
         form = cou.duality_parameters(case_i(), 0.0)
         assert form.epsilon == pytest.approx(2j)
         assert form.k0**2 == pytest.approx(-2j)
+
+    def test_infinite_fields_refused(self):
+        system = cou.CoulombSystem(CircleGeometry(10.0), mu=1.0, k1=1.0)
+        for energy in (1e308, -1e308):
+            with pytest.raises(DomainError):
+                cou.duality_parameters(system, energy)
 
     def test_epsilon_k0_identity(self):
         rng = np.random.default_rng(21)
@@ -376,13 +383,13 @@ class TestParityExtension:
 class TestSpectrumMerge:
     def test_case_ii_merges_both_nu(self):
         system = case_ii(Branch.PLUS)
-        rows = cou.spectrum(system, 1)
+        rows = spectrum(system, 1)
         assert len(rows) == 4
-        branches = {branch for _, branch, _ in rows}
+        branches = {member.branch for _, member, _ in rows}
         assert branches == {Branch.PLUS, Branch.MINUS}
         energies = [e for _, _, e in rows]
         assert energies == sorted(energies)
 
     def test_case_i_single_family(self):
-        rows = cou.spectrum(case_i(), 2)
+        rows = spectrum(case_i(), 2)
         assert [e for _, _, e in rows] == pytest.approx([0.0, 1.875, 4.0 + 4.0 / 9.0])

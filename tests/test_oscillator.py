@@ -10,6 +10,7 @@ from circle_sqm import Branch, CircleGeometry
 from circle_sqm import oscillator as osc
 from circle_sqm.errors import BranchError, DomainError, SingularPointError
 from circle_sqm.numerics.quadrature import norm_rule
+from circle_sqm.systems import spectrum
 
 UNIT = CircleGeometry(1.0)
 SQRT5_HALF = math.sqrt(5.0) / 2.0
@@ -86,6 +87,11 @@ class TestReducedForm:
                 energy, abs=1e-12
             )
 
+    def test_infinite_epsilon_refused(self):
+        system = osc.OscillatorSystem(CircleGeometry(10.0), omega=1.0, k1=1.5)
+        with pytest.raises(DomainError):
+            osc.reduce_to_poschl_teller(system, 1e308)
+
 
 class TestEnergies:
     def test_reduced_eigenvalue_examples(self):
@@ -130,18 +136,18 @@ class TestEnergies:
 class TestSpectrum:
     def test_two_branch_merge(self):
         system = osc.OscillatorSystem(UNIT, omega=0.0, k1=0.5)
-        rows = osc.spectrum(system, 1)
+        rows = spectrum(system, 1)
         assert len(rows) == 4
         energies = [energy for _, _, energy in rows]
         assert energies == sorted(energies)
-        for n, branch, energy in rows:
-            member = osc.OscillatorSystem(UNIT, 0.0, 0.5, branch)
+        for n, row_member, energy in rows:
+            member = osc.OscillatorSystem(UNIT, 0.0, 0.5, row_member.branch)
             assert energy == osc.energy_level(member, n)
 
     def test_single_branch_above_half(self):
         system = osc.OscillatorSystem(UNIT, omega=0.0, k1=0.75)
-        rows = osc.spectrum(system, 3)
-        assert all(branch is Branch.PLUS for _, branch, _ in rows)
+        rows = spectrum(system, 3)
+        assert all(member.branch is Branch.PLUS for _, member, _ in rows)
 
     def test_merged_strictly_increasing_on_grid(self):
         rng = np.random.default_rng(9)
@@ -151,7 +157,7 @@ class TestSpectrum:
                 omega=rng.uniform(0.0, 3.0),
                 k1=rng.uniform(0.05, 0.5),
             )
-            energies = [e for _, _, e in osc.spectrum(system, 6)]
+            energies = [e for _, _, e in spectrum(system, 6)]
             assert all(b > a for a, b in zip(energies, energies[1:]))
 
 

@@ -1,12 +1,15 @@
 """What both systems share: the branch rule (the minus branch exists exactly
-when 0 < |k1| <= 1/2, checked at the edges of that interval) and the contract
+when 0 < |k1| <= 1/2, checked at the edges of that interval), the contract
 of every real-valued public closed form (a finite double or DomainError, a
-float for a scalar angle)."""
+float for a scalar angle), the level-index guard, the dispatch on system type
+and the merged spectrum."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
@@ -14,18 +17,18 @@ from circle_sqm import oscillator as osc
 from circle_sqm import specfun
 from circle_sqm.errors import BranchError, DomainError
 from circle_sqm.numerics import validate
-from circle_sqm.systems import finite_result
+from circle_sqm.systems import closed_forms, finite_result, spectrum, two_branch
 
 UNIT = CircleGeometry(1.0)
 ABOVE_HALF = float(np.nextafter(0.5, 1.0))
 
 
-def families(module, system):
-    return {branch for _, branch, _ in module.spectrum(system, 2)}
+def families(system):
+    return {member.branch for _, member, _ in spectrum(system, 2)}
 
 
 def test_coulomb_k1_zero_has_plus_family_only():
-    assert families(cou, cou.CoulombSystem(UNIT, mu=1.0, k1=0.0)) == {Branch.PLUS}
+    assert families(cou.CoulombSystem(UNIT, mu=1.0, k1=0.0)) == {Branch.PLUS}
     with pytest.raises(BranchError):
         cou.CoulombSystem(UNIT, mu=1.0, k1=0.0, branch=Branch.MINUS)
 
@@ -33,16 +36,16 @@ def test_coulomb_k1_zero_has_plus_family_only():
 def test_k1_one_half_has_both_families():
     oscillator = osc.OscillatorSystem(UNIT, omega=1.0, k1=0.5, branch=Branch.MINUS)
     coulomb = cou.CoulombSystem(UNIT, mu=1.0, k1=0.5, branch=Branch.MINUS)
-    assert families(osc, oscillator) == {Branch.PLUS, Branch.MINUS}
-    assert families(cou, coulomb) == {Branch.PLUS, Branch.MINUS}
+    assert families(oscillator) == {Branch.PLUS, Branch.MINUS}
+    assert families(coulomb) == {Branch.PLUS, Branch.MINUS}
     assert oscillator.motion_domain == (-math.pi / 2, math.pi / 2)
 
 
 def test_k1_just_above_one_half_has_plus_family_only():
     oscillator = osc.OscillatorSystem(UNIT, omega=1.0, k1=ABOVE_HALF)
     coulomb = cou.CoulombSystem(UNIT, mu=1.0, k1=ABOVE_HALF)
-    assert families(osc, oscillator) == {Branch.PLUS}
-    assert families(cou, coulomb) == {Branch.PLUS}
+    assert families(oscillator) == {Branch.PLUS}
+    assert families(coulomb) == {Branch.PLUS}
     assert oscillator.motion_domain == (0.0, math.pi / 2)
     with pytest.raises(BranchError):
         osc.OscillatorSystem(UNIT, omega=1.0, k1=ABOVE_HALF, branch=Branch.MINUS)
@@ -98,3 +101,50 @@ def test_closed_form_contract(form, args, overflowing):
         values = call(form, args, phi)
         assert type(values) is np.ndarray and values.shape == phi.shape
         assert values[1, 2] == pytest.approx(call(form, args, 1.2), rel=1e-13)
+
+
+# every public closed form that takes a level index, called with n in its place
+LEVEL_FORMS = {
+    "oscillator.reduced_eigenvalue": lambda n: osc.reduced_eigenvalue(n, OSC.k0, 1.5, Branch.PLUS),
+    "oscillator.energy_level": lambda n: osc.energy_level(OSC, n),
+    "oscillator.wavefunction": lambda n: osc.wavefunction(OSC, n, 0.5),
+    "coulomb.quantize": lambda n: cou.quantize(COU, n),
+    "coulomb.energy_level": lambda n: cou.energy_level(COU, n),
+    "coulomb.wavefunction": lambda n: cou.wavefunction(COU, n, 0.5),
+    "coulomb.extend_parity": lambda n: cou.extend_parity(COU, n, 0.5, cou.Parity.ODD),
+    "coulomb.diamond_norm[m]": lambda m: cou.diamond_norm(COU, 2, m),
+    "coulomb.norm_constant": lambda n: cou.norm_constant(n, 1.0, 1.0 / 3.0, 1.0),
+    "coulomb.contour_norm_constant": lambda n: cou.contour_norm_constant(
+        n, complex(-3.0, 1.0 / 3.0), 1.0, 1.0, Branch.PLUS),
+    "systems.spectrum": lambda n: spectrum(OSC, n),
+}
+
+
+@pytest.mark.parametrize("form", LEVEL_FORMS.values(), ids=LEVEL_FORMS)
+def test_level_index_guard(form):
+    for n in (-1, 0.5, 2.0):
+        with pytest.raises(DomainError):
+            form(n)
+    assert form(np.int64(2)) == form(2)
+
+
+def test_closed_forms_dispatch():
+    assert closed_forms(OSC) is osc
+    assert closed_forms(COU) is cou
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(system_type=st.sampled_from([osc.OscillatorSystem, cou.CoulombSystem]),
+       radius=st.floats(0.1, 10.0), coupling=st.floats(0.0, 10.0, exclude_min=True),
+       k1=st.floats(0.0, 1.4), minus=st.booleans(), n_max=st.integers(0, 20))
+def test_spectrum_rows(system_type, radius, coupling, k1, minus, n_max):
+    assume(k1 > 0.0 or system_type is cou.CoulombSystem)
+    branch = Branch.MINUS if minus and two_branch(k1) else Branch.PLUS
+    rows = spectrum(system_type(CircleGeometry(radius), coupling, k1, branch), n_max)
+    keys = [(energy, member.branch.value, n) for n, member, energy in rows]
+    assert keys == sorted(keys)
+    for n, member, energy in rows:
+        assert energy == closed_forms(member).energy_level(member, n)
+    families = {Branch.PLUS, Branch.MINUS} if two_branch(k1) else {Branch.PLUS}
+    assert {member.branch for _, member, _ in rows} == families
+    assert len(rows) == (n_max + 1) * len(families)
