@@ -118,8 +118,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    if args.n < 0:
-        raise DomainError("--n must be >= 0")
     if args.samples < 2:
         raise DomainError("--samples must be >= 2")
     system = _build_system(args)

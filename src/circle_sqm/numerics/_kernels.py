@@ -41,27 +41,33 @@ USE_NUMBA = False  # read by perfbench/provenance.py; there is no numba kernel
 _GROWTH = 1e4
 
 
-def sturm_counts(
-    diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, pivmin: float
-) -> np.ndarray:
+def _pivmin(off_max: float) -> float:
+    """LAPACK's pivot floor (``dstebz``), infinite once max e^2 overflows; a Python float,
+    because a numpy scalar would carry the serial loop into numpy, which warns on inf/inf."""
+    off_max = float(off_max)
+    return 1e-300 * max(1.0, off_max * off_max)  # not **2, which raises OverflowError
+
+
+def sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each shift, by odd-even reduction.
 
-    ``off_sq`` holds the squared off-diagonal; the reduction carries
-    |e| = ``sqrt(off_sq)`` (exact for a square that neither overflowed nor
-    underflowed) rather than e^2, whose products overflow first.  Pivots
-    with magnitude below ``pivmin`` are replaced by ``-pivmin`` (LAPACK's
-    convention), which keeps the count deterministic at exact pivot zeros:
-    an eigenvalue equal to a shift is counted.
-    Shifts whose pivots grow past _GROWTH times max |T - s|, overflow
-    included, are counted again by :func:`_serial_counts`.
+    The matrix is taken as stored, diagonal ``diag`` and off-diagonal
+    ``off``; the reduction carries |e| rather than e^2, whose products
+    overflow first.  Pivots with magnitude below pivmin = 1e-300 max(1,
+    max e^2) are replaced by -pivmin (LAPACK's convention), which keeps the
+    count deterministic at exact pivot zeros: an eigenvalue equal to a shift
+    is counted.  Shifts whose pivots grow past _GROWTH times max |T - s|,
+    overflow included, are counted again by :func:`_serial_counts`.
     """
     shifts = np.ascontiguousarray(shifts, dtype=np.float64)
     diag = np.asarray(diag, dtype=np.float64)
     even = diag[None, 0::2] - shifts[:, None]  # (shifts, rows); each shift is independent
     kept = diag[None, 1::2] - shifts[:, None]
-    e = np.sqrt(np.asarray(off_sq, dtype=np.float64))[None, :]
+    e = np.abs(np.asarray(off, dtype=np.float64))[None, :]
+    off_max = e.max(initial=0.0)
+    pivmin = _pivmin(off_max)
     widest = np.maximum(diag.max() - shifts, shifts - diag.min())  # max |d - s|
-    bound = _GROWTH * np.maximum(widest, e.max(initial=0.0))
+    bound = _GROWTH * np.maximum(widest, off_max)
     counts = np.zeros(shifts.shape[0], dtype=np.int64)
     largest = np.zeros(shifts.shape[0])
     # Every entry is a pivot at some step, so the largest pivot measures the
@@ -85,22 +91,22 @@ def sturm_counts(
             even, kept = d[:, 0::2], d[:, 1::2]
     grown = ~(largest <= bound)  # NaN counts as grown
     if grown.any():
-        counts[grown] = _serial_counts(diag, off_sq, shifts[grown], pivmin)
+        counts[grown] = _serial_counts(diag, off, shifts[grown])
     return counts
 
 
-def _serial_counts(
-    diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, pivmin: float
-) -> np.ndarray:
+def _serial_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each shift, via the row-by-row LDL^T signs.
 
     Same ``pivmin`` rule as :func:`sturm_counts`.  Backward stable; a Python
     loop over the rows of each shift, so the solver calls it once per solve
     and :func:`sturm_counts` only for the shifts it cannot trust.
     """
+    off = np.asarray(off, dtype=np.float64)
+    pivmin = _pivmin(np.max(np.abs(off), initial=0.0))
+    with np.errstate(over="ignore"):  # an infinite e^2 is left to the solver's certificate
+        off_sq = [0.0] + (off * off).tolist()
     diag = np.asarray(diag, dtype=np.float64).tolist()
-    off_sq = [0.0] + np.asarray(off_sq, dtype=np.float64).tolist()
-    pivmin = float(pivmin)
     counts = []
     for shift in np.asarray(shifts, dtype=np.float64).tolist():
         q, count = 1.0, 0

@@ -82,7 +82,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
     it and the result.  A bracket that inverts (lo > hi, a count that is not
     monotone in the shift) raises ConvergenceError at once.  The closed
     brackets are then certified by one serial LDL^T pass: with
-    tau = 8 eps max(|Gershgorin bounds|, 1), the j-th bracket must count
+    tau = 8 eps max |Gershgorin bounds|, the j-th bracket must count
     fewer than j eigenvalues below lo_j - tau and at least j below
     hi_j + tau, or ConvergenceError is raised.  _MAX_PASSES caps the number
     of passes.  Deterministic: fixed bracketing, fixed shifts, no randomness.
@@ -91,14 +91,12 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
         raise DomainError(f"count must be in 1..{matrix.dimension}, got {count}")
     d = matrix.diagonal
     e = matrix.off_diagonal
-    e2 = e * e
     reach = np.zeros(matrix.dimension)
     reach[:-1] += np.abs(e)
     reach[1:] += np.abs(e)
     lo_bound = float(np.min(d - reach))
     hi_bound = float(np.max(d + reach))
-    scale = max(abs(lo_bound), abs(hi_bound), 1.0)
-    pivmin = 1e-300 * max(1.0, float(np.max(e2, initial=0.0)))
+    scale = max(abs(lo_bound), abs(hi_bound))
     abs_floor = _REL_TOL * _REL_TOL * scale
 
     lo = np.full(count, lo_bound)
@@ -108,10 +106,10 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
         tol = _REL_TOL * np.maximum(np.abs(lo), np.abs(hi)) + abs_floor
         open_ = hi - lo > tol
         if not np.any(open_):
-            _certify(d, e2, lo, hi, pivmin, 8.0 * np.finfo(float).eps * scale)
+            _certify(d, e, lo, hi, 8.0 * np.finfo(float).eps * scale)
             return 0.5 * (lo + hi)
         shifts = np.unique(0.5 * (lo[open_] + hi[open_]))
-        below = sturm_counts(d, e2, shifts, pivmin)[None, :] < want[:, None]
+        below = sturm_counts(d, e, shifts)[None, :] < want[:, None]
         lo = np.maximum(lo, np.max(np.where(below, shifts, -np.inf), axis=1))
         hi = np.minimum(hi, np.min(np.where(below, np.inf, shifts), axis=1))
         if np.any(lo > hi):
@@ -123,10 +121,10 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
     )
 
 
-def _certify(d, e2, lo, hi, pivmin: float, tau: float) -> None:
+def _certify(d, e, lo, hi, tau: float) -> None:
     """Refuse brackets that one serial LDL^T count does not confirm."""
     want = np.arange(1, lo.shape[0] + 1)
-    counts = _serial_counts(d, e2, np.concatenate((lo - tau, hi + tau)), pivmin)
+    counts = _serial_counts(d, e, np.concatenate((lo - tau, hi + tau)))
     below_lo, below_hi = counts[: lo.shape[0]], counts[lo.shape[0]:]
     if np.any(below_lo >= want) or np.any(below_hi < want):
         raise ConvergenceError(
@@ -138,10 +136,9 @@ def eigenvalue_with_refinement(potential, radius: float, domain: tuple[float, fl
                                n_nodes: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues on grids (n_nodes, 2 n_nodes) plus their Richardson combination.
 
-    Returns (coarse, fine, extrapolated); the extrapolation assumes the
-    second-order stencil, i.e. ``richardson_extrapolate(coarse, fine, 2)``.
+    Returns (coarse, fine, extrapolated); the extrapolation assumes the second-order stencil.
     """
     coarse = lowest_eigenvalues(build_hamiltonian(potential, radius, domain, n_nodes), count)
     fine = lowest_eigenvalues(build_hamiltonian(potential, radius, domain, 2 * n_nodes), count)
-    extrapolated = richardson_extrapolate(coarse, fine, 2)
+    extrapolated = richardson_extrapolate(coarse, fine)
     return coarse, fine, extrapolated

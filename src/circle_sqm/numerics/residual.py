@@ -7,15 +7,12 @@ import numpy as np
 from ..errors import DomainError
 
 
-def richardson_extrapolate(coarse, fine, order: int):
-    """Eliminate the leading O(h^order) error term from a coarse/fine pair."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    factor = 2.0**order
-    return (factor * fine - coarse) / (factor - 1.0)
+def richardson_extrapolate(coarse, fine):
+    """Eliminate the leading O(h^2) error term, the stencil's, from a coarse/fine pair."""
+    return (4.0 * fine - coarse) / 3.0
 
 
-def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> tuple[float, float]:
+def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> float:
     """Max norm of psi'' + bracket(phi) psi over interior grid nodes.
 
     ``wavefn`` and ``bracket`` must accept ndarray arguments; the second
@@ -23,8 +20,7 @@ def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> 
     returned residual decays as O(h^2) wherever psi has bounded fourth
     derivative.  Pass a ``domain`` safely inside the motion domain: near
     singular endpoints the higher derivatives of psi are unbounded and the
-    max residual there does not converge.  Returns (max_residual, h); the
-    caller measures the rate from an (h, h/2) pair.
+    max residual there does not converge.
     """
     a, b = domain
     if not b > a:
@@ -36,11 +32,11 @@ def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> 
     psi = np.asarray(wavefn(phi))
     second = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h)
     residual = second + np.asarray(bracket(phi[1:-1])) * psi[1:-1]
-    return float(np.max(np.abs(residual))), h
+    return float(np.max(np.abs(residual)))
 
 
 def residual_rate(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> float:
     """Measured convergence order log2(residual_h / residual_h_half) of the residual."""
-    r_coarse, _ = ode_residual(wavefn, bracket, domain, n_nodes)
-    r_fine, _ = ode_residual(wavefn, bracket, domain, 2 * n_nodes)
+    r_coarse = ode_residual(wavefn, bracket, domain, n_nodes)
+    r_fine = ode_residual(wavefn, bracket, domain, 2 * n_nodes)
     return float(np.log2(r_coarse / r_fine))

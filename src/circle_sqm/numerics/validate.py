@@ -198,46 +198,35 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
         raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
-    mu, nu, k1, branch = sys.mu, sys.nu, sys.k1, sys.branch
+    mu, nu = sys.mu, sys.nu
     tag = f"contraction[nu={nu:g},n={n}]"
-
-    # (a) exact-rational gap identity
-    nu_frac = Fraction(nu)
-    mu_frac = Fraction(mu)
-    n_nu = n + nu_frac
-    exact_gaps, identity_gaps = [], []
-    for r in radii:
-        r_frac = Fraction(float(r))
-        energy = n_nu**2 / (2 * r_frac**2) - mu_frac**2 / (2 * n_nu**2)
-        limit = -(mu_frac**2) / (2 * n_nu**2)
-        identity_gaps.append(float(energy - limit))
-        exact_gaps.append(float(n_nu**2 / (2 * r_frac**2)))
-    reports = [_report(f"{tag}/energy-gap", exact_gaps, identity_gaps, 1e-14)]
-
-    # (b) float-route decay rate
-    float_gaps = []
-    for r in radii:
-        member = coulomb.CoulombSystem(CircleGeometry(float(r)), mu, k1, branch)
-        float_gaps.append(coulomb.energy_level(member, n) - flat_limit_energy(mu, nu, n))
-    slope = float(np.polyfit(np.log(radii), np.log(float_gaps), 1)[0])
-    reports.append(_report(f"{tag}/gap-decay-rate", [-2.0], [slope], 5e-5,
-                           convergence_rate=slope))
-
-    # (c) wavefunction shape convergence on a fixed grid of the flat-space
-    # coordinate y = 2 mu x/(n + nu); the circle angle at radius R is x/R
+    mu_frac, n_nu = Fraction(mu), n + Fraction(nu)
+    limit = -(mu_frac**2) / (2 * n_nu**2)
+    # (c) compares on a fixed grid of the flat-space coordinate y = 2 mu x/(n + nu);
+    # the circle angle at radius R is x/R
     y = np.linspace(0.05, 24.0, 120)
     x = y * (n + nu) / (2.0 * mu)
     target = flat_limit_wavefunction(mu, nu, n, y)
     target_peak = float(np.max(np.abs(target)))
-    deviations = []
+    exact_gaps, identity_gaps, float_gaps, deviations = [], [], [], []
     for r in radii:
-        phi = x / r
+        member = dataclasses.replace(sys, geometry=CircleGeometry(float(r)))
+        r_frac = Fraction(float(r))
+        energy = n_nu**2 / (2 * r_frac**2) - mu_frac**2 / (2 * n_nu**2)  # (a), exact
+        identity_gaps.append(float(energy - limit))
+        exact_gaps.append(float(n_nu**2 / (2 * r_frac**2)))
+        float_gaps.append(coulomb.energy_level(member, n) - flat_limit_energy(mu, nu, n))  # (b)
+        phi = x / r  # (c)
         if np.any(phi >= math.pi):
             raise DomainError(f"scaled grid leaves (0, pi) at R = {r:g}")
-        member = coulomb.CoulombSystem(CircleGeometry(float(r)), mu, k1, branch)
         psi = coulomb.wavefunction(member, n, phi)
         scale = float(np.dot(psi, target) / np.dot(psi, psi))
         deviations.append(float(np.max(np.abs(scale * psi - target))) / target_peak)
+    slope = float(np.polyfit(np.log(radii), np.log(float_gaps), 1)[0])
+    reports = [
+        _report(f"{tag}/energy-gap", exact_gaps, identity_gaps, 1e-14),
+        _report(f"{tag}/gap-decay-rate", [-2.0], [slope], 5e-5, convergence_rate=slope),
+    ]
     ratios = tuple(deviations[i + 1] / deviations[i] for i in range(len(deviations) - 1))
     reports.append(ValidationReport(
         case_id=f"{tag}/shape-convergence",

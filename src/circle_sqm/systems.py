@@ -86,7 +86,11 @@ def closed_forms(system):
     """The module of closed forms that serves ``system``: the one dispatch on system type."""
     from . import coulomb, oscillator
 
-    return oscillator if isinstance(system, oscillator.OscillatorSystem) else coulomb
+    if isinstance(system, oscillator.OscillatorSystem):
+        return oscillator
+    if isinstance(system, coulomb.CoulombSystem):
+        return coulomb
+    raise DomainError(f"not an oscillator or Coulomb system: {system!r}")
 
 
 def spectrum(system, n_max: int) -> list[tuple[int, object, float]]:

@@ -162,6 +162,14 @@ class TestWavefunctionCommand:
         assert code == 2
         assert "--samples" in err
 
+    def test_negative_level_index_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["wavefunction", "--system", "coulomb", "--mu", "1", "--radius", "1",
+             "--k1", "1", "--n", "-1", "--samples", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: level index must be an integer >= 0, got -1\n"
+
     @pytest.mark.parametrize("system_args, quantity", [
         (("--system", "coulomb", "--mu", "1e200", "--radius", "1", "--k1", "1", "--n", "0",
           "--samples", "2"), "norm_constant"),

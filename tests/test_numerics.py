@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
@@ -27,7 +29,7 @@ from circle_sqm.numerics import (
     validate_system,
 )
 from circle_sqm.numerics import _kernels, eigensolve
-from circle_sqm.numerics._kernels import sturm_counts
+from circle_sqm.numerics._kernels import _serial_counts, sturm_counts
 from circle_sqm.numerics.quadrature import norm_rule
 from circle_sqm.numerics.validate import _report, _residual_reports
 
@@ -160,9 +162,9 @@ class TestSturmEigenvalues:
         # carries at most `count` shifts, and about 63 passes close 5 levels
         passes = []
 
-        def counting(diag, off_sq, shifts, pivmin):
+        def counting(diag, off, shifts):
             passes.append(len(shifts))
-            return sturm_counts(diag, off_sq, shifts, pivmin)
+            return sturm_counts(diag, off, shifts)
 
         monkeypatch.setattr(eigensolve, "sturm_counts", counting)
         system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
@@ -179,8 +181,8 @@ class TestSturmEigenvalues:
     def test_inverted_bracket_refused(self, monkeypatch):
         # counts reversed within a pass are not monotone in the shift: the
         # second pass puts a bracket's lower end above its upper end
-        def reversed_counts(diag, off_sq, shifts, pivmin):
-            return sturm_counts(diag, off_sq, shifts, pivmin)[::-1]
+        def reversed_counts(diag, off, shifts):
+            return sturm_counts(diag, off, shifts)[::-1]
 
         monkeypatch.setattr(eigensolve, "sturm_counts", reversed_counts)
         matrix = TridiagonalMatrix(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(3))
@@ -190,8 +192,8 @@ class TestSturmEigenvalues:
     def test_certificate_refuses_a_wrong_count(self, monkeypatch):
         # a monotone count of T - 0.5 closes every bracket 0.5 too high; only
         # the serial certificate can see it
-        def offset_counts(diag, off_sq, shifts, pivmin):
-            return sturm_counts(diag, off_sq, shifts - 0.5, pivmin)
+        def offset_counts(diag, off, shifts):
+            return sturm_counts(diag, off, shifts - 0.5)
 
         monkeypatch.setattr(eigensolve, "sturm_counts", offset_counts)
         rng = np.random.default_rng(5)
@@ -224,22 +226,18 @@ class TestSturmEigenvalues:
         shifts = rng.uniform(dense[0] - 1.0, dense[-1] + 1.0, 20)
         # a shift this close to an eigenvalue would test the oracle's roundoff
         assert np.min(np.abs(shifts[:, None] - dense[None, :])) > 1e-8
-        counts = sturm_counts(d, e**2, shifts, 1e-300 * float(np.max(e**2)))
+        counts = sturm_counts(d, e, shifts)
         expected = [int(np.sum(dense < s)) for s in shifts]
         assert counts.tolist() == expected
 
     def test_sturm_count_includes_eigenvalue_at_shift(self):
         # the pivot at row 1 is exactly zero; -pivmin makes it count as negative
-        counts = sturm_counts(np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([2.0]), 1e-300)
+        counts = sturm_counts(np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([2.0]))
         assert counts.tolist() == [2]
 
 
 def _tridiagonal(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def _solver_pivmin(off):
-    return 1e-300 * max(1.0, float(np.max(off * off, initial=0.0)))
 
 
 def _glued_wilkinson(copies=20, link=1e-14):
@@ -291,7 +289,7 @@ class TestSturmHardCases:
         shifts = np.concatenate((gaps, dense, special))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = sturm_counts(diag, off * off, shifts, _solver_pivmin(off))
+            counts = sturm_counts(diag, off, shifts)
         delta = 1e-8 * norm
         lower = np.searchsorted(dense, shifts - delta, side="left")
         upper = np.searchsorted(dense, shifts + delta, side="right")
@@ -316,7 +314,7 @@ class TestSturmHardCases:
         assert below == exact_sturm_counts(diag, off, shifts + delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = sturm_counts(diag, off * off, shifts, _solver_pivmin(off))
+            counts = sturm_counts(diag, off, shifts)
         assert counts.tolist() == below
 
     def test_random_graded_sweep(self):
@@ -345,9 +343,74 @@ class TestSturmHardCases:
         shift = np.array([-2.9808692615895942e29])
         assert exact_sturm_counts(diag, off, shift) == [3]
         assert int(np.sum(np.linalg.eigvalsh(_tridiagonal(diag, off)) < shift[0])) == 3
-        assert sturm_counts(diag, off * off, shift, _solver_pivmin(off)).tolist() == [3]
+        assert sturm_counts(diag, off, shift).tolist() == [3]
         monkeypatch.setattr(_kernels, "_GROWTH", np.inf)
-        assert sturm_counts(diag, off * off, shift, _solver_pivmin(off)).tolist() == [4]
+        assert sturm_counts(diag, off, shift).tolist() == [4]
+
+
+@st.composite
+def _tridiagonals(draw):
+    """(diag, off, signs): a random tridiagonal of 1 to 64 rows and a sign per off entry."""
+    n = draw(st.integers(1, 64))
+    diag = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    off = draw(st.lists(st.floats(-10.0, 10.0), min_size=n - 1, max_size=n - 1))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(off), np.array(signs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(matrix=_tridiagonals())
+def test_reduction_reads_off_diagonal_magnitudes(matrix):
+    # the reduction reads |off| and the serial kernel squares it, so neither
+    # sees the signs; midway between well-separated dense eigenvalues both
+    # kernels count the eigenvalues below
+    diag, off, signs = matrix
+    dense = np.linalg.eigvalsh(_tridiagonal(diag, off))
+    apart = np.flatnonzero(np.diff(dense) > 1e-6 * np.max(np.abs(dense)))
+    midway = 0.5 * (dense[apart] + dense[apart + 1])
+    shifts = np.concatenate((dense, midway))
+    counts = sturm_counts(diag, off, shifts)
+    assert counts.tolist() == sturm_counts(diag, signs * off, shifts).tolist()
+    assert counts[dense.size:].tolist() == (apart + 1).tolist()
+    assert counts[dense.size:].tolist() == _serial_counts(diag, off, midway).tolist()
+
+
+class TestSolverScaleEnvelope:
+    """Levels at every scale of the matrix: accurate to 1e-11 relative, or refused."""
+
+    def test_scaled_matrix_accurate_or_refused(self):
+        rng = np.random.default_rng(5)
+        d = rng.uniform(-2, 2, 40)
+        e = rng.uniform(0.5, 1.5, 39) * rng.choice([-1, 1], 39)
+        dense = np.linalg.eigvalsh(_tridiagonal(d, e))[:3]
+        refused = []
+        for k in range(-170, 171):
+            scale = 10.0**k
+            try:
+                got = lowest_eigenvalues(TridiagonalMatrix(d * scale, e * scale), 3) / scale
+            except ConvergenceError:
+                refused.append(k)
+                continue
+            assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-11, k
+        # refused only where off**2 leaves the double range
+        assert all(abs(k) > 150 for k in refused)
+
+    @pytest.mark.parametrize("radius", [1e8, 1e10])
+    def test_box_levels_at_large_radius(self, radius):
+        n = 256
+        h = math.pi / n
+        matrix = build_hamiltonian(lambda phi: 0.0 * phi, radius, (0.0, math.pi), n)
+        exact = (1.0 - np.cos(np.arange(1, 5) * math.pi / n)) / (radius**2 * h * h)
+        assert np.max(np.abs(lowest_eigenvalues(matrix, 4) - exact) / exact) <= 1e-11
+
+    def test_levels_order_at_large_radius(self):
+        # levels near 1e-19: an absolute floor of 1e-24 once stopped their
+        # brackets at about 1e-4 relative, and the measured order read -1.88
+        system = osc.OscillatorSystem(CircleGeometry(1e10), omega=0.0, k1=1.5)
+        reports = validate_system(system, 2, 1024, 1e-5, residual_levels=(0,), label="x")
+        assert reports[1].case_id == "x/levels-order[N=1024/2048]"
+        assert reports[1].convergence_rate > 1.9
+        assert all(report.passed for report in reports)
 
 
 class TestBoxSpectrum:
@@ -367,23 +430,19 @@ class TestBoxSpectrum:
         fine = lowest_eigenvalues(
             build_hamiltonian(lambda phi: 0.0 * phi, 1.0, (0.0, math.pi), 256), 4)
         plain = np.abs(fine - exact)
-        extrapolated = np.abs(richardson_extrapolate(coarse, fine, 2) - exact)
+        extrapolated = np.abs(richardson_extrapolate(coarse, fine) - exact)
         assert np.all(extrapolated < 1e-2 * plain)
 
 
 class TestRichardson:
     def test_fixed_point(self):
-        assert richardson_extrapolate(3.7, 3.7, 2) == pytest.approx(3.7)
+        assert richardson_extrapolate(3.7, 3.7) == pytest.approx(3.7)
 
     def test_exact_cancellation(self):
         energy, delta = 5.0, 0.3
-        assert richardson_extrapolate(energy + 4 * delta, energy + delta, 2) == pytest.approx(
+        assert richardson_extrapolate(energy + 4 * delta, energy + delta) == pytest.approx(
             energy, abs=1e-13
         )
-
-    def test_order_validated(self):
-        with pytest.raises(DomainError):
-            richardson_extrapolate(1.0, 1.0, 0)
 
 
 class TestOdeResidual:
@@ -391,8 +450,9 @@ class TestOdeResidual:
         m = 3
         wavefn = lambda phi: np.sin(m * phi)
         bracket = lambda phi: np.full_like(phi, float(m * m))
-        r_coarse, h = ode_residual(wavefn, bracket, (0.0, math.pi), 200)
-        r_fine, _ = ode_residual(wavefn, bracket, (0.0, math.pi), 400)
+        h = math.pi / 200
+        r_coarse = ode_residual(wavefn, bracket, (0.0, math.pi), 200)
+        r_fine = ode_residual(wavefn, bracket, (0.0, math.pi), 400)
         assert r_coarse / r_fine == pytest.approx(4.0, rel=0.05)
         assert r_coarse < h * h * m**4
 
@@ -411,7 +471,7 @@ class TestOdeResidual:
         energy = cou.energy_level(system, 1)
         bracket = lambda phi: (2.0 * energy + 2.0 / np.tan(phi)
                                + (system.p_squared - 0.25) / np.sin(phi) ** 2)
-        value, _ = ode_residual(lambda phi: cou.wavefunction(system, 1, phi),
+        value = ode_residual(lambda phi: cou.wavefunction(system, 1, phi),
                                 bracket, (0.5, math.pi - 0.5), 600)
         assert value < 1e-3
 
@@ -474,7 +534,7 @@ class TestContraction:
 
     def test_contraction_check_requires_increasing_radii(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
-        for radii in ((1e4, 1e3), (1e3,), ()):
+        for radii in ((1e4, 1e3), (1e3,), (), (0.0, 1e3)):
             with pytest.raises(DomainError):
                 contraction_check(system, 0, radii)
 

@@ -131,6 +131,12 @@ def test_level_index_guard(form):
 def test_closed_forms_dispatch():
     assert closed_forms(OSC) is osc
     assert closed_forms(COU) is cou
+    with pytest.raises(DomainError):
+        closed_forms("x")
+    with pytest.raises(DomainError):
+        spectrum("oscillator", 2)
+    with pytest.raises(DomainError):
+        validate.validate_system(None, 2, 64, 1e-4)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
