@@ -49,7 +49,7 @@ from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_adm
                       finite_result, level_index, open_angles)
 
 _SINGULAR_TOL = 1e-12
-# Largest mu R at which diamond_norm's quadrature.norm_rule is trusted: every
+# Largest mu R at which the quadrature.norm_rule of norm_nodes is trusted: every
 # n <= 100 there gives |norm - 1/2| <= 2.2e-9, but the rule's endpoint
 # refinement does not follow the e^(-sigma phi) decay beyond it (6.5e-7 at
 # mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
@@ -264,6 +264,22 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     return _evaluate(sys, qn, open_angles(phi, *sys.motion_domain))
 
 
+def norm_nodes(sys: CoulombSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of every Coulomb norm integral on (0, pi).
+
+    The composite Gauss rule :func:`quadrature.norm_rule`, whose endpoint
+    refinement follows the (sin phi)^(2 nu) behavior at the ends (nu as
+    small as 1/4).  Refused with DomainError for mu R > 1e3, where the rule
+    stops resolving the e^(-sigma phi) decay.
+    """
+    mu_r = sys.mu * sys.geometry.radius
+    if mu_r > _NORM_MAX_MU_R:
+        raise DomainError(f"the norm rule is not resolved at mu R = {mu_r:g} > {_NORM_MAX_MU_R:g}")
+    from .numerics.quadrature import norm_rule
+
+    return norm_rule(sys.motion_domain[1])
+
+
 def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
     """R * integral_0^pi psi_n psi_m^diamond dphi by quadrature (1/2 when n == m).
 
@@ -273,17 +289,9 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
     the module docstring for why the principal-branch alternative is not a
     normalizable convention).
 
-    The integral uses the composite Gauss rule :func:`quadrature.norm_rule`,
-    whose endpoint refinement follows the (sin phi)^(2 nu) behavior at the
-    ends (nu as small as 1/4).  It is refused with DomainError for mu R >
-    1e3, where the rule stops resolving the e^(-sigma phi) decay.
+    The integral uses the rule of :func:`norm_nodes`.
     """
-    mu_r = sys.mu * sys.geometry.radius
-    if mu_r > _NORM_MAX_MU_R:
-        raise DomainError(f"the norm rule is not resolved at mu R = {mu_r:g} > {_NORM_MAX_MU_R:g}")
-    from .numerics.quadrature import norm_rule
-
-    nodes, weights = norm_rule(sys.motion_domain[1])
+    nodes, weights = norm_nodes(sys)
     psi = wavefunction(sys, n, nodes)
     partner = psi if m is None or level_index(m) == n else wavefunction(sys, m, nodes)
     return float(sys.geometry.radius * np.dot(weights, psi * partner))

@@ -9,11 +9,16 @@ engine.  There are two kernels:
   Haynsworth's inertia additivity give count(T - s) = (negative pivots of
   the even rows, whose block is diagonal) + count(Schur complement on the
   odd rows), and that Schur complement is again tridiagonal and half the
-  size.  A pass is log2(N) numpy steps, each vectorised over shifts x rows,
-  so its cost is proportional to the number of shifts it carries.
+  size.  Each step is vectorised over shifts x rows, so its cost is
+  proportional to the number of shifts it carries.  Once rows x shifts
+  is down to _TAIL, the serial recurrence below counts the rest, which is
+  cheaper there than the fixed numpy cost of the last steps.  By the
+  Schur determinant formula det(T - s) is the product of all the pivots
+  formed, so the kernel also returns log|det(T - s)|, which the eigensolver
+  uses for its regula falsi steps.
 * :func:`_serial_counts`, the row-by-row LDL^T sign sequence (Kahan 1966).
   It is backward stable but loops over the rows in Python, one shift at a
-  time, at about 0.2 us per row and shift.
+  time, at about 0.15 us per row and shift.
 
 Parallel counts such as the reduction are not backward stable (Demmel,
 Dhillon & Ren 1995).  The reduction loses the count where a small pivot of
@@ -28,6 +33,8 @@ with one serial pass.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 USE_NUMBA = False  # read by perfbench/provenance.py; there is no numba kernel
@@ -40,6 +47,16 @@ USE_NUMBA = False  # read by perfbench/provenance.py; there is no numba kernel
 # midpoint, which lands on the constant part of the diagonal (4e6 to 1e11).
 _GROWTH = 1e4
 
+# Size (rows x shifts) of the Schur complement at or below which the serial
+# recurrence finishes the count.  On a 2-core Xeon a reduction step costs some
+# 30-40 us of numpy calls whatever its size and the recurrence 0.2-0.3 us per
+# row and shift; on 8 to 256 rows with 1 to 12 shifts the recurrence was the
+# faster finish below about 500 to 1000 row-shifts.
+_TAIL = 512
+
+_SMALLEST = math.ulp(0.0)  # a scaled pivmin stays above zero, so no pivot is 0
+_LN2 = math.log(2.0)
+
 
 def _pivmin(off_max: float) -> float:
     """LAPACK's pivot floor (``dstebz``), infinite once max e^2 overflows; a Python float,
@@ -48,16 +65,19 @@ def _pivmin(off_max: float) -> float:
     return 1e-300 * max(1.0, off_max * off_max)  # not **2, which raises OverflowError
 
 
-def sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift, by odd-even reduction.
+def sturm_counts(diag: np.ndarray, off: np.ndarray,
+                 shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number of eigenvalues below each shift, and log|det(T - shift)|, by odd-even reduction.
 
     The matrix is taken as stored, diagonal ``diag`` and off-diagonal
     ``off``; the reduction carries |e| rather than e^2, whose products
     overflow first.  Pivots with magnitude below pivmin = 1e-300 max(1,
     max e^2) are replaced by -pivmin (LAPACK's convention), which keeps the
     count deterministic at exact pivot zeros: an eigenvalue equal to a shift
-    is counted.  Shifts whose pivots grow past _GROWTH times max |T - s|,
-    overflow included, are counted again by :func:`_serial_counts`.
+    is counted.  The log-determinant is the sum of ln|pivot| over every
+    pivot, with the same replacement.  Shifts whose pivots grow past
+    _GROWTH times max |T - s|, overflow included, are counted again by
+    :func:`_serial_counts` and get a NaN log-determinant.
     """
     shifts = np.ascontiguousarray(shifts, dtype=np.float64)
     diag = np.asarray(diag, dtype=np.float64)
@@ -69,16 +89,19 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.nd
     widest = np.maximum(diag.max() - shifts, shifts - diag.min())  # max |d - s|
     bound = _GROWTH * np.maximum(widest, off_max)
     counts = np.zeros(shifts.shape[0], dtype=np.int64)
+    logdet = np.zeros(shifts.shape[0])
     largest = np.zeros(shifts.shape[0])
-    # Every entry is a pivot at some step, so the largest pivot measures the
-    # growth; overflow and inf - inf stay within a shift that it then marks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while even.shape[1] > 0:
+    # Every entry is a pivot at some step or an entry of the serial tail, so
+    # the largest of them measures the growth; overflow and inf - inf stay
+    # within a shift that it then marks.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while (even.shape[1] + kept.shape[1]) * shifts.shape[0] > _TAIL:
             largest = np.maximum(largest, np.maximum(even.max(axis=1), -even.min(axis=1)))
             negative = even < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
             counts += negative.sum(axis=1)
             tiny = negative & (even > -pivmin)
             p = np.where(tiny, -pivmin, even) if tiny.any() else even
+            logdet += np.log(np.abs(p)).sum(axis=1)
             left, right = e[:, 0::2], e[:, 1::2]
             width, rows = right.shape[1], kept.shape[1]
             ratio = right / p[:, 1:1 + width]
@@ -89,10 +112,26 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.nd
             ratio *= right
             d[:, :width] -= ratio
             even, kept = d[:, 0::2], d[:, 1::2]
-    grown = ~(largest <= bound)  # NaN counts as grown
+        tail = np.empty((shifts.shape[0], even.shape[1] + kept.shape[1]))
+        tail[:, 0::2], tail[:, 1::2] = even, kept
+        top = np.abs(tail).max(axis=1, initial=0.0)
+        largest = np.maximum(largest, top)
+        grown = ~(largest <= bound)  # NaN counts as grown
+        # Each shift's tail is divided by a power of two just above its
+        # largest entry, which is exact, so that e^2 stays in the double range.
+        _, exponent = np.frexp(np.maximum(top, e.max(axis=1, initial=0.0)))
+        tail = np.ldexp(tail, -exponent[:, None]).tolist()
+        off_sq = np.ldexp(e, -exponent[:, None])
+        off_sq = (off_sq * off_sq).tolist()
+        pivmins = np.maximum(np.ldexp(pivmin, -exponent), _SMALLEST).tolist()
+    for i in np.flatnonzero(~grown).tolist():
+        count, log = _ldl(tail[i], [0.0] + off_sq[i], 0.0, pivmins[i], True)
+        counts[i] += count
+        logdet[i] += log + len(tail[i]) * int(exponent[i]) * _LN2
     if grown.any():
         counts[grown] = _serial_counts(diag, off, shifts[grown])
-    return counts
+        logdet[grown] = np.nan
+    return counts, logdet
 
 
 def _serial_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -100,21 +139,32 @@ def _serial_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.
 
     Same ``pivmin`` rule as :func:`sturm_counts`.  Backward stable; a Python
     loop over the rows of each shift, so the solver calls it once per solve
-    and :func:`sturm_counts` only for the shifts it cannot trust.
+    (its certificate) and :func:`sturm_counts` only for the shifts it cannot
+    trust.  Its recurrence, :func:`_ldl`, also finishes every reduction.
     """
     off = np.asarray(off, dtype=np.float64)
     pivmin = _pivmin(np.max(np.abs(off), initial=0.0))
     with np.errstate(over="ignore"):  # an infinite e^2 is left to the solver's certificate
         off_sq = [0.0] + (off * off).tolist()
     diag = np.asarray(diag, dtype=np.float64).tolist()
-    counts = []
-    for shift in np.asarray(shifts, dtype=np.float64).tolist():
-        q, count = 1.0, 0
-        for d, e2 in zip(diag, off_sq):
-            q = d - shift - e2 / q
-            if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
-                if q > -pivmin:
-                    q = -pivmin
-                count += 1
-        counts.append(count)
+    counts = [_ldl(diag, off_sq, shift, pivmin, False)[0]
+              for shift in np.asarray(shifts, dtype=np.float64).tolist()]
     return np.array(counts, dtype=np.int64)
+
+
+def _ldl(diag: list, off_sq: list, shift: float, pivmin: float,
+         with_logdet: bool) -> tuple[int, float]:
+    """Negative pivots of the LDL^T of T - shift and, if asked, the sum of ln|pivot|.
+
+    ``off_sq`` holds e^2 with a leading 0.0 for the first row.
+    """
+    q, count, logdet = 1.0, 0, 0.0
+    for d, e2 in zip(diag, off_sq):
+        q = d - shift - e2 / q
+        if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+        if with_logdet:
+            logdet += math.log(abs(q))
+    return count, logdet

@@ -7,6 +7,7 @@ the potential callable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .residual import richardson_extrapolate
 
 _REL_TOL = 1e-12  # bracket width, relative to the eigenvalue, at which it closes
 _MAX_PASSES = 250  # cap on Sturm passes; a well-formed matrix needs far fewer
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,30 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     return TridiagonalMatrix(diagonal=diag, off_diagonal=off)
 
 
-def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues by Sturm counting plus bisection.
+def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
+                       guess=None) -> np.ndarray:
+    """The lowest ``count`` eigenvalues by Sturm counting, bisection and regula falsi.
 
     Every eigenvalue starts bracketed by the Gershgorin bounds.  Each pass
-    counts the midpoint of every distinct open bracket in one
-    :func:`sturm_counts` pass (whose cost is proportional to its shifts);
-    every count then tightens every bracket, as in LAPACK ``dstebz``: the
-    j-th eigenvalue lies above each shift counting fewer than j eigenvalues
-    and below each shift counting at least j.  A bracket closes once its
-    width drops below _REL_TOL relative to the eigenvalue, with an absolute
-    floor of _REL_TOL^2 times the spectral radius (so that eigenvalues
-    crossing zero still terminate); the result is its midpoint.
+    counts one shift per distinct open bracket in one :func:`sturm_counts`
+    pass (whose cost is proportional to its shifts); every count then
+    tightens every bracket, as in LAPACK ``dstebz``: the j-th eigenvalue
+    lies above each shift counting fewer than j eigenvalues and below each
+    shift counting at least j.  A bracket whose ends count j - 1 and j
+    eigenvalues holds the j-th alone, and once both ends also carry the
+    log|det(T - s)| of the count, it takes a regula falsi step on the
+    signed determinant instead of its midpoint, with the Illinois rule
+    (Dowell & Jarratt 1971): an end that stays while the other moves twice
+    in a row has its determinant halved.  A bracket whose last two passes
+    did not halve it bisects.  A bracket closes once its width drops below
+    _REL_TOL relative to the eigenvalue, with an absolute floor of
+    _REL_TOL^2 times the spectral radius (so that eigenvalues crossing
+    zero still terminate); the result is its midpoint.
+
+    ``guess``, approximate levels such as those of a coarser grid, makes
+    the first pass count the 2 ``count`` shifts g (1 +- 1e-3) +- that floor
+    instead; they tighten the brackets like any other counts, so a wrong
+    guess costs passes but never changes a level.
 
     The reduction count is not backward stable, so two checks stand between
     it and the result.  A bracket that inverts (lo > hi, a count that is not
@@ -101,24 +115,72 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int) -> np.ndarray:
 
     lo = np.full(count, lo_bound)
     hi = np.full(count, hi_bound)
+    # the count and log|det| at each end; the Gershgorin ends were never counted
+    below_lo = np.full(count, -1)
+    below_hi = np.full(count, -1)
+    logdet_lo = np.full(count, np.nan)
+    logdet_hi = np.full(count, np.nan)
+    moved = np.zeros(count, dtype=np.int64)  # the end the last pass moved: -1 lo, 1 hi, 0 both
+    widths = (np.full(count, np.inf),) * 2  # each bracket before the last two passes
     want = np.arange(1, count + 1)
+    rows = np.arange(count)
+    shifts = None if guess is None else _guess_shifts(guess, count, abs_floor)
     for _ in range(_MAX_PASSES):
+        width = hi - lo
         tol = _REL_TOL * np.maximum(np.abs(lo), np.abs(hi)) + abs_floor
-        open_ = hi - lo > tol
+        open_ = width > tol
         if not np.any(open_):
             _certify(d, e, lo, hi, 8.0 * np.finfo(float).eps * scale)
             return 0.5 * (lo + hi)
-        shifts = np.unique(0.5 * (lo[open_] + hi[open_]))
-        below = sturm_counts(d, e, shifts)[None, :] < want[:, None]
-        lo = np.maximum(lo, np.max(np.where(below, shifts, -np.inf), axis=1))
-        hi = np.minimum(hi, np.min(np.where(below, np.inf, shifts), axis=1))
+        if shifts is None:
+            isolated = ((below_lo == want - 1) & (below_hi == want)
+                        & np.isfinite(logdet_lo) & np.isfinite(logdet_hi))
+            falsi = isolated & (width <= 0.5 * widths[0])
+            with np.errstate(over="ignore"):
+                step = lo + width / (1.0 + np.exp(logdet_hi - logdet_lo))
+            # at least half the closing width inside: an eigenvalue that close
+            # to an end closes its bracket with this one count
+            step = np.where(falsi, np.clip(step, lo + 0.5 * tol, hi - 0.5 * tol),
+                            0.5 * (lo + hi))
+            shifts = np.unique(step[open_])
+        widths = (widths[1], width)
+        counts, logdet = sturm_counts(d, e, shifts)
+        below = counts[None, :] < want[:, None]
+        up = np.argmax(np.where(below, shifts, -np.inf), axis=1)
+        down = np.argmin(np.where(below, np.inf, shifts), axis=1)
+        up_moves = below[rows, up] & (shifts[up] > lo)
+        down_moves = ~below[rows, down] & (shifts[down] < hi)
+        lo = np.where(up_moves, shifts[up], lo)
+        hi = np.where(down_moves, shifts[down], hi)
         if np.any(lo > hi):
             raise ConvergenceError(
                 "Sturm counts not monotone in the shift: a bisection bracket inverted"
             )
+        below_lo = np.where(up_moves, counts[up], below_lo)
+        below_hi = np.where(down_moves, counts[down], below_hi)
+        logdet_lo = np.where(up_moves, logdet[up], logdet_lo)
+        logdet_hi = np.where(down_moves, logdet[down], logdet_hi)
+        side = down_moves.astype(np.int64) - up_moves
+        again = (side != 0) & (side == moved)  # Illinois: the other end stayed twice
+        logdet_lo = np.where(again & (side > 0), logdet_lo - _LN2, logdet_lo)
+        logdet_hi = np.where(again & (side < 0), logdet_hi - _LN2, logdet_hi)
+        moved = side
+        shifts = None
     raise ConvergenceError(
-        f"bisection failed to converge in {_MAX_PASSES} passes (malformed matrix?)"
+        f"Sturm iteration failed to converge in {_MAX_PASSES} passes (malformed matrix?)"
     )
+
+
+def _guess_shifts(guess, count: int, floor: float) -> np.ndarray | None:
+    """The warm-start shifts g (1 +- 1e-3) +- floor around each finite guess g."""
+    guess = np.asarray(guess, dtype=np.float64)
+    if guess.shape != (count,):
+        raise DomainError(f"guess must hold {count} levels, got shape {guess.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e305
+        reach = 1e-3 * np.abs(guess) + floor
+        shifts = np.concatenate((guess - reach, guess + reach))
+    shifts = np.unique(shifts[np.isfinite(shifts)])
+    return shifts if shifts.size else None
 
 
 def _certify(d, e, lo, hi, tau: float) -> None:
@@ -139,6 +201,7 @@ def eigenvalue_with_refinement(potential, radius: float, domain: tuple[float, fl
     Returns (coarse, fine, extrapolated); the extrapolation assumes the second-order stencil.
     """
     coarse = lowest_eigenvalues(build_hamiltonian(potential, radius, domain, n_nodes), count)
-    fine = lowest_eigenvalues(build_hamiltonian(potential, radius, domain, 2 * n_nodes), count)
+    fine = lowest_eigenvalues(build_hamiltonian(potential, radius, domain, 2 * n_nodes), count,
+                              guess=coarse)
     extrapolated = richardson_extrapolate(coarse, fine)
     return coarse, fine, extrapolated

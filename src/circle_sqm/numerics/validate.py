@@ -128,7 +128,10 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
     """R * integral of psi_n^2 over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
     module = closed_forms(system)
-    nodes, weights = norm_rule(system.motion_domain[1])
+    if module is coulomb:
+        nodes, weights = coulomb.norm_nodes(system)
+    else:
+        nodes, weights = norm_rule(system.motion_domain[1])
     norms = []
     for n in range(n_max + 1):
         psi = module.wavefunction(system, n, nodes)
@@ -250,25 +253,35 @@ def _rational_complex_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _rational_complex_div(a, b):
-    den = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den)
+def _gaussian(z) -> tuple[tuple[int, int], int]:
+    """A complex rational (re, im) of Fractions as ((a, b), d) with z = (a + i b)/d."""
+    d = math.lcm(z[0].denominator, z[1].denominator)
+    return (z[0].numerator * (d // z[0].denominator), z[1].numerator * (d // z[1].denominator)), d
 
 
 def _hyp2f1_rational(n: int, b, c, x) -> complex:
-    """Exact-rational terminating Gauss sum; arguments are (re, im) Fraction pairs."""
-    term = (Fraction(1), Fraction(0))
-    total = term
+    """Exact terminating Gauss sum; arguments are (re, im) Fraction pairs.
+
+    The running term and sum are Gaussian integers over one integer
+    denominator, so no step reduces a fraction: the ratio of consecutive
+    terms, (j - n)(b + j) x/((c + j)(j + 1)), gets a real denominator from
+    the conjugate of c + j.  Each component becomes one Fraction at the end,
+    rounded once to a double.
+    """
+    (b_re, b_im), b_den = _gaussian(b)
+    (c_re, c_im), c_den = _gaussian(c)
+    x_num, x_den = _gaussian(x)
+    term, total, den = (1, 0), (1, 0), 1
     for j in range(n):
-        factor = _rational_complex_div(
-            _rational_complex_mul((Fraction(-n + j), Fraction(0)),
-                                  (b[0] + j, b[1])),
-            _rational_complex_mul((c[0] + j, c[1]),
-                                  (Fraction(j + 1), Fraction(0))),
-        )
-        term = _rational_complex_mul(_rational_complex_mul(term, factor), x)
-        total = (total[0] + term[0], total[1] + term[1])
-    return complex(float(total[0]), float(total[1]))
+        conj = (c_re + j * c_den, -c_im)  # c_den conj(c + j)
+        scale = (j - n) * c_den
+        ratio = _rational_complex_mul((b_re + j * b_den, b_im), x_num)
+        ratio = _rational_complex_mul(ratio, (scale * conj[0], scale * conj[1]))
+        term = _rational_complex_mul(term, ratio)
+        step = b_den * x_den * (j + 1) * (conj[0] * conj[0] + conj[1] * conj[1])
+        total = (total[0] * step + term[0], total[1] * step + term[1])
+        den *= step
+    return complex(float(Fraction(total[0], den)), float(Fraction(total[1], den)))
 
 
 def specfun_reports() -> list[ValidationReport]:

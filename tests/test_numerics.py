@@ -158,8 +158,10 @@ class TestSturmEigenvalues:
         assert np.max(np.abs(mine - dense)) <= 1e-11 * scale
 
     def test_bisection_work_bound(self, monkeypatch):
-        # plain bisection: one midpoint per distinct open bracket, so a pass
-        # carries at most `count` shifts, and about 63 passes close 5 levels
+        # a cold solve counts one shift per distinct open bracket in each pass;
+        # regula falsi closes the isolated brackets in fewer passes than the 63
+        # that bisection alone needs at N = 4096, and a solve started from the
+        # coarse levels needs fewer still at N = 8192
         passes = []
 
         def counting(diag, off, shifts):
@@ -169,20 +171,54 @@ class TestSturmEigenvalues:
         monkeypatch.setattr(eigensolve, "sturm_counts", counting)
         system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
                                       branch=Branch.PLUS)
-        matrix = build_hamiltonian(lambda phi: osc.potential(system, phi), 1.0,
-                                   (0.0, math.pi / 2), 4096)
+
+        def matrix(n):
+            return build_hamiltonian(lambda phi: osc.potential(system, phi), 1.0,
+                                     (0.0, math.pi / 2), n)
+
         count = 5
-        lam = lowest_eigenvalues(matrix, count)
+        coarse = lowest_eigenvalues(matrix(4096), count)
         assert max(passes) <= count
-        assert sum(passes) <= 64 * count
+        assert len(passes) <= 48
+        passes.clear()
+        fine = lowest_eigenvalues(matrix(8192), count, guess=coarse)
+        assert len(passes) <= 25
         exact = np.array([osc.energy_level(system, n) for n in range(count)])
-        assert np.max(np.abs(lam - exact) / exact) <= 1e-4
+        assert np.max(np.abs(coarse - exact) / exact) <= 1e-4
+        assert np.max(np.abs(fine - exact) / exact) <= 1e-4
+
+    @pytest.mark.parametrize("name", ["half", "one-and-a-half", "reversed", "all-equal",
+                                      "with-inf", "all-nan"])
+    def test_warm_start_returns_cold_levels(self, name):
+        # the guess only chooses the first pass's shifts; every count still
+        # tightens every bracket, so a wrong guess cannot move a level
+        system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
+                                      branch=Branch.PLUS)
+        matrix = build_hamiltonian(lambda phi: osc.potential(system, phi), 1.0,
+                                   (0.0, math.pi / 2), 1024)
+        cold = lowest_eigenvalues(matrix, 5)
+        guess = {
+            "half": 0.5 * cold,
+            "one-and-a-half": 1.5 * cold,
+            "reversed": cold[::-1],
+            "all-equal": np.full(5, cold[2]),
+            "with-inf": np.where(np.arange(5) == 1, np.inf, cold),
+            "all-nan": np.full(5, np.nan),
+        }[name]
+        warm = lowest_eigenvalues(matrix, 5, guess=guess)
+        assert np.max(np.abs(warm - cold) / cold) <= 1e-12
+
+    def test_guess_needs_one_level_per_eigenvalue(self):
+        matrix = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.ones(2))
+        with pytest.raises(DomainError):
+            lowest_eigenvalues(matrix, 2, guess=[1.0])
 
     def test_inverted_bracket_refused(self, monkeypatch):
         # counts reversed within a pass are not monotone in the shift: the
         # second pass puts a bracket's lower end above its upper end
         def reversed_counts(diag, off, shifts):
-            return sturm_counts(diag, off, shifts)[::-1]
+            counts, logdet = sturm_counts(diag, off, shifts)
+            return counts[::-1], logdet
 
         monkeypatch.setattr(eigensolve, "sturm_counts", reversed_counts)
         matrix = TridiagonalMatrix(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(3))
@@ -226,13 +262,36 @@ class TestSturmEigenvalues:
         shifts = rng.uniform(dense[0] - 1.0, dense[-1] + 1.0, 20)
         # a shift this close to an eigenvalue would test the oracle's roundoff
         assert np.min(np.abs(shifts[:, None] - dense[None, :])) > 1e-8
-        counts = sturm_counts(d, e, shifts)
+        counts, _ = sturm_counts(d, e, shifts)
         expected = [int(np.sum(dense < s)) for s in shifts]
         assert counts.tolist() == expected
 
+    @pytest.mark.parametrize("n", [5, 40, 120])
+    def test_logdet_matches_dense_slogdet(self, n):
+        # midway between dense eigenvalues the determinant is well conditioned;
+        # 5 rows are counted by the serial tail alone, 120 rows mostly by the
+        # reduction (none of these shifts grows its pivots)
+        rng = np.random.default_rng(n)
+        d = rng.uniform(-4.0, 4.0, n)
+        e = rng.uniform(-2.0, 2.0, n - 1)
+        dense = np.linalg.eigvalsh(_tridiagonal(d, e))
+        shifts = np.concatenate(([dense[0] - 1.0], 0.5 * (dense[:-1] + dense[1:])))
+        for chosen in (shifts, shifts[::9]):  # fewer shifts leave fewer rows to the tail
+            counts, logdet = sturm_counts(d, e, chosen)
+            expected = [np.linalg.slogdet(_tridiagonal(d, e) - s * np.eye(n))[1]
+                        for s in chosen]
+            assert counts.tolist() == np.searchsorted(dense, chosen).tolist()
+            assert np.allclose(logdet, expected, rtol=1e-12, atol=1e-12)
+
+    def test_logdet_is_nan_for_a_grown_shift(self):
+        diag, off, shift = _pinned_miscount()
+        counts, logdet = sturm_counts(diag, off, np.concatenate((shift, [1e30])))
+        assert counts.tolist()[0] == 3
+        assert np.isnan(logdet[0]) and np.isfinite(logdet[1])
+
     def test_sturm_count_includes_eigenvalue_at_shift(self):
         # the pivot at row 1 is exactly zero; -pivmin makes it count as negative
-        counts = sturm_counts(np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([2.0]))
+        counts, _ = sturm_counts(np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([2.0]))
         assert counts.tolist() == [2]
 
 
@@ -253,6 +312,15 @@ def _graded(n, span, rng):
     diag = g * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
     off = np.sqrt(g[:-1] * g[1:]) * rng.uniform(0.1, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
     return diag, off
+
+
+def _pinned_miscount():
+    """A graded matrix and a shift whose reduction pivots grow until it miscounts."""
+    n = 800
+    g = 10.0 ** np.linspace(-30, 30, n)
+    diag = g * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    off = 0.9 * np.sqrt(g[:-1] * g[1:])
+    return diag, off, np.array([-2.9808692615895942e29])
 
 
 def _hard_matrices():
@@ -289,7 +357,7 @@ class TestSturmHardCases:
         shifts = np.concatenate((gaps, dense, special))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = sturm_counts(diag, off, shifts)
+            counts, _ = sturm_counts(diag, off, shifts)
         delta = 1e-8 * norm
         lower = np.searchsorted(dense, shifts - delta, side="left")
         upper = np.searchsorted(dense, shifts + delta, side="right")
@@ -314,7 +382,7 @@ class TestSturmHardCases:
         assert below == exact_sturm_counts(diag, off, shifts + delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = sturm_counts(diag, off, shifts)
+            counts, _ = sturm_counts(diag, off, shifts)
         assert counts.tolist() == below
 
     def test_random_graded_sweep(self):
@@ -336,22 +404,18 @@ class TestSturmHardCases:
 
     def test_growth_guard_on_pinned_miscount(self, monkeypatch):
         # without its growth guard the reduction counts 4 here; the exact count is 3
-        n = 800
-        g = 10.0 ** np.linspace(-30, 30, n)
-        diag = g * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
-        off = 0.9 * np.sqrt(g[:-1] * g[1:])
-        shift = np.array([-2.9808692615895942e29])
+        diag, off, shift = _pinned_miscount()
         assert exact_sturm_counts(diag, off, shift) == [3]
         assert int(np.sum(np.linalg.eigvalsh(_tridiagonal(diag, off)) < shift[0])) == 3
-        assert sturm_counts(diag, off, shift).tolist() == [3]
+        assert sturm_counts(diag, off, shift)[0].tolist() == [3]
         monkeypatch.setattr(_kernels, "_GROWTH", np.inf)
-        assert sturm_counts(diag, off, shift).tolist() == [4]
+        assert sturm_counts(diag, off, shift)[0].tolist() == [4]
 
 
 @st.composite
 def _tridiagonals(draw):
-    """(diag, off, signs): a random tridiagonal of 1 to 64 rows and a sign per off entry."""
-    n = draw(st.integers(1, 64))
+    """(diag, off, signs): a random tridiagonal of 1 to 256 rows and a sign per off entry."""
+    n = draw(st.integers(1, 256))
     diag = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     off = draw(st.lists(st.floats(-10.0, 10.0), min_size=n - 1, max_size=n - 1))
     signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n - 1, max_size=n - 1))
@@ -369,8 +433,8 @@ def test_reduction_reads_off_diagonal_magnitudes(matrix):
     apart = np.flatnonzero(np.diff(dense) > 1e-6 * np.max(np.abs(dense)))
     midway = 0.5 * (dense[apart] + dense[apart + 1])
     shifts = np.concatenate((dense, midway))
-    counts = sturm_counts(diag, off, shifts)
-    assert counts.tolist() == sturm_counts(diag, signs * off, shifts).tolist()
+    counts, _ = sturm_counts(diag, off, shifts)
+    assert counts.tolist() == sturm_counts(diag, signs * off, shifts)[0].tolist()
     assert counts[dense.size:].tolist() == (apart + 1).tolist()
     assert counts[dense.size:].tolist() == _serial_counts(diag, off, midway).tolist()
 
@@ -493,6 +557,14 @@ class TestValidationReports:
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.PLUS)
         with pytest.raises(DomainError):
             validate_system(system, 2, 64, 1e-4)
+
+    def test_validate_system_refuses_unresolved_coulomb_norm(self):
+        # the norm reports share diamond_norm's rule and its mu R > 1e3 refusal
+        system = cou.CoulombSystem(CircleGeometry(1.0), mu=2e3, k1=1.0, branch=Branch.PLUS)
+        with pytest.raises(DomainError, match="mu R"):
+            cou.diamond_norm(system, 0)
+        with pytest.raises(DomainError, match="mu R"):
+            validate_system(system, 0, 64, 1e-4, residual_levels=())
 
     @pytest.mark.parametrize("module, system", [
         (osc, osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)),
