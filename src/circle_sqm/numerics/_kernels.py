@@ -96,12 +96,12 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
     # within a shift that it then marks.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while (even.shape[1] + kept.shape[1]) * shifts.shape[0] > _TAIL:
-            largest = np.maximum(largest, np.maximum(even.max(axis=1), -even.min(axis=1)))
-            negative = even < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
-            counts += negative.sum(axis=1)
-            tiny = negative & (even > -pivmin)
+            size = np.abs(even)
+            largest = np.maximum(largest, size.max(axis=1))
+            tiny = size < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
             p = np.where(tiny, -pivmin, even) if tiny.any() else even
-            logdet += np.log(np.abs(p)).sum(axis=1)
+            counts += (p < 0.0).sum(axis=1)
+            logdet += np.log(np.maximum(size, pivmin, out=size), out=size).sum(axis=1)
             left, right = e[:, 0::2], e[:, 1::2]
             width, rows = right.shape[1], kept.shape[1]
             ratio = right / p[:, 1:1 + width]

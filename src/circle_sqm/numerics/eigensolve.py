@@ -7,18 +7,16 @@ the potential callable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ._kernels import _serial_counts, sturm_counts
+from ._kernels import _LN2, _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
 _REL_TOL = 1e-12  # bracket width, relative to the eigenvalue, at which it closes
 _MAX_PASSES = 250  # cap on Sturm passes; a well-formed matrix needs far fewer
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     below_hi = np.full(count, -1)
     logdet_lo = np.full(count, np.nan)
     logdet_hi = np.full(count, np.nan)
-    moved = np.zeros(count, dtype=np.int64)  # the end the last pass moved: -1 lo, 1 hi, 0 both
+    moved = np.zeros(count, dtype=np.int64)  # the end the last pass moved: -1 lo, 1 hi, else 0
     widths = (np.full(count, np.inf),) * 2  # each bracket before the last two passes
     want = np.arange(1, count + 1)
     rows = np.arange(count)
