@@ -276,7 +276,7 @@ class TestSturmEigenvalues:
         e = rng.uniform(-2.0, 2.0, n - 1)
         dense = np.linalg.eigvalsh(_tridiagonal(d, e))
         shifts = np.concatenate(([dense[0] - 1.0], 0.5 * (dense[:-1] + dense[1:])))
-        for chosen in (shifts, shifts[::9]):  # fewer shifts leave fewer rows to the tail
+        for chosen in (shifts, shifts[::9]):  # fewer shifts leave more rows to the serial tail
             counts, logdet = sturm_counts(d, e, chosen)
             expected = [np.linalg.slogdet(_tridiagonal(d, e) - s * np.eye(n))[1]
                         for s in chosen]
