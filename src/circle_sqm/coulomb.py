@@ -54,6 +54,9 @@ _SINGULAR_TOL = 1e-12
 # refinement does not follow the e^(-sigma phi) decay beyond it (6.5e-7 at
 # mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
 _NORM_MAX_MU_R = 1e3
+# Largest Im k0 for contour_norm_constant: over n <= 100 and k1/branch 1+, 0.5+-, 1.3+ it
+# is 5.3e-11 off 60-digit mpmath at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
+_CONTOUR_MAX_SIGMA = 1e5
 
 
 @dataclass(frozen=True)
@@ -212,9 +215,11 @@ def contour_norm_constant(
     (sin phi)^nu representation used by :func:`wavefunction` contributes the
     Jacobian factor (-2i)^nu, which is included here.  Its modulus then equals
     :func:`norm_constant` on the quantized locus; the phase is an artifact of
-    principal-branch choices and is not observable.
+    principal-branch choices and is not observable.  Im k0 > 1e5 raises DomainError.
     """
     n = level_index(n)
+    if not k0.imag <= _CONTOUR_MAX_SIGMA:
+        raise DomainError(f"contour route needs Im k0 <= {_CONTOUR_MAX_SIGMA:g}, got {k0.imag!r}")
     check_branch_admissible(branch, k1)
     a = branch.sign * k1
     nu = 0.5 * (1.0 + a)

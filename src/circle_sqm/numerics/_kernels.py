@@ -16,9 +16,10 @@ engine.  There are two kernels:
   Schur determinant formula det(T - s) is the product of all the pivots
   formed, so the kernel also returns log|det(T - s)|, which the eigensolver
   uses for its regula falsi steps.
-* :func:`_serial_counts`, the row-by-row LDL^T sign sequence (Kahan 1966).
-  It is backward stable but loops over the rows in Python, one shift at a
-  time, at about 0.15 us per row and shift.
+* :func:`_serial_counts`, the row-by-row LDL^T sign sequence (Kahan 1966),
+  which like the reduction carries |e| and never forms e^2.  It is backward
+  stable but loops over the rows in Python, one shift at a time, at about
+  0.15 us per row and shift.
 
 Parallel counts such as the reduction are not backward stable (Demmel,
 Dhillon & Ren 1995).  The reduction loses the count where a small pivot of
@@ -54,15 +55,12 @@ _GROWTH = 1e4
 # faster finish below about 500 to 1000 row-shifts.
 _TAIL = 512
 
-_SMALLEST = math.ulp(0.0)  # a scaled pivmin stays above zero, so no pivot is 0
-_LN2 = math.log(2.0)
-
 
 def _pivmin(off_max: float) -> float:
-    """LAPACK's pivot floor (``dstebz``), infinite once max e^2 overflows; a Python float,
-    because a numpy scalar would carry the serial loop into numpy, which warns on inf/inf."""
-    off_max = float(off_max)
-    return 1e-300 * max(1.0, off_max * off_max)  # not **2, which raises OverflowError
+    """LAPACK's pivot floor (``dstebz``) 1e-300 max(1, max e^2), as (1e-300 m) m, finite where
+    e^2 overflows; a Python float, as a numpy scalar would carry the serial loop into numpy."""
+    m = max(1.0, float(off_max))
+    return 1e-300 * m * m
 
 
 def sturm_counts(diag: np.ndarray, off: np.ndarray,
@@ -70,8 +68,8 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
     """Number of eigenvalues below each shift, and log|det(T - shift)|, by odd-even reduction.
 
     The matrix is taken as stored, diagonal ``diag`` and off-diagonal
-    ``off``; the reduction carries |e| rather than e^2, whose products
-    overflow first.  Pivots with magnitude below pivmin = 1e-300 max(1,
+    ``off``; like :func:`_ldl`, which finishes it, the reduction carries |e|
+    and never forms e^2.  Pivots with magnitude below pivmin = 1e-300 max(1,
     max e^2) are replaced by -pivmin (LAPACK's convention), which keeps the
     count deterministic at exact pivot zeros: an eigenvalue equal to a shift
     is counted.  The log-determinant is the sum of ln|pivot| over every
@@ -114,20 +112,14 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
             even, kept = d[:, 0::2], d[:, 1::2]
         tail = np.empty((shifts.shape[0], even.shape[1] + kept.shape[1]))
         tail[:, 0::2], tail[:, 1::2] = even, kept
-        top = np.abs(tail).max(axis=1, initial=0.0)
-        largest = np.maximum(largest, top)
+        largest = np.maximum(largest, np.abs(tail).max(axis=1, initial=0.0))
         grown = ~(largest <= bound)  # NaN counts as grown
-        # Each shift's tail is divided by a power of two just above its
-        # largest entry, which is exact, so that e^2 stays in the double range.
-        _, exponent = np.frexp(np.maximum(top, e.max(axis=1, initial=0.0)))
-        tail = np.ldexp(tail, -exponent[:, None]).tolist()
-        off_sq = np.ldexp(e, -exponent[:, None])
-        off_sq = (off_sq * off_sq).tolist()
-        pivmins = np.maximum(np.ldexp(pivmin, -exponent), _SMALLEST).tolist()
+        tail = tail.tolist()
+        e = np.broadcast_to(e, (shifts.shape[0], e.shape[1])).tolist()
     for i in np.flatnonzero(~grown).tolist():
-        count, log = _ldl(tail[i], [0.0] + off_sq[i], 0.0, pivmins[i], True)
+        count, log = _ldl(tail[i], [0.0] + e[i], pivmin, True)
         counts[i] += count
-        logdet[i] += log + len(tail[i]) * int(exponent[i]) * _LN2
+        logdet[i] += log
     if grown.any():
         counts[grown] = _serial_counts(diag, off, shifts[grown])
         logdet[grown] = np.nan
@@ -142,25 +134,24 @@ def _serial_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.
     (its certificate) and :func:`sturm_counts` only for the shifts it cannot
     trust.  Its recurrence, :func:`_ldl`, also finishes every reduction.
     """
-    off = np.asarray(off, dtype=np.float64)
-    pivmin = _pivmin(np.max(np.abs(off), initial=0.0))
-    with np.errstate(over="ignore"):  # an infinite e^2 is left to the solver's certificate
-        off_sq = [0.0] + (off * off).tolist()
-    diag = np.asarray(diag, dtype=np.float64).tolist()
-    counts = [_ldl(diag, off_sq, shift, pivmin, False)[0]
+    off = np.abs(np.asarray(off, dtype=np.float64))
+    pivmin = _pivmin(off.max(initial=0.0))
+    off = [0.0] + off.tolist()
+    diag = np.asarray(diag, dtype=np.float64)
+    counts = [_ldl((diag - shift).tolist(), off, pivmin, False)[0]
               for shift in np.asarray(shifts, dtype=np.float64).tolist()]
     return np.array(counts, dtype=np.int64)
 
 
-def _ldl(diag: list, off_sq: list, shift: float, pivmin: float,
-         with_logdet: bool) -> tuple[int, float]:
-    """Negative pivots of the LDL^T of T - shift and, if asked, the sum of ln|pivot|.
+def _ldl(rows: list, off: list, pivmin: float, with_logdet: bool) -> tuple[int, float]:
+    """Negative pivots of the LDL^T of a tridiagonal and, if asked, the sum of ln|pivot|.
 
-    ``off_sq`` holds e^2 with a leading 0.0 for the first row.
+    ``rows`` holds d - s and ``off`` the magnitudes |e| after a 0.0.  A pivot is q = r - e (e / q):
+    no e^2 is formed, and |q| >= pivmin keeps e / q <= 1e300 for every e of T.
     """
     q, count, logdet = 1.0, 0, 0.0
-    for d, e2 in zip(diag, off_sq):
-        q = d - shift - e2 / q
+    for r, e in zip(rows, off):
+        q = r - e * (e / q)
         if q < pivmin:  # negative once a pivot of magnitude < pivmin is -pivmin
             if q > -pivmin:
                 q = -pivmin

@@ -12,11 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ._kernels import _LN2, _serial_counts, sturm_counts
+from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
 _REL_TOL = 1e-12  # bracket width, relative to the eigenvalue, at which it closes
 _MAX_PASSES = 250  # cap on Sturm passes; a well-formed matrix needs far fewer
+_LN2 = np.log(2.0)  # what the Illinois rule takes off a log-determinant that stays
+# Scales of T (largest |Gershgorin bound|) with pivmin <= 1e-50 ||T||; beyond 1e+-290 both
+# kernels agree on wrong counts at pivmin's 1e-300 floor, which the certificate passes.
+_SCALES = (1e-250, 1e250)
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     fewer than j eigenvalues below lo_j - tau and at least j below
     hi_j + tau, or ConvergenceError is raised.  _MAX_PASSES caps the number
     of passes.  Deterministic: fixed bracketing, fixed shifts, no randomness.
+    A matrix scaled outside _SCALES, the zero matrix too, raises ConvergenceError.
     """
     if count < 1 or count > matrix.dimension:
         raise DomainError(f"count must be in 1..{matrix.dimension}, got {count}")
@@ -109,6 +114,8 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     lo_bound = float(np.min(d - reach))
     hi_bound = float(np.max(d + reach))
     scale = max(abs(lo_bound), abs(hi_bound))
+    if not _SCALES[0] <= scale <= _SCALES[1]:
+        raise ConvergenceError(f"matrix scale {scale:.3g} outside the envelope {_SCALES}")
     abs_floor = _REL_TOL * _REL_TOL * scale
 
     lo = np.full(count, lo_bound)

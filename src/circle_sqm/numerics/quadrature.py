@@ -45,26 +45,21 @@ def gauss_legendre_rule(
         raise DomainError(f"endpoint_refinement must be >= 0, got {endpoint_refinement}")
 
     width = (b - a) / panel_count
-    breaks = [a + i * width for i in range(panel_count + 1)]
-    if endpoint_refinement > 0 and panel_count >= 1:
-        left = [a + width / 2.0**j for j in range(endpoint_refinement, 0, -1)]
-        right = [b - width / 2.0**j for j in range(1, endpoint_refinement + 1)]
-        breaks = [a] + left + breaks[1:-1] + right + [b]
-    if not all(lo < hi for lo, hi in zip(breaks[:-1], breaks[1:])):
+    breaks = a + np.arange(panel_count + 1) * width
+    if endpoint_refinement > 0:
+        halved = np.ldexp(width, -np.arange(1, endpoint_refinement + 1))  # width / 2^j, exact
+        breaks = np.concatenate(([a], a + halved[::-1], breaks[1:-1], b - halved, [b]))
+    if not np.all(breaks[:-1] < breaks[1:]):
         raise DomainError(f"rule ({panel_count}, {order}, {endpoint_refinement}) collapses "
                           f"panels on ({a!r}, {b!r})")
 
     xs, ws = _base_rule(order)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (xs + 1.0))
-        weights.append(half * ws)
-    nodes = np.concatenate(nodes)
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    nodes = (breaks[:-1, None] + half[:, None] * (xs + 1.0)).ravel()
     if not np.all((nodes > a) & (nodes < b)):
         raise DomainError(f"rule ({panel_count}, {order}, {endpoint_refinement}) puts a node "
                           f"outside the open interval ({a!r}, {b!r})")
-    return nodes, np.concatenate(weights)
+    return nodes, (half[:, None] * ws).ravel()
 
 
 def norm_rule(hi: float) -> tuple[np.ndarray, np.ndarray]:

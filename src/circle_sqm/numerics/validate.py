@@ -108,6 +108,7 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     count = n_max + 1
 
     analytic = [energy for _, _, energy in spectrum(system, n_max)][:count]
+    norms = _norm_reports(system, min(n_max, 5), label)  # may refuse; before the solves
     coarse, fine, extrapolated = eigenvalue_with_refinement(
         lambda phi: module.potential(system, phi), system.geometry.radius,
         system.motion_domain, grid, count
@@ -120,7 +121,7 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     orders = np.log2(err_coarse / err_fine)
     reports.append(_rate_report(f"{label}/levels-order[{schedule}]",
                                 float(np.min(orders)), RATE_FLOOR))
-    reports.extend(_norm_reports(system, min(n_max, 5), label))
+    reports.extend(norms)
     reports.extend(_residual_reports(system, residual_levels, label))
     return reports
 

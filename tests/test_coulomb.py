@@ -185,6 +185,26 @@ class TestNormConstants:
                 direct = cou.norm_constant(n, 1.0, sigma, 1.0)
                 assert abs(general) == pytest.approx(direct, rel=1e-10)
 
+    def test_contour_route_refuses_large_sigma(self):
+        # the sigma-form constant at 60 digits is the oracle at the bound
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for k1, branch in ((1.0, Branch.PLUS), (0.5, Branch.MINUS), (1.3, Branch.PLUS)):
+                nu = 0.5 * (1.0 + branch.sign * k1)
+                for n in (0, 37, 100):
+                    sigma = 1e5
+                    got = abs(cou.contour_norm_constant(n, complex(-(n + nu), sigma), k1,
+                                                        1.0, branch))
+                    big_n, s = mp.mpf(n + nu), mp.mpf(sigma)
+                    want = (mp.exp(s * mp.pi / 2) * 2**mp.mpf(nu)
+                            * abs(mp.gamma(mp.mpc(nu, s))) / mp.gamma(2 * mp.mpf(nu))
+                            * mp.sqrt((big_n**2 + s**2) * mp.gamma(n + 2 * mp.mpf(nu))
+                                      / (4 * mp.pi * big_n * mp.factorial(n))))
+                    assert abs(got - want) <= 1e-10 * want
+        for sigma in (1e10, 1e300):
+            with pytest.raises(DomainError, match="Im k0"):
+                cou.contour_norm_constant(0, complex(-1.0, sigma), 1.0, 1.0, Branch.PLUS)
+
     def test_contour_route_ground_state_hand_check(self):
         # n=0, k1=1: the gamma ratio collapses to Gamma(k0+2)/Gamma(k0+1) = k0+1,
         # so |C_0|^2 = 4 |(-i k0)(k0+2)(k0+1)| / (2 R |1 - e^(2 i pi k0)|)

@@ -28,7 +28,7 @@ from circle_sqm.numerics import (
     run_suite,
     validate_system,
 )
-from circle_sqm.numerics import _kernels, eigensolve
+from circle_sqm.numerics import _kernels, eigensolve, validate
 from circle_sqm.numerics._kernels import _serial_counts, sturm_counts
 from circle_sqm.numerics.quadrature import norm_rule
 from circle_sqm.numerics.validate import _report, _residual_reports
@@ -73,6 +73,26 @@ class TestQuadrature:
         # the deepest right panels are narrower than ulp(pi/2)
         with pytest.raises(DomainError):
             gauss_legendre_rule(48, 12, 0.0, math.pi / 2, endpoint_refinement=50)
+        with pytest.raises(DomainError):  # width / 2^1100 is below the double range
+            gauss_legendre_rule(48, 12, 0.0, 1.0, endpoint_refinement=1100)
+
+    @pytest.mark.parametrize("rule", [(48, 12, 0.0, math.pi, 40), (48, 12, 0.0, math.pi / 2, 40),
+                                      (10, 5, -1.0, 2.0, 0), (7, 3, 0.3, 0.9, 5)])
+    def test_matches_panel_loop(self, rule):
+        # the rule built one panel at a time gives the same bits
+        panels, order, a, b, levels = rule
+        width = (b - a) / panels
+        breaks = [a + i * width for i in range(panels + 1)]
+        if levels:
+            breaks = ([a] + [a + width / 2.0**j for j in range(levels, 0, -1)] + breaks[1:-1]
+                      + [b - width / 2.0**j for j in range(1, levels + 1)] + [b])
+        xs, ws = np.polynomial.legendre.leggauss(order)
+        halves = [0.5 * (hi - lo) for lo, hi in zip(breaks[:-1], breaks[1:])]
+        nodes = np.concatenate([lo + half * (xs + 1.0) for lo, half in zip(breaks, halves)])
+        weights = np.concatenate([half * ws for half in halves])
+        got_nodes, got_weights = gauss_legendre_rule(*rule)
+        assert got_nodes.tobytes() == nodes.tobytes()
+        assert got_weights.tobytes() == weights.tobytes()
 
     def test_validation_rule_is_accepted(self):
         nodes, _ = norm_rule(math.pi / 2)
@@ -340,11 +360,16 @@ def _hard_matrices():
                           rng.uniform(0.5, 1.5, 99) * 1e150, np.array([0.0])),
         "entries-1e-160": (rng.uniform(-2.0, 2.0, 100) * tiny,
                            rng.integers(1, 32, 99) * tiny, np.array([0.0])),
+        # e^2 beyond the double range at both ends
+        "entries-1e200": (rng.uniform(-2.0, 2.0, 100) * 1e200,
+                          rng.uniform(0.5, 1.5, 99) * 1e200, np.array([0.0])),
+        "entries-1e-200": (rng.uniform(-2.0, 2.0, 100) * 1e-200,
+                           rng.uniform(0.5, 1.5, 99) * 1e-200, np.array([0.0])),
     }
 
 
 class TestSturmHardCases:
-    """The reduction kernel against oracles that share no code with it:
+    """Both Sturm kernels against oracles that share no code with them:
     ``np.linalg.eigvalsh`` and a 400-digit LDL^T count (tests/oracles.py)."""
 
     @pytest.mark.parametrize("name", list(_hard_matrices()))
@@ -358,15 +383,18 @@ class TestSturmHardCases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             counts, _ = sturm_counts(diag, off, shifts)
+            serial = _serial_counts(diag, off, shifts)  # the solver's certificate
         delta = 1e-8 * norm
         lower = np.searchsorted(dense, shifts - delta, side="left")
         upper = np.searchsorted(dense, shifts + delta, side="right")
         far = lower == upper
-        assert np.all(counts[far] == lower[far])
-        # nearer than delta the dense eigenvalues cannot decide; stay inside them
-        assert np.all((lower <= counts) & (counts <= upper))
-        if name != "free-laplacian":  # whose special shifts sit on eigenvalues
-            assert counts[-len(special):].tolist() == exact_sturm_counts(diag, off, special)
+        exact = exact_sturm_counts(diag, off, special)
+        for got in (counts, serial):
+            assert np.all(got[far] == lower[far])
+            # nearer than delta the dense eigenvalues cannot decide; stay inside them
+            assert np.all((lower <= got) & (got <= upper))
+            if name != "free-laplacian":  # whose special shifts sit on eigenvalues
+                assert got[-len(special):].tolist() == exact
 
     def test_counts_match_exact_on_oscillator_hamiltonian(self):
         system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
@@ -425,9 +453,8 @@ def _tridiagonals(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(matrix=_tridiagonals())
 def test_reduction_reads_off_diagonal_magnitudes(matrix):
-    # the reduction reads |off| and the serial kernel squares it, so neither
-    # sees the signs; midway between well-separated dense eigenvalues both
-    # kernels count the eigenvalues below
+    # both kernels read |off|, so neither sees the signs; midway between
+    # well-separated dense eigenvalues both kernels count the eigenvalues below
     diag, off, signs = matrix
     dense = np.linalg.eigvalsh(_tridiagonal(diag, off))
     apart = np.flatnonzero(np.diff(dense) > 1e-6 * np.max(np.abs(dense)))
@@ -447,8 +474,14 @@ class TestSolverScaleEnvelope:
         d = rng.uniform(-2, 2, 40)
         e = rng.uniform(0.5, 1.5, 39) * rng.choice([-1, 1], 39)
         dense = np.linalg.eigvalsh(_tridiagonal(d, e))[:3]
+        envelope = (1e-250, 1e250)  # of the largest Gershgorin bound, as README states
+        gershgorin = np.max(np.abs(d) + np.concatenate(([0.0], np.abs(e)))
+                            + np.concatenate((np.abs(e), [0.0])))
+        # every k within +-170, every 4th k beyond it, and the neighbours of the bounds
+        ks = sorted({*range(-170, 171), *range(-308, -170, 4), *range(171, 308, 4),
+                     -252, -251, -250, -249, 248, 249, 250, 251})
         refused = []
-        for k in range(-170, 171):
+        for k in ks:
             scale = 10.0**k
             try:
                 got = lowest_eigenvalues(TridiagonalMatrix(d * scale, e * scale), 3) / scale
@@ -456,16 +489,22 @@ class TestSolverScaleEnvelope:
                 refused.append(k)
                 continue
             assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-11, k
-        # refused only where off**2 leaves the double range
-        assert all(abs(k) > 150 for k in refused)
+        # refused exactly where the scale leaves the stated envelope
+        assert refused == [k for k in ks
+                           if not envelope[0] <= gershgorin * 10.0**k <= envelope[1]]
 
-    @pytest.mark.parametrize("radius", [1e8, 1e10])
+    @pytest.mark.parametrize("radius", [1e8, 1e10, 1e100, 1e-100])
     def test_box_levels_at_large_radius(self, radius):
         n = 256
         h = math.pi / n
         matrix = build_hamiltonian(lambda phi: 0.0 * phi, radius, (0.0, math.pi), n)
         exact = (1.0 - np.cos(np.arange(1, 5) * math.pi / n)) / (radius**2 * h * h)
         assert np.max(np.abs(lowest_eigenvalues(matrix, 4) - exact) / exact) <= 1e-11
+
+    def test_zero_matrix_refused(self):
+        # it has no scale: no bracket floor or certificate tolerance can be set
+        with pytest.raises(ConvergenceError):
+            lowest_eigenvalues(TridiagonalMatrix(np.zeros(20), np.zeros(19)), 2)
 
     def test_levels_order_at_large_radius(self):
         # levels near 1e-19: an absolute floor of 1e-24 once stopped their
@@ -563,6 +602,13 @@ class TestValidationReports:
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=2e3, k1=1.0, branch=Branch.PLUS)
         with pytest.raises(DomainError, match="mu R"):
             cou.diamond_norm(system, 0)
+        with pytest.raises(DomainError, match="mu R"):
+            validate_system(system, 0, 64, 1e-4, residual_levels=())
+
+    def test_coulomb_norm_refused_before_solving(self, monkeypatch):
+        monkeypatch.setattr(validate, "eigenvalue_with_refinement",
+                            lambda *args: pytest.fail("solved a system it then refused"))
+        system = cou.CoulombSystem(CircleGeometry(1.0), mu=2e3, k1=1.0, branch=Branch.PLUS)
         with pytest.raises(DomainError, match="mu R"):
             validate_system(system, 0, 64, 1e-4, residual_levels=())
 
