@@ -83,8 +83,16 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     log|det(T - s)| of the count, it takes a regula falsi step on the
     signed determinant instead of its midpoint, with the Illinois rule
     (Dowell & Jarratt 1971): an end that stays while the other moves twice
-    in a row has its determinant halved.  A bracket whose last two passes
-    did not halve it bisects.  A bracket closes once its width drops below
+    in a row has its determinant halved.  Every other bracket (not yet
+    isolated, or not halved by its last two passes) is split in two.  One
+    wider than 2 min(|lo|, |hi|) + u, with u = _REL_TOL times the spectral
+    radius, is split at u sinh((asinh(lo/u) + asinh(hi/u)) / 2), its
+    midpoint on an asinh scale: near the geometric mean when both ends are
+    far from zero on one side, near the midpoint within u of zero, and
+    clamped like the regula falsi step.  So the Gershgorin interval, whose
+    upper end is some 1e6 times the lowest level of an FD matrix, brackets
+    that level within a factor of 2 in 5 passes rather than 18-19.  The
+    other brackets bisect.  A bracket closes once its width drops below
     _REL_TOL relative to the eigenvalue, with an absolute floor of
     _REL_TOL^2 times the spectral radius (so that eigenvalues crossing
     zero still terminate); the result is its midpoint.
@@ -117,6 +125,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     if not _SCALES[0] <= scale <= _SCALES[1]:
         raise ConvergenceError(f"matrix scale {scale:.3g} outside the envelope {_SCALES}")
     abs_floor = _REL_TOL * _REL_TOL * scale
+    unit = _REL_TOL * scale  # the asinh split is near-linear within it of zero
 
     lo = np.full(count, lo_bound)
     hi = np.full(count, hi_bound)
@@ -143,9 +152,13 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
             falsi = isolated & (width <= 0.5 * widths[0])
             with np.errstate(over="ignore"):
                 step = lo + width / (1.0 + np.exp(logdet_hi - logdet_lo))
+            # a bracket spanning more than a factor of 3, or zero, splits on an asinh scale
+            wide = ~falsi & (width > 2.0 * np.minimum(np.abs(lo), np.abs(hi)) + unit)
+            step = np.where(falsi, step, unit * np.sinh(
+                0.5 * (np.arcsinh(lo / unit) + np.arcsinh(hi / unit))))
             # at least half the closing width inside: an eigenvalue that close
             # to an end closes its bracket with this one count
-            step = np.where(falsi, np.clip(step, lo + 0.5 * tol, hi - 0.5 * tol),
+            step = np.where(falsi | wide, np.clip(step, lo + 0.5 * tol, hi - 0.5 * tol),
                             0.5 * (lo + hi))
             shifts = np.unique(step[open_])
         widths = (widths[1], width)

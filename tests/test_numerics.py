@@ -179,9 +179,10 @@ class TestSturmEigenvalues:
 
     def test_bisection_work_bound(self, monkeypatch):
         # a cold solve counts one shift per distinct open bracket in each pass;
-        # regula falsi closes the isolated brackets in fewer passes than the 63
-        # that bisection alone needs at N = 4096, and a solve started from the
-        # coarse levels needs fewer still at N = 8192
+        # the asinh split narrows the Gershgorin interval to the levels and
+        # regula falsi closes the isolated brackets, in about half the 63
+        # passes that bisection alone needs at N = 4096, and a solve started
+        # from the coarse levels needs fewer still at N = 8192
         passes = []
 
         def counting(diag, off, shifts):
@@ -199,13 +200,41 @@ class TestSturmEigenvalues:
         count = 5
         coarse = lowest_eigenvalues(matrix(4096), count)
         assert max(passes) <= count
-        assert len(passes) <= 48
+        assert len(passes) <= 34
         passes.clear()
         fine = lowest_eigenvalues(matrix(8192), count, guess=coarse)
         assert len(passes) <= 25
         exact = np.array([osc.energy_level(system, n) for n in range(count)])
         assert np.max(np.abs(coarse - exact) / exact) <= 1e-4
         assert np.max(np.abs(fine - exact) / exact) <= 1e-4
+
+    @pytest.mark.parametrize("name", ["oscillator", "oscillator-branch-union", "coulomb"])
+    def test_cold_fd_solve_counts_serially_once(self, monkeypatch, name):
+        # the cold solves of `validate --suite all`: no shift lands on the
+        # constant part of the FD diagonal, where the reduction's pivots grow
+        # and force a serial recount, so the one serial pass is the certificate
+        geometry = CircleGeometry(1.0)
+        system, module, grid, count = {
+            "oscillator": (osc.OscillatorSystem(geometry, omega=1.0, k1=1.5, branch=Branch.PLUS),
+                           osc, 4096, 5),
+            "oscillator-branch-union": (
+                osc.OscillatorSystem(geometry, omega=1.0, k1=0.5, branch=Branch.PLUS),
+                osc, 4096, 6),
+            "coulomb": (cou.CoulombSystem(geometry, mu=1.0, k1=1.0, branch=Branch.PLUS),
+                        cou, 8192, 4),
+        }[name]
+        calls = []
+
+        def counting(diag, off, shifts):
+            calls.append(len(shifts))
+            return _serial_counts(diag, off, shifts)
+
+        monkeypatch.setattr(_kernels, "_serial_counts", counting)
+        monkeypatch.setattr(eigensolve, "_serial_counts", counting)
+        matrix = build_hamiltonian(lambda phi: module.potential(system, phi), 1.0,
+                                   system.motion_domain, grid)
+        lowest_eigenvalues(matrix, count)
+        assert calls == [2 * count]
 
     @pytest.mark.parametrize("name", ["half", "one-and-a-half", "reversed", "all-equal",
                                       "with-inf", "all-nan"])
@@ -413,22 +442,34 @@ class TestSturmHardCases:
             counts, _ = sturm_counts(diag, off, shifts)
         assert counts.tolist() == below
 
-    def test_random_graded_sweep(self):
+    def test_random_graded_sweep(self, monkeypatch):
         # 60 indefinite graded matrices: every level within 1e-11 ||T|| of the
-        # dense eigenvalues, or the solve is refused
+        # dense eigenvalues, or the solve is refused; none is refused, and no
+        # solve takes more passes than the 80 of bisection alone
+        passes = []
+
+        def counting(diag, off, shifts):
+            passes[-1] += 1
+            return sturm_counts(diag, off, shifts)
+
+        monkeypatch.setattr(eigensolve, "sturm_counts", counting)
         rng = np.random.default_rng(60)
         refused = 0
         for _ in range(60):
             n = int(np.exp(rng.uniform(math.log(50), math.log(600))))
             diag, off = _graded(n, rng.uniform(5.0, 60.0), rng)
             dense = np.linalg.eigvalsh(_tridiagonal(diag, off))
+            passes.append(0)
             try:
                 got = lowest_eigenvalues(TridiagonalMatrix(diag, off), n)
             except ConvergenceError:
                 refused += 1
                 continue
             assert np.max(np.abs(got - dense)) <= 1e-11 * np.max(np.abs(dense))
-        print(f"graded sweep: {refused} of 60 refused")
+        print(f"graded sweep: {refused} of 60 refused, {sum(passes)} passes "
+              f"({min(passes)}-{max(passes)} per solve)")
+        assert refused == 0
+        assert max(passes) <= 80
 
     def test_growth_guard_on_pinned_miscount(self, monkeypatch):
         # without its growth guard the reduction counts 4 here; the exact count is 3
