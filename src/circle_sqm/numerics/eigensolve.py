@@ -91,8 +91,8 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     far from zero on one side, near the midpoint within u of zero, and
     clamped like the regula falsi step.  So the Gershgorin interval, whose
     upper end is some 1e6 times the lowest level of an FD matrix, brackets
-    that level within a factor of 2 in 5 passes rather than 18-19.  The
-    other brackets bisect.  A bracket closes once its width drops below
+    that level within a factor of 2 in a few passes rather than some 20.
+    The other brackets bisect.  A bracket closes once its width drops below
     _REL_TOL relative to the eigenvalue, with an absolute floor of
     _REL_TOL^2 times the spectral radius (so that eigenvalues crossing
     zero still terminate); the result is its midpoint.
