@@ -248,10 +248,19 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndar
     scale = math.prod(-2.0 * (m + 1) / (2.0 * nu + m) for m in range(n))  # (-2)^n n!/(2 nu)_n
     big_n = n + nu
     s = np.sin(phi_abs)
+    x = np.cos(phi_abs, out=np.empty(np.shape(phi_abs)))  # an array even when 0-d, reused below
     with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        w_sq = -s
+        w_sq *= s
         romanovski = specfun.jacobi_scaled(n, -2.0 * big_n, big_n**2 + sigma**2,
-                                           np.cos(phi_abs), 2.0 * sigma * s, -s * s)
-        return c * scale * s**nu * np.exp(-sigma * phi_abs) * romanovski
+                                           x, 2.0 * sigma * s, w_sq)
+        # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
+        # on NumPy's scalar power, which rounds unlike the array loop
+        s **= nu
+        s *= c * scale
+        s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
+        s *= romanovski
+        return s
 
 
 @finite_result

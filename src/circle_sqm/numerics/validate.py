@@ -36,7 +36,8 @@ class ValidationReport:
     """Outcome of one numeric-vs-analytic cross-check.
 
     ``rel_err`` entries are |numeric - analytic| scaled by max(|analytic|, 1),
-    so near-zero reference values are judged absolutely.  ``passed`` is
+    and FD levels by max(|E|, 1/(2 R^2)), the system's energy unit, so
+    near-zero reference values are judged absolutely.  ``passed`` is
     exactly max(rel_err) <= tolerance.  For convergence-rate cases the single
     rel_err entry is the shortfall max(0, (floor - rate)/floor); for the
     contraction shape case rel_err holds consecutive deviation ratios (which
@@ -57,11 +58,11 @@ class ValidationReport:
 
 
 def _report(case_id: str, analytic, numeric, tolerance: float,
-            convergence_rate: float | None = None) -> ValidationReport:
+            convergence_rate: float | None = None, unit: float = 1.0) -> ValidationReport:
     analytic = tuple(float(a) for a in analytic)
     numeric = tuple(float(x) for x in numeric)
     abs_err = tuple(abs(x - a) for a, x in zip(analytic, numeric))
-    rel_err = tuple(e / max(abs(a), 1.0) for a, e in zip(analytic, abs_err))
+    rel_err = tuple(e / max(abs(a), unit) for a, e in zip(analytic, abs_err))
     passed = max(rel_err, default=0.0) <= tolerance
     return ValidationReport(case_id, analytic, numeric, abs_err, rel_err,
                             convergence_rate, passed, tolerance)
@@ -94,7 +95,9 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     The FD oracle uses grids (grid, 2*grid) on ``system.motion_domain`` with
     Richardson extrapolation and sees only the potential; for two-branch
     oscillator systems it meets the sorted union of both branch families.
-    FD level and ODE residual orders must reach RATE_FLOOR.  ``label``
+    Level errors are relative to max(|E|, 1/(2 R^2)), so energies far below 1
+    (large R) are judged in the system's own unit.  FD level and ODE residual
+    orders must reach RATE_FLOOR.  ``label``
     defaults to the module name, ``oscillator`` or ``coulomb``.
     """
     module = closed_forms(system)
@@ -114,7 +117,8 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
         system.motion_domain, grid, count
     )
     reports = [
-        _report(f"{label}/levels[{schedule}]", analytic, extrapolated, tolerance)
+        _report(f"{label}/levels[{schedule}]", analytic, extrapolated, tolerance,
+                unit=0.5 / system.geometry.radius**2)
     ]
     err_coarse = np.abs(coarse - np.asarray(analytic))
     err_fine = np.abs(fine - np.asarray(analytic))

@@ -149,11 +149,20 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     values that are not finite doubles raise DomainError.
     """
     n = level_index(n)
-    phi_abs = np.abs(open_angles(phi, *sys.motion_domain))
+    phi = open_angles(phi, *sys.motion_domain)
+    phi_abs = np.abs(phi, out=np.empty_like(phi))  # an array even when 0-d, reused for cos 2 phi
 
     a = sys.branch.sign * sys.k1
     k0 = sys.k0
     s, c = np.sin(phi_abs), np.cos(phi_abs)
+    x = np.cos(np.multiply(phi_abs, 2.0, out=phi_abs), out=phi_abs)
     with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-        jacobi = specfun.jacobi_scaled(n, a + k0, a * k0, np.cos(2.0 * phi_abs), a - k0, 1.0)
-        return _norm_constant(sys, n) * s ** (0.5 + a) * c ** (0.5 + k0) * jacobi
+        jacobi = specfun.jacobi_scaled(n, a + k0, a * k0, x, a - k0, 1.0)
+        # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s; **= keeps a 0-d s
+        # on NumPy's scalar power, which rounds unlike the array loop
+        s **= 0.5 + a
+        s *= _norm_constant(sys, n)
+        c **= 0.5 + k0
+        s *= c
+        s *= jacobi
+        return s

@@ -164,16 +164,42 @@ def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> n
     when they are: w = 1 gives P_n at real x for real alpha, beta, and
     alpha, beta = -N +- i sigma at x = i cot(phi) with w = -i sin(phi) gives the
     real Romanovski form of the Coulomb states, finite where cot(phi) is not.
-    Arrays broadcast; ``x_w`` sets the shape.
+    The result has the shape of ``x_w``, for every n; ``d_w`` and ``w_sq``
+    must broadcast to it, or DomainError is raised.  The inputs are never
+    written: the recurrence runs in three buffers of that shape (and a fourth
+    when ``d_w`` or ``w_sq`` is an array), each step computing
+    (a x_w + b d_w) P_m - (c w_sq) P_(m-1) in that order of operations.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
     x_w = np.asarray(x_w, dtype=float)
-    prev, value = np.ones_like(x_w), 0.5 * (d_w + (ab_sum + 2.0) * x_w)
+    d_w, w_sq = np.asarray(d_w, dtype=float), np.asarray(w_sq, dtype=float)
+    try:
+        shape = np.broadcast(x_w, d_w, w_sq).shape
+    except ValueError:
+        shape = None
+    if shape != x_w.shape:
+        raise DomainError(f"d_w {d_w.shape} and w_sq {w_sq.shape} must broadcast "
+                          f"to the shape {x_w.shape} of x_w")
+    prev = np.ones(x_w.shape)
+    if n == 0:
+        return prev
+    value = np.multiply(x_w, ab_sum + 2.0, out=np.empty(x_w.shape))
+    value += d_w
+    value *= 0.5
+    new = np.empty(x_w.shape)
+    work = np.empty(x_w.shape) if d_w.ndim or w_sq.ndim else None
+    if work is None:  # Python floats keep the scalar coefficient products out of numpy
+        d_w, w_sq = float(d_w), float(w_sq)
     for m in range(1, n):
         t = 2.0 * m + ab_sum
         den = 2.0 * (m + 1) * (m + ab_sum + 1.0) * t
-        step = ((t + 1.0) * (t + 2.0) * t / den) * x_w + ((t + 1.0) * ab_sum / den) * d_w
+        step_x, step_d = (t + 1.0) * (t + 2.0) * t / den, (t + 1.0) * ab_sum / den
         back = 2.0 * (m * m + m * ab_sum + ab_product) * (t + 2.0) / den
-        prev, value = value, step * value - back * w_sq * prev
-    return prev if n == 0 else value
+        np.multiply(x_w, step_x, out=new)
+        new += step_d * d_w if work is None else np.multiply(d_w, step_d, out=work)
+        new *= value
+        prev *= back * w_sq if work is None else np.multiply(w_sq, back, out=work)
+        new -= prev
+        prev, value, new = value, new, prev
+    return value

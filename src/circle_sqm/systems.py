@@ -47,7 +47,7 @@ def check_branch_admissible(branch: Branch, k1: float) -> None:
 def open_angles(phi, lo: float, hi: float) -> np.ndarray:
     """``phi`` as a float array; DomainError unless every angle lies strictly inside (lo, hi)."""
     phi_arr = np.asarray(phi, dtype=float)
-    if not np.all((phi_arr > lo) & (phi_arr < hi)):
+    if phi_arr.size and not (lo < phi_arr.min() and phi_arr.max() < hi):  # NaN fails both
         raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
     return phi_arr
 

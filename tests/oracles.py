@@ -7,6 +7,8 @@ cross-checks do not share a code path with what they verify:
   zero roundoff);
 * a plain trapezoid-with-Richardson integrator for smooth integrands;
 * a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
+* the closed-form wavefunctions with one new array per operation, whose
+  order of operations the in-place evaluators must match bit for bit;
 * closed-form spot values frozen from well-known identities.
 """
 
@@ -117,3 +119,36 @@ def exact_sturm_counts(diag, off, shifts, digits: int = 400) -> list[int]:
                 count += q < 0
             counts.append(count)
     return counts
+
+
+def jacobi_scaled_allocating(n, ab_sum, ab_product, x_w, d_w, w_sq):
+    """w^n P_n^(alpha, beta)(x) by the three-term recurrence, a new array per step."""
+    x_w = np.asarray(x_w, dtype=float)
+    prev, value = np.ones_like(x_w), 0.5 * (d_w + (ab_sum + 2.0) * x_w)
+    for m in range(1, n):
+        t = 2.0 * m + ab_sum
+        den = 2.0 * (m + 1) * (m + ab_sum + 1.0) * t
+        step = ((t + 1.0) * (t + 2.0) * t / den) * x_w + ((t + 1.0) * ab_sum / den) * d_w
+        back = 2.0 * (m * m + m * ab_sum + ab_product) * (t + 2.0) / den
+        prev, value = value, step * value - back * w_sq * prev
+    return prev if n == 0 else value
+
+
+def oscillator_wavefunction_allocating(norm: float, n: int, a: float, k0: float, phi):
+    """norm sin^(1/2 + a) cos^(1/2 + k0) P_n^(a, k0)(cos 2 phi) at |phi|."""
+    phi_abs = np.abs(np.asarray(phi, dtype=float))
+    s, c = np.sin(phi_abs), np.cos(phi_abs)
+    jacobi = jacobi_scaled_allocating(n, a + k0, a * k0, np.cos(2.0 * phi_abs), a - k0, 1.0)
+    return norm * s ** (0.5 + a) * c ** (0.5 + k0) * jacobi
+
+
+def coulomb_wavefunction_allocating(norm: float, n: int, nu: float, sigma: float, phi_abs):
+    """norm (-2)^n n!/(2 nu)_n sin^nu e^(-sigma phi) Q_n at phi_abs in (0, pi)."""
+    scale = 1.0
+    for m in range(n):
+        scale *= -2.0 * (m + 1) / (2.0 * nu + m)
+    big_n = n + nu
+    s = np.sin(phi_abs)
+    romanovski = jacobi_scaled_allocating(n, -2.0 * big_n, big_n**2 + sigma**2,
+                                          np.cos(phi_abs), 2.0 * sigma * s, -s * s)
+    return norm * scale * s**nu * np.exp(-sigma * phi_abs) * romanovski

@@ -1,0 +1,105 @@
+"""The closed-form wavefunctions are evaluated in place: the Jacobi recurrence
+rotates three buffers and the prefactors multiply into the buffer of sin.
+Every result must equal, bit for bit, the allocating formulas kept in
+``oracles.py``, for arrays and scalar angles alike, and no input may be
+written."""
+
+import math
+
+import numpy as np
+import pytest
+
+from circle_sqm import Branch, CircleGeometry, specfun
+from circle_sqm import coulomb as cou
+from circle_sqm import oscillator as osc
+from circle_sqm.errors import DomainError
+from circle_sqm.systems import open_angles, two_branch
+
+from oracles import (coulomb_wavefunction_allocating, jacobi_scaled_allocating,
+                     oscillator_wavefunction_allocating)
+
+DEGREES = (0, 1, 2, 7, 18, 40)
+K1S = (0.3, 0.5, 0.75, 1.0, 1.5)
+FAMILIES = [(k1, branch) for k1 in K1S for branch in Branch
+            if branch is Branch.PLUS or two_branch(k1)]
+
+
+def angles(lo: float, hi: float, seed: int) -> tuple[np.ndarray, list[float]]:
+    """1001 angles (an odd count, so vector loops end in a partial block) and 8 scalars."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(lo, hi, 1001), rng.uniform(lo, hi, 8).tolist()
+
+
+def assert_same(got, want):
+    """Bit-identical, and a Python float where the reference is a scalar."""
+    if np.ndim(want) == 0:
+        assert isinstance(got, float) and got == float(want)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_jacobi_scaled_matches_the_allocating_recurrence(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, 1001)
+    s, c = np.sin(3.0 * x), np.cos(3.0 * x)
+    big_n, sigma = n + 0.75, 1.7
+    cases = [(2.6, 1.6, x, 0.3, 1.0),  # real alpha, beta: scalar d_w and w_sq
+             (-2.0 * big_n, big_n**2 + sigma**2, c, 2.0 * sigma * s, -s * s),  # Romanovski
+             (2.6, 1.6, 0.37, 0.3, 1.0),
+             (-2.0 * big_n, big_n**2 + sigma**2, c[0], 2.0 * sigma * s[0], -s[0] * s[0])]
+    for ab_sum, ab_product, x_w, d_w, w_sq in cases:
+        inputs = [np.copy(v) for v in (x_w, d_w, w_sq)]
+        got = specfun.jacobi_scaled(n, ab_sum, ab_product, x_w, d_w, w_sq)
+        want = np.asarray(jacobi_scaled_allocating(n, ab_sum, ab_product, x_w, d_w, w_sq))
+        assert got.shape == want.shape and np.array_equal(got, want)
+        for before, after in zip(inputs, (x_w, d_w, w_sq)):
+            assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("k1, branch", FAMILIES)
+def test_oscillator_wavefunction_matches_the_allocating_formula(k1, branch):
+    # omega = 0 makes the cos exponent 1/2 + k0 exactly 1
+    for omega, radius in ((1.3, 0.8), (0.0, 1.0)):
+        system = osc.OscillatorSystem(CircleGeometry(radius), omega=omega, k1=k1, branch=branch)
+        phi, scalars = angles(*system.motion_domain, seed=int(100 * k1))
+        before = phi.copy()
+        a = branch.sign * k1
+        for n in DEGREES:
+            norm = osc._norm_constant(system, n)
+            for angle in [phi] + scalars:
+                want = oscillator_wavefunction_allocating(norm, n, a, system.k0, angle)
+                assert_same(osc.wavefunction(system, n, angle), want)
+        assert np.array_equal(phi, before)
+
+
+@pytest.mark.parametrize("k1, branch", [f for f in FAMILIES if f[0] < math.sqrt(2.0)])
+def test_coulomb_wavefunction_matches_the_allocating_formula(k1, branch):
+    system = cou.CoulombSystem(CircleGeometry(0.9), mu=1.3, k1=k1, branch=branch)
+    phi, scalars = angles(*system.motion_domain, seed=int(100 * k1))
+    full, full_scalars = angles(-math.pi, math.pi, seed=7)
+    before, full_before = phi.copy(), full.copy()
+    for n in DEGREES:
+        qn = cou.quantize(system, n)
+        norm = cou.norm_constant(n, qn.nu, qn.sigma, 0.9)
+        for angle in [phi] + scalars:
+            want = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, angle)
+            assert_same(cou.wavefunction(system, n, angle), want)
+        if system.two_sided:
+            for angle in [full] + full_scalars:
+                even = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, np.abs(angle))
+                assert_same(cou.extend_parity(system, n, angle, cou.Parity.EVEN), even)
+                assert_same(cou.extend_parity(system, n, angle, cou.Parity.ODD),
+                            np.sign(angle) * even)
+    assert np.array_equal(phi, before) and np.array_equal(full, full_before)
+
+
+def test_open_angles_refuses_nan_and_accepts_no_angles():
+    for phi in (math.nan, np.array([0.5, math.nan, 1.0]), np.array([math.nan])):
+        with pytest.raises(DomainError):
+            open_angles(phi, 0.0, math.pi)
+    assert open_angles(np.array([]), 0.0, math.pi).shape == (0,)
+    system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
+    assert cou.wavefunction(system, 3, np.array([])).shape == (0,)
+    with pytest.raises(DomainError):
+        cou.wavefunction(system, 3, np.array([1.0, math.nan]))

@@ -549,6 +549,24 @@ class TestSolverScaleEnvelope:
         assert reports[1].convergence_rate > 1.9
         assert all(report.passed for report in reports)
 
+    def test_levels_judged_in_the_energy_unit_at_large_radius(self, monkeypatch):
+        # levels near 1e-19 once read rel_err near 1e-30 whatever their error,
+        # as max(|E|, 1) scaled them; 2.2e-6 relative is what a broken solver returned
+        system = osc.OscillatorSystem(CircleGeometry(1e10), omega=0.0, k1=1.5)
+        honest = validate_system(system, 2, 1024, 1e-6, residual_levels=(), label="x")
+        assert honest[0].case_id == "x/levels[N=1024/2048]" and honest[0].passed
+        solve = validate.eigenvalue_with_refinement
+
+        def perturbed(*args):
+            coarse, fine, extrapolated = solve(*args)
+            return coarse, fine, extrapolated * (1.0 + 2.2e-6)
+
+        monkeypatch.setattr(validate, "eigenvalue_with_refinement", perturbed)
+        levels, order = validate_system(system, 2, 1024, 1e-6, residual_levels=(),
+                                        label="x")[:2]
+        assert not levels.passed and min(levels.rel_err) > 2e-6
+        assert order.passed
+
 
 class TestBoxSpectrum:
     def test_box_levels_order_h_squared(self):

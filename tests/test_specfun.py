@@ -173,6 +173,24 @@ class TestJacobiScaled:
         assert np.allclose(specfun.jacobi_scaled(1, 1.7, 0.6, xs, -0.7, 1.0), expected,
                            rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_result_takes_the_shape_of_x_w(self, n):
+        xs = np.array([0.1, 0.2, 0.3])
+        assert specfun.jacobi_scaled(n, 1.0, 0.2, xs, 0.3, 1.0).shape == (3,)
+        assert specfun.jacobi_scaled(n, 1.0, 0.2, xs, xs[:1], xs).shape == (3,)
+        assert specfun.jacobi_scaled(n, 1.0, 0.2, 0.4, 0.3, 1.0).shape == ()
+        assert specfun.jacobi_scaled(n, 1.0, 0.2, xs[:, None] * xs, xs, 1.0).shape == (3, 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_coefficients_that_do_not_broadcast_to_x_w_are_refused(self, n):
+        xs = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(DomainError, match="shape"):
+            specfun.jacobi_scaled(n, 1.0, 0.2, 1.0, 0.3, xs)  # would widen a scalar x_w
+        with pytest.raises(DomainError, match="shape"):
+            specfun.jacobi_scaled(n, 1.0, 0.2, xs, np.ones(2), 1.0)  # does not broadcast
+        with pytest.raises(DomainError, match="shape"):
+            specfun.jacobi_scaled(n, 1.0, 0.2, xs, 0.3, xs[:, None])
+
     @pytest.mark.parametrize("a,b", [(0.3, 1.2), (-0.5, 0.5), (1.5, math.sqrt(1.25)),
                                      (-0.3, 10.0)])
     def test_real_parameters_against_mpmath(self, a, b):
