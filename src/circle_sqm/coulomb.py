@@ -46,7 +46,7 @@ import numpy as np
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, level_index, open_angles)
+                      finite_result, in_blocks, level_index, open_angles)
 
 _SINGULAR_TOL = 1e-12
 # Largest mu R at which the quadrature.norm_rule of norm_nodes is trusted: every
@@ -244,23 +244,27 @@ def contour_norm_constant(
 def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndarray:
     """The closed form of :func:`wavefunction` at angles phi_abs in [0, pi), unchecked."""
     n, nu, sigma = qn.n, qn.nu, qn.sigma
-    c = norm_constant(n, nu, sigma, sys.geometry.radius)
     scale = math.prod(-2.0 * (m + 1) / (2.0 * nu + m) for m in range(n))  # (-2)^n n!/(2 nu)_n
+    c_scale = norm_constant(n, nu, sigma, sys.geometry.radius) * scale
     big_n = n + nu
-    s = np.sin(phi_abs)
-    x = np.cos(phi_abs, out=np.empty(np.shape(phi_abs)))  # an array even when 0-d, reused below
-    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-        w_sq = -s
-        w_sq *= s
-        romanovski = specfun.jacobi_scaled(n, -2.0 * big_n, big_n**2 + sigma**2,
-                                           x, 2.0 * sigma * s, w_sq)
-        # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
-        # on NumPy's scalar power, which rounds unlike the array loop
-        s **= nu
-        s *= c * scale
-        s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
-        s *= romanovski
-        return s
+    ab_sum, ab_product, two_sigma = -2.0 * big_n, big_n**2 + sigma**2, 2.0 * sigma
+
+    def block(phi_abs):
+        s = np.sin(phi_abs)
+        x = np.cos(phi_abs, out=np.empty(phi_abs.shape))  # an array even when 0-d, reused below
+        with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+            w_sq = -s
+            w_sq *= s
+            romanovski = specfun.jacobi_scaled(n, ab_sum, ab_product, x, two_sigma * s, w_sq)
+            # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
+            # on NumPy's scalar power, which rounds unlike the array loop
+            s **= nu
+            s *= c_scale
+            s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
+            s *= romanovski
+            return s
+
+    return in_blocks(block, phi_abs)
 
 
 @finite_result
@@ -272,7 +276,9 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     N = n + nu this equals C (-2)^n n!/(2 nu)_n (sin phi)^nu e^(-sigma phi) Q_n,
     where Q_n = sin^n(phi) i^(-n) P_n^(-N + i sigma, -N - i sigma)(i cot phi)
     is real and is evaluated by :func:`specfun.jacobi_scaled` in real
-    arithmetic.  Values that are not finite doubles raise DomainError.
+    arithmetic, block by block (:func:`~circle_sqm.systems.in_blocks`) in eight
+    work buffers of the block's size.  Values that are not finite doubles raise
+    DomainError.
     """
     qn = quantize(sys, n)
     return _evaluate(sys, qn, open_angles(phi, *sys.motion_domain))
@@ -330,4 +336,6 @@ def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> float | np
     qn = quantize(sys, n)
     phi_arr = open_angles(phi, -math.pi, math.pi)
     values = _evaluate(sys, qn, np.abs(phi_arr))
-    return np.sign(phi_arr) * values if parity is Parity.ODD else values
+    if parity is Parity.ODD:
+        values *= np.sign(phi_arr)
+    return values

@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, level_index, open_angles, two_branch)
+                      finite_result, in_blocks, level_index, open_angles, two_branch)
 
 _SINGULAR_TOL = 1e-12
 
@@ -146,23 +146,30 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     and C fixed by unit norm on [0, pi/2].  Endpoints of the motion domain are
     hard errors (clamping would silently corrupt quadrature); for the
     two-branch regime negative angles return the mirror value psi(|phi|);
-    values that are not finite doubles raise DomainError.
+    values that are not finite doubles raise DomainError.  The angles are
+    evaluated block by block (:func:`~circle_sqm.systems.in_blocks`) in six work
+    buffers of the block's size.
     """
     n = level_index(n)
     phi = open_angles(phi, *sys.motion_domain)
-    phi_abs = np.abs(phi, out=np.empty_like(phi))  # an array even when 0-d, reused for cos 2 phi
-
     a = sys.branch.sign * sys.k1
     k0 = sys.k0
-    s, c = np.sin(phi_abs), np.cos(phi_abs)
-    x = np.cos(np.multiply(phi_abs, 2.0, out=phi_abs), out=phi_abs)
-    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-        jacobi = specfun.jacobi_scaled(n, a + k0, a * k0, x, a - k0, 1.0)
-        # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s; **= keeps a 0-d s
-        # on NumPy's scalar power, which rounds unlike the array loop
-        s **= 0.5 + a
-        s *= _norm_constant(sys, n)
-        c **= 0.5 + k0
-        s *= c
-        s *= jacobi
-        return s
+    norm = _norm_constant(sys, n)
+    ab_sum, ab_product, d_w = a + k0, a * k0, a - k0
+
+    def block(phi):
+        phi_abs = np.abs(phi, out=np.empty(phi.shape))  # an array even when 0-d; becomes cos 2 phi
+        s, c = np.sin(phi_abs), np.cos(phi_abs)
+        x = np.cos(np.multiply(phi_abs, 2.0, out=phi_abs), out=phi_abs)
+        with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+            jacobi = specfun.jacobi_scaled(n, ab_sum, ab_product, x, d_w, 1.0)
+            # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s; **= keeps a 0-d s
+            # on NumPy's scalar power, which rounds unlike the array loop
+            s **= 0.5 + a
+            s *= norm
+            c **= 0.5 + k0
+            s *= c
+            s *= jacobi
+            return s
+
+    return in_blocks(block, phi)

@@ -14,6 +14,12 @@ import numpy as np
 
 from .errors import BranchError, DomainError
 
+# Most angles that in_blocks evaluates at once.  A block's 6 (oscillator) or 8 (Coulomb)
+# work buffers, 0.8-1.0 MB at 16384 angles, stay in a 2 MiB L2: on 1e5 angles (2-core
+# Xeon, numpy 2.4.6) 16384 was as fast as 8192 and 5-25% faster than 4096 or 32768, and
+# it keeps the 1e4-angle grids in one block, which runs without the gathering copy.
+_BLOCK = 16384
+
 
 class Branch(enum.Enum):
     """Sign choice for the singular-term exponent.
@@ -50,6 +56,20 @@ def open_angles(phi, lo: float, hi: float) -> np.ndarray:
     if phi_arr.size and not (lo < phi_arr.min() and phi_arr.max() < hi):  # NaN fails both
         raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
     return phi_arr
+
+
+def in_blocks(evaluate, phi: np.ndarray) -> np.ndarray:
+    """The elementwise ``evaluate`` over contiguous slices of at most ``_BLOCK`` angles
+    of ``phi``, gathered into one new array of ``phi``'s shape, so that one slice's
+    work buffers stay in cache.  Up to ``_BLOCK`` angles, 0-d included, are one block:
+    ``phi`` itself, whose ``evaluate`` value is returned as it is."""
+    if phi.size <= _BLOCK:
+        return evaluate(phi)
+    out = np.empty(phi.shape)
+    flat, flat_out = phi.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        flat_out[start:start + _BLOCK] = evaluate(flat[start:start + _BLOCK])
+    return out
 
 
 def finite_result(formula):

@@ -1,15 +1,17 @@
-"""The closed-form wavefunctions are evaluated in place: the Jacobi recurrence
-rotates three buffers and the prefactors multiply into the buffer of sin.
-Every result must equal, bit for bit, the allocating formulas kept in
-``oracles.py``, for arrays and scalar angles alike, and no input may be
-written."""
+"""The closed-form wavefunctions are evaluated in place, block by block: the
+Jacobi recurrence rotates three buffers, the prefactors multiply into the
+buffer of sin, and ``systems.in_blocks`` runs that chain over contiguous
+slices of at most ``systems._BLOCK`` angles.  Every result must equal, bit
+for bit, the allocating formulas kept in ``oracles.py``, for arrays of any
+size and shape and for scalar angles alike, and no input may be written."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from circle_sqm import Branch, CircleGeometry, specfun
+from circle_sqm import Branch, CircleGeometry, specfun, systems
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm.errors import DomainError
@@ -92,6 +94,58 @@ def test_coulomb_wavefunction_matches_the_allocating_formula(k1, branch):
                 assert_same(cou.extend_parity(system, n, angle, cou.Parity.ODD),
                             np.sign(angle) * even)
     assert np.array_equal(phi, before) and np.array_equal(full, full_before)
+
+
+@pytest.mark.parametrize("k1, branch", FAMILIES)
+def test_many_small_blocks_match_the_allocating_formulas(k1, branch, monkeypatch):
+    # 1001 = 15 * 64 + 41: every family and degree crosses 16 blocks and ends in a partial one
+    monkeypatch.setattr(systems, "_BLOCK", 64)
+    test_oscillator_wavefunction_matches_the_allocating_formula(k1, branch)
+    if k1 < math.sqrt(2.0):
+        test_coulomb_wavefunction_matches_the_allocating_formula(k1, branch)
+
+
+@pytest.mark.parametrize("shape", [(), systems._BLOCK - 1, systems._BLOCK, systems._BLOCK + 1,
+                                   2 * systems._BLOCK + 17, (3, systems._BLOCK // 2 + 1)],
+                         ids=str)
+def test_block_boundaries_match_the_allocating_formulas(shape):
+    rng = np.random.default_rng(int(np.prod(shape)))
+    oscillator = osc.OscillatorSystem(CircleGeometry(0.8), omega=1.3, k1=0.5, branch=Branch.MINUS)
+    coulomb = cou.CoulombSystem(CircleGeometry(0.9), mu=1.3, k1=1.0)
+    phi = rng.uniform(*oscillator.motion_domain, shape)
+    positive, full = rng.uniform(0.0, math.pi, shape), rng.uniform(-math.pi, math.pi, shape)
+    inputs = [v.copy() for v in (phi, positive, full)]
+    for n in (2, 18):
+        want = oscillator_wavefunction_allocating(osc._norm_constant(oscillator, n), n, -0.5,
+                                                  oscillator.k0, phi)
+        assert_same(osc.wavefunction(oscillator, n, phi), want)
+        qn = cou.quantize(coulomb, n)
+        norm = cou.norm_constant(n, qn.nu, qn.sigma, 0.9)
+        want = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, positive)
+        assert_same(cou.wavefunction(coulomb, n, positive), want)
+        even = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, np.abs(full))
+        assert_same(cou.extend_parity(coulomb, n, full, cou.Parity.EVEN), even)
+        assert_same(cou.extend_parity(coulomb, n, full, cou.Parity.ODD), np.sign(full) * even)
+    for before, after in zip(inputs, (phi, positive, full)):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("system, n", [
+    (osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5), 11),
+    (cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0), 18)], ids=["oscillator", "coulomb"])
+def test_peak_memory_of_a_large_evaluation(system, n):
+    # numpy reports its buffers to tracemalloc: 0.8 MB of result and about 1 MB of one
+    # block's buffers, while buffers spanning all 1e5 angles would take 4.8 or 6.4 MB
+    hi = system.motion_domain[1]
+    phi = (np.arange(100_000) + 0.5) * (hi / 100_000)
+    evaluate = systems.closed_forms(system).wavefunction
+    tracemalloc.start()
+    try:
+        evaluate(system, n, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_open_angles_refuses_nan_and_accepts_no_angles():
