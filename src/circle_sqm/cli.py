@@ -12,10 +12,12 @@ row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -24,32 +26,21 @@ from .errors import CircleSqmError, DomainError
 from .numerics.validate import SUITE_NAMES, run_suite
 from .systems import Branch, CircleGeometry, closed_forms, spectrum
 
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+_FLOAT = "%.17g"  # every float printed, in JSON and CSV alike
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}{json.dumps(key)}: {_json_text(val, indent + 1)}'
-                for key, val in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_json_text(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+    """``obj`` as JSON indented by two spaces a level, floats at 17 significant digits."""
     if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
+        return _FLOAT % obj
+    if not (isinstance(obj, (dict, list, tuple)) and obj):  # scalars and empty containers
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        rows = [f"{json.dumps(key)}: {_json_text(val, indent + 1)}" for key, val in obj.items()]
+    else:
+        rows = [_json_text(val, indent + 1) for val in obj]
+    inner, (opening, closing) = "\n" + "  " * (indent + 1), "{}" if isinstance(obj, dict) else "[]"
+    return opening + inner + ("," + inner).join(rows) + "\n" + "  " * indent + closing
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -63,6 +54,7 @@ def _write_output(text: str, path: str | None) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
+        tmp_path = None
     except OSError as exc:  # name the target, not the temp file removed below
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
@@ -70,15 +62,31 @@ def _write_output(text: str, path: str | None) -> None:
             os.unlink(tmp_path)
 
 
-def _emit(args, kind: str, header: list[str], records: list[dict]) -> int:
-    """Write ``records`` as the JSON payload of ``kind``, or as CSV with the ``header`` columns."""
-    if args.format == "json":
-        text = _json_text({"schema": "circle-sqm/1", "kind": kind, "records": records}) + "\n"
+def _emit(args, kind: str, header: tuple[str, ...], rows) -> int:
+    """Write ``rows``, tuples in ``header`` order, as the JSON records of ``kind`` or as CSV.
+
+    One text template holds each cell after its column's label: a float is a ``%.17g``
+    slot, any other cell its JSON or CSV text with ``%`` doubled (None is ``null`` or
+    empty), so that a single ``%`` pass formats every float at once.  A row's first
+    label ends the row before it; ``first`` stands in for it on the first row."""
+    cells = list(chain.from_iterable(rows))
+    if args.format == "json":  # header names are plain words, free of %
+        head, empty, tail = _json_text(
+            {"schema": "circle-sqm/1", "kind": kind, "records": []}).rpartition("[]")
+        keys = [f"      {json.dumps(key)}: " for key in header]
+        labels = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
+        first, last, tail, render, none = ("[\n    {\n" + keys[0], "\n    }\n  ]", tail + "\n",
+                                           json.dumps, "null")
     else:
-        rows = [header] + [["" if v is None else _fmt(v) if isinstance(v, float) else str(v)
-                            for v in map(record.get, header)] for record in records]
-        text = "".join(",".join(row) + "\r\n" for row in rows)
-    _write_output(text, args.output)
+        head, empty, tail, render, none = ",".join(header), "", "\r\n", str, ""
+        labels, first, last = ["\r\n"] + [","] * (len(header) - 1), "\r\n", ""
+    template = [None] * (2 * len(cells))
+    template[::2] = labels * (len(cells) // len(header))
+    template[1::2] = [_FLOAT if isinstance(cell, float) else none if cell is None
+                      else render(cell).replace("%", "%%") for cell in cells]
+    floats = tuple(cell for cell in cells if isinstance(cell, float))
+    body = first + "".join(template[1:]) % floats + last if cells else empty
+    _write_output(head + body + tail, args.output)
     return 0
 
 
@@ -95,26 +103,25 @@ def _build_system(args):
     return coulomb.CoulombSystem(geometry, mu=args.mu, k1=args.k1, branch=branch)
 
 
-def _spectrum_records(args) -> list[dict]:
+def _spectrum_rows(args) -> list[tuple]:
     if args.levels < 0:
         raise DomainError("--levels must be >= 0")
     system = _build_system(args)  # "both" builds the plus member
     if args.levels == 0:
         return []
-    records = []
+    rows = []
     for n, member, energy in spectrum(system, args.levels - 1):
         if args.branch not in ("both", member.branch.value):
             continue
         qn = coulomb.quantize(member, n) if args.system == "coulomb" else None
-        records.append({"system": args.system, "n": n, "branch": member.branch.value,
-                        "nu": qn.nu if qn else None, "sigma": qn.sigma if qn else None,
-                        "energy": energy})
-    return records
+        rows.append((args.system, n, member.branch.value, qn.nu if qn else None,
+                     qn.sigma if qn else None, energy))
+    return rows
 
 
 def _cmd_spectrum(args) -> int:
-    return _emit(args, "spectrum", ["system", "n", "branch", "nu", "sigma", "energy"],
-                 _spectrum_records(args))
+    return _emit(args, "spectrum", ("system", "n", "branch", "nu", "sigma", "energy"),
+                 _spectrum_rows(args))
 
 
 def _cmd_wavefunction(args) -> int:
@@ -125,9 +132,8 @@ def _cmd_wavefunction(args) -> int:
     step = (hi - lo) / args.samples
     phis = lo + (np.arange(args.samples) + 0.5) * step
     values = closed_forms(system).wavefunction(system, args.n, phis)
-    return _emit(args, "wavefunction", ["phi", "re", "im"],
-                 [{"phi": phi, "re": value, "im": 0.0}
-                  for phi, value in zip(phis.tolist(), values.tolist())])
+    return _emit(args, "wavefunction", ("phi", "re", "im"),
+                 zip(phis.tolist(), values.tolist(), [0.0] * args.samples))
 
 
 def _cmd_validate(args) -> int:
@@ -158,6 +164,7 @@ def _add_system_arguments(parser: argparse.ArgumentParser, branch_choices) -> No
     parser.add_argument("--output", default=None, help="output path (default stdout)")
 
 
+@functools.cache  # built on first use, then shared by every call in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circle-sqm",
@@ -187,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CircleSqmError, OSError) as exc:

@@ -241,15 +241,17 @@ def contour_norm_constant(
     return jacobian * cmath.exp(0.5 * (ln_num - ln_den))
 
 
-def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndarray:
-    """The closed form of :func:`wavefunction` at angles phi_abs in [0, pi), unchecked."""
+def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -> np.ndarray:
+    """The closed form of :func:`wavefunction` at angles phi in [0, pi), unchecked; with
+    a ``parity``, that of :func:`extend_parity` at angles in (-pi, pi)."""
     n, nu, sigma = qn.n, qn.nu, qn.sigma
     scale = math.prod(-2.0 * (m + 1) / (2.0 * nu + m) for m in range(n))  # (-2)^n n!/(2 nu)_n
     c_scale = norm_constant(n, nu, sigma, sys.geometry.radius) * scale
     big_n = n + nu
     ab_sum, ab_product, two_sigma = -2.0 * big_n, big_n**2 + sigma**2, 2.0 * sigma
 
-    def block(phi_abs):
+    def block(phi):
+        phi_abs = phi if parity is None else np.abs(phi)
         s = np.sin(phi_abs)
         x = np.cos(phi_abs, out=np.empty(phi_abs.shape))  # an array even when 0-d, reused below
         with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
@@ -262,9 +264,11 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi_abs) -> np.ndar
             s *= c_scale
             s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
             s *= romanovski
+            if parity is Parity.ODD:
+                s *= np.sign(phi)
             return s
 
-    return in_blocks(block, phi_abs)
+    return in_blocks(block, phi)
 
 
 @finite_result
@@ -333,9 +337,4 @@ def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> float | np
         )
     if not isinstance(parity, Parity):
         raise DomainError(f"parity must be a Parity, got {parity!r}")
-    qn = quantize(sys, n)
-    phi_arr = open_angles(phi, -math.pi, math.pi)
-    values = _evaluate(sys, qn, np.abs(phi_arr))
-    if parity is Parity.ODD:
-        values *= np.sign(phi_arr)
-    return values
+    return _evaluate(sys, quantize(sys, n), open_angles(phi, -math.pi, math.pi), parity)

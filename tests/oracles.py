@@ -9,11 +9,13 @@ cross-checks do not share a code path with what they verify:
 * a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
 * the closed-form wavefunctions with one new array per operation, whose
   order of operations the in-place evaluators must match bit for bit;
-* closed-form spot values frozen from well-known identities.
+* closed-form spot values frozen from well-known identities;
+* the CLI's JSON and CSV record text, rendered one value at a time.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,3 +154,40 @@ def coulomb_wavefunction_allocating(norm: float, n: int, nu: float, sigma: float
     romanovski = jacobi_scaled_allocating(n, -2.0 * big_n, big_n**2 + sigma**2,
                                           np.cos(phi_abs), 2.0 * sigma * s, -s * s)
     return norm * scale * s**nu * np.exp(-sigma * phi_abs) * romanovski
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+def json_text(obj, indent: int = 0) -> str:
+    """Indented JSON with every float at 17 significant digits, one value at a time."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [f'{inner}{json.dumps(key)}: {json_text(val, indent + 1)}'
+                for key, val in obj.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{inner}{json_text(val, indent + 1)}" for val in obj]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    return json.dumps(obj)
+
+
+def records_text(fmt: str, kind: str, header: list[str], records: list[dict]) -> str:
+    """The CLI's output for ``records`` of ``kind``: the JSON payload or CSV with ``header``."""
+    if fmt == "json":
+        return json_text({"schema": "circle-sqm/1", "kind": kind, "records": records}) + "\n"
+    rows = [header] + [["" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+                        for v in map(record.get, header)] for record in records]
+    return "".join(",".join(row) + "\r\n" for row in rows)

@@ -214,6 +214,11 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
         (["wavefunction", "--system", "oscillator", "--omega", "1", "--radius",
           "1", "--k1", "1.5", "--n", "2", "--samples", "8", "--format", "csv"],
          "wavefunction_oscillator.csv", "wave.csv"),
+        (["wavefunction", "--system", "coulomb", "--mu", "1", "--radius", "1", "--k1", "1",
+          "--n", "2", "--samples", "8"], "wavefunction_coulomb.json", "wave.json"),
+        (["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1", "--k1", "0.3",
+          "--branch", "both", "--levels", "3", "--format", "csv"],
+         "spectrum_oscillator.csv", "spectrum.csv"),
         (["validate", "--suite", "specfun"], "validate_specfun.json", "report.json"),
     ]
     ok = True

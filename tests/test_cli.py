@@ -1,6 +1,10 @@
-"""CLI surface: flag handling, exit codes, file formats, determinism and
-golden files."""
+"""CLI surface: flag handling, exit codes, file formats, determinism, golden
+files, the one-pass record writer against the value-by-value oracle, and the
+parser shared by every call."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,12 +13,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
-from circle_sqm.cli import main
+from circle_sqm.cli import _emit, _json_text, build_parser, main
 from circle_sqm.systems import spectrum
+
+from oracles import json_text, records_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -261,6 +269,23 @@ class TestDeterminismAndGoldens:
         assert code == 0
         assert out_path.read_bytes() == (GOLDEN / "wavefunction_oscillator.csv").read_bytes()
 
+    def test_golden_wavefunction_json(self, capsys, tmp_path):
+        out_path = tmp_path / "wave.json"
+        code, _, _ = run_cli(
+            ["wavefunction", "--system", "coulomb", "--mu", "1", "--radius", "1",
+             "--k1", "1", "--n", "2", "--samples", "8", "--output", str(out_path)], capsys)
+        assert code == 0
+        assert out_path.read_bytes() == (GOLDEN / "wavefunction_coulomb.json").read_bytes()
+
+    def test_golden_spectrum_csv(self, capsys, tmp_path):
+        out_path = tmp_path / "spectrum.csv"
+        code, _, _ = run_cli(
+            ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1",
+             "--k1", "0.3", "--branch", "both", "--levels", "3", "--format", "csv",
+             "--output", str(out_path)], capsys)
+        assert code == 0
+        assert out_path.read_bytes() == (GOLDEN / "spectrum_oscillator.csv").read_bytes()
+
     def test_golden_validation_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(
@@ -275,3 +300,55 @@ class TestDeterminismAndGoldens:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert json.loads(result.stdout)["records"][0]["energy"] == 0
+
+
+HEADERS = {"spectrum": ("system", "n", "branch", "nu", "sigma", "energy"),
+           "wavefunction": ("phi", "re", "im")}
+CELLS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]),
+    st.floats(), st.integers(), st.none(),
+    st.text(st.sampled_from('%"\\,{}aé€\u2028\n')), st.text())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(fmt=st.sampled_from(["json", "csv"]), kind=st.sampled_from(sorted(HEADERS)),
+       data=st.data())
+@example(fmt="json", kind="spectrum", data=None)
+@example(fmt="csv", kind="wavefunction", data=None)
+def test_emit_matches_value_by_value_oracle(fmt, kind, data):
+    header = HEADERS[kind]
+    rows = [] if data is None else data.draw(st.lists(st.tuples(*[CELLS] * len(header))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows) == 0
+    assert out.getvalue() == records_text(fmt, kind, list(header),
+                                          [dict(zip(header, row)) for row in rows])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(payload=st.recursive(
+    CELLS | st.booleans(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner)))
+def test_json_text_matches_value_by_value_oracle(payload):
+    assert _json_text(payload) == json_text(payload)
+
+
+def test_parser_is_shared_and_calls_do_not_leak(capsys):
+    assert build_parser() is build_parser()
+    spec = ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1",
+            "--k1", "0.3", "--levels", "2"]
+    calls = [spec + ["--branch", "minus"], spec, spec + ["--format", "xml"],
+             spec + ["--format", "csv"], spec]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out.encode(), captured.err.encode()))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+    for argv, got in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "circle_sqm.cli", *argv],
+                               capture_output=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)

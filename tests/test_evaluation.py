@@ -148,6 +148,20 @@ def test_peak_memory_of_a_large_evaluation(system, n):
     assert peak < 3e6
 
 
+def test_peak_memory_of_a_large_odd_extension():
+    # 0.8 MB of angles, 0.8 MB of result and one block's buffers, |phi| and sign(phi)
+    # included (2.8 MB); |phi| over all 1e5 angles would add 0.7 MB more (3.45 MB)
+    system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
+    tracemalloc.start()
+    try:
+        phi = (np.arange(100_000) + 0.5) * (2.0 * math.pi / 100_000) - math.pi
+        cou.extend_parity(system, 18, phi, cou.Parity.ODD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_open_angles_refuses_nan_and_accepts_no_angles():
     for phi in (math.nan, np.array([0.5, math.nan, 1.0]), np.array([math.nan])):
         with pytest.raises(DomainError):
