@@ -62,13 +62,19 @@ def _write_output(text: str, path: str | None) -> None:
             os.unlink(tmp_path)
 
 
+def _needs_quotes(text: str) -> bool:
+    """Whether ``text`` holds a comma, a double quote, CR or LF, which RFC 4180 quotes."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
 def _emit(args, kind: str, header: tuple[str, ...], rows) -> int:
     """Write ``rows``, tuples in ``header`` order, as the JSON records of ``kind`` or as CSV.
 
     One text template holds each cell after its column's label: a float is a ``%.17g``
     slot, any other cell its JSON or CSV text with ``%`` doubled (None is ``null`` or
-    empty), so that a single ``%`` pass formats every float at once.  A row's first
-    label ends the row before it; ``first`` stands in for it on the first row."""
+    empty), so that a single ``%`` pass formats every float at once; a CSV cell that
+    :func:`_needs_quotes` is quoted.  A row's first label ends the row before it;
+    ``first`` stands in for it on the first row."""
     cells = list(chain.from_iterable(rows))
     if args.format == "json":  # header names are plain words, free of %
         head, empty, tail = _json_text(
@@ -84,6 +90,9 @@ def _emit(args, kind: str, header: tuple[str, ...], rows) -> int:
     template[::2] = labels * (len(cells) // len(header))
     template[1::2] = [_FLOAT if isinstance(cell, float) else none if cell is None
                       else render(cell).replace("%", "%%") for cell in cells]
+    if args.format == "csv" and _needs_quotes("".join(template[1::2])):  # quote as RFC 4180
+        template[1::2] = ['"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+                          for text in template[1::2]]
     floats = tuple(cell for cell in cells if isinstance(cell, float))
     body = first + "".join(template[1:]) % floats + last if cells else empty
     _write_output(head + body + tail, args.output)

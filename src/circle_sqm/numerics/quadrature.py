@@ -19,6 +19,7 @@ def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=8, typed=True)
 def gauss_legendre_rule(
     panel_count: int,
     order: int,
@@ -33,7 +34,8 @@ def gauss_legendre_rule(
     halve toward the endpoint.  Weights sum to b - a exactly up to roundoff.
     Refinement so deep that panels or nodes collapse in floating point (break
     points not strictly increasing, or a node not strictly inside (a, b)) is
-    refused with ``DomainError``.
+    refused with ``DomainError``.  The eight latest rules are cached, read-only
+    since callers share them, so each :func:`norm_rule` is built once per process.
     """
     if not b > a:
         raise DomainError(f"empty interval: a = {a!r}, b = {b!r}")
@@ -59,7 +61,9 @@ def gauss_legendre_rule(
     if not np.all((nodes > a) & (nodes < b)):
         raise DomainError(f"rule ({panel_count}, {order}, {endpoint_refinement}) puts a node "
                           f"outside the open interval ({a!r}, {b!r})")
-    return nodes, (half[:, None] * ws).ravel()
+    weights = (half[:, None] * ws).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def norm_rule(hi: float) -> tuple[np.ndarray, np.ndarray]:

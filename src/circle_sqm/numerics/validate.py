@@ -247,39 +247,28 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
 # ---------------------------------------------------------------------------
 
 
-def _rational_complex_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gaussian(z) -> tuple[tuple[int, int], int]:
-    """A complex rational (re, im) of Fractions as ((a, b), d) with z = (a + i b)/d."""
-    d = math.lcm(z[0].denominator, z[1].denominator)
-    return (z[0].numerator * (d // z[0].denominator), z[1].numerator * (d // z[1].denominator)), d
-
-
 def _hyp2f1_rational(n: int, b, c, x) -> complex:
-    """Exact terminating Gauss sum; arguments are (re, im) Fraction pairs.
+    """Exact terminating Gauss sum at b, c, x given as (re, im) integer pairs over 16.
 
     The running term and sum are Gaussian integers over one integer
     denominator, so no step reduces a fraction: the ratio of consecutive
     terms, (j - n)(b + j) x/((c + j)(j + 1)), gets a real denominator from
-    the conjugate of c + j.  Each component becomes one Fraction at the end,
-    rounded once to a double.
+    the conjugate of c + j.  Each component is rounded once to a double by
+    int/int true division, which is correctly rounded.
     """
-    (b_re, b_im), b_den = _gaussian(b)
-    (c_re, c_im), c_den = _gaussian(c)
-    x_num, x_den = _gaussian(x)
-    term, total, den = (1, 0), (1, 0), 1
+    (b_re, b_im), (c_re, c_im), (x_re, x_im) = b, c, x
+    term_re, term_im, total_re, total_im, den = 1, 0, 1, 0, 1
     for j in range(n):
-        conj = (c_re + j * c_den, -c_im)  # c_den conj(c + j)
-        scale = (j - n) * c_den
-        ratio = _rational_complex_mul((b_re + j * b_den, b_im), x_num)
-        ratio = _rational_complex_mul(ratio, (scale * conj[0], scale * conj[1]))
-        term = _rational_complex_mul(term, ratio)
-        step = b_den * x_den * (j + 1) * (conj[0] * conj[0] + conj[1] * conj[1])
-        total = (total[0] * step + term[0], total[1] * step + term[1])
-        den *= step
-    return complex(float(Fraction(total[0], den)), float(Fraction(total[1], den)))
+        shifted_b, shifted_c = b_re + 16 * j, c_re + 16 * j  # 16 (b + j), 16 (c + j)
+        bx_re, bx_im = shifted_b * x_re - b_im * x_im, shifted_b * x_im + b_im * x_re
+        # 16^3 (j - n) (b + j) x conj(c + j), over step = 16^3 (j + 1) |c + j|^2
+        ratio_re = (j - n) * (bx_re * shifted_c + bx_im * c_im)
+        ratio_im = (j - n) * (bx_im * shifted_c - bx_re * c_im)
+        term_re, term_im = (term_re * ratio_re - term_im * ratio_im,
+                            term_re * ratio_im + term_im * ratio_re)
+        step = 16 * (j + 1) * (shifted_c * shifted_c + c_im * c_im)
+        total_re, total_im, den = total_re * step + term_re, total_im * step + term_im, den * step
+    return complex(total_re / den, total_im / den)
 
 
 def specfun_reports() -> list[ValidationReport]:
@@ -315,19 +304,12 @@ def specfun_reports() -> list[ValidationReport]:
     diffs = []
     for n in range(0, 31, 3):
         for _ in range(4):
-            b = (Fraction(int(rng.integers(-12, 13)), 16),
-                 Fraction(int(rng.integers(-12, 13)), 16))
-            c = (Fraction(int(rng.integers(8, 24)), 8),
-                 Fraction(int(rng.integers(-12, 13)), 16))
-            x = (Fraction(int(rng.integers(-10, 11)), 16),
-                 Fraction(int(rng.integers(-10, 11)), 16))
+            b = int(rng.integers(-12, 13)), int(rng.integers(-12, 13))
+            c = 2 * int(rng.integers(8, 24)), int(rng.integers(-12, 13))
+            x = int(rng.integers(-10, 11)), int(rng.integers(-10, 11))
             exact = _hyp2f1_rational(n, b, c, x)
             got = specfun.hyp2f1_terminating(
-                n,
-                complex(float(b[0]), float(b[1])),
-                complex(float(c[0]), float(c[1])),
-                complex(float(x[0]), float(x[1])),
-            )
+                n, *(complex(re / 16, im / 16) for re, im in (b, c, x)))
             diffs.append(abs(got - exact) / max(abs(exact), 1.0))
     reports.append(_report("specfun/hyp2f1-rational-oracle", [0.0] * len(diffs),
                            diffs, 1e-12))

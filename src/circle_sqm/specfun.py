@@ -13,7 +13,9 @@ once:
   real part are consumed by this package).
 * Terminating hypergeometric series are summed by forward term recurrence
   with compensated (Neumaier) accumulation; no gamma-ratio prefactors are
-  formed, so negative-integer upper parameters are handled exactly.
+  formed, so negative-integer upper parameters are handled exactly.  A
+  scalar argument runs the same NumPy operations on ``complex128`` scalars,
+  with no 0-d array built per term.
 * Both wavefunctions are Jacobi polynomials, evaluated by the forward
   three-term recurrence in real arithmetic (:func:`jacobi_scaled`).
 """
@@ -112,24 +114,23 @@ def _check_lower_parameter(c: complex, n: int, name: str) -> None:
 def _terminating_sum(n: int, term_factor, x) -> complex | np.ndarray:
     """Sum_{j=0}^{n} t_j with t_0 = 1 and t_{j+1} = t_j * term_factor(j) * x.
 
-    Neumaier-compensated accumulation, vectorized over ``x``.
+    Neumaier-compensated accumulation, vectorized over ``x``; a scalar ``x``
+    runs on ``complex128`` scalars, its branch picked by ``if``, not ``np.where``.
     """
     x_arr = np.asarray(x, dtype=np.complex128)
     scalar = x_arr.ndim == 0
-    total = np.ones_like(x_arr)
-    comp = np.zeros_like(x_arr)
-    term = np.ones_like(x_arr)
+    total = term = np.complex128(1.0) if scalar else np.ones_like(x_arr)
+    comp = np.complex128(0.0) if scalar else np.zeros_like(x_arr)
     for j in range(n):
         term = term * (term_factor(j) * x_arr)
         new_total = total + term
-        comp = comp + np.where(
-            np.abs(total) >= np.abs(term),
-            (total - new_total) + term,
-            (term - new_total) + total,
-        )
+        bigger = np.abs(total) >= np.abs(term)
+        if not scalar:
+            comp = comp + np.where(bigger, (total - new_total) + term, (term - new_total) + total)
+        else:
+            comp = comp + ((total - new_total) + term if bigger else (term - new_total) + total)
         total = new_total
-    result = total + comp
-    return complex(result[()]) if scalar else result
+    return complex(total + comp) if scalar else total + comp
 
 
 def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarray:

@@ -5,16 +5,21 @@ cross-checks do not share a code path with what they verify:
 
 * exact complex-rational terminating hypergeometric sums (Fraction arithmetic,
   zero roundoff);
+* the terminating hypergeometric sum on 0-d arrays, one new array per
+  operation, whose results the scalar summation must match bit for bit;
 * a plain trapezoid-with-Richardson integrator for smooth integrands;
 * a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
 * the closed-form wavefunctions with one new array per operation, whose
   order of operations the in-place evaluators must match bit for bit;
 * closed-form spot values frozen from well-known identities;
-* the CLI's JSON and CSV record text, rendered one value at a time.
+* the CLI's JSON and CSV record text, rendered one value at a time (CSV
+  through the standard ``csv`` writer).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +79,30 @@ def hyp1f1_exact(n: int, c: QC, y: QC) -> complex:
         term = term * qc(-n + j) / (c.shift(j) * qc(j + 1)) * y
         total = total + term
     return total.to_complex()
+
+
+def terminating_sum_allocating(n: int, term_factor, x):
+    """Sum_{j=0}^{n} t_j, t_0 = 1, t_{j+1} = t_j term_factor(j) x, Neumaier-compensated.
+
+    A scalar ``x`` runs on 0-d arrays, both compensation branches computed
+    and one picked by ``np.where``.
+    """
+    x_arr = np.asarray(x, dtype=np.complex128)
+    scalar = x_arr.ndim == 0
+    total = np.ones_like(x_arr)
+    comp = np.zeros_like(x_arr)
+    term = np.ones_like(x_arr)
+    for j in range(n):
+        term = term * (term_factor(j) * x_arr)
+        new_total = total + term
+        comp = comp + np.where(
+            np.abs(total) >= np.abs(term),
+            (total - new_total) + term,
+            (term - new_total) + total,
+        )
+        total = new_total
+    result = total + comp
+    return complex(result[()]) if scalar else result
 
 
 def trapezoid_romberg(fn, a: float, b: float, levels: int = 14) -> float:
@@ -188,6 +217,9 @@ def records_text(fmt: str, kind: str, header: list[str], records: list[dict]) ->
     """The CLI's output for ``records`` of ``kind``: the JSON payload or CSV with ``header``."""
     if fmt == "json":
         return json_text({"schema": "circle-sqm/1", "kind": kind, "records": records}) + "\n"
-    rows = [header] + [["" if v is None else _fmt(v) if isinstance(v, float) else str(v)
-                        for v in map(record.get, header)] for record in records]
-    return "".join(",".join(row) + "\r\n" for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(["" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+                      for v in map(record.get, header)] for record in records)
+    return text.getvalue()

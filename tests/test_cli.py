@@ -4,6 +4,7 @@ parser shared by every call."""
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -323,6 +324,19 @@ def test_emit_matches_value_by_value_oracle(fmt, kind, data):
         assert _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows) == 0
     assert out.getvalue() == records_text(fmt, kind, list(header),
                                           [dict(zip(header, row)) for row in rows])
+
+
+def test_csv_cells_holding_separators_are_quoted():
+    cells = ("a,b", 7, 'say "hi"', None, "50%\r\nof it", -0.0)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(format="csv", output=None), "spectrum", HEADERS["spectrum"],
+              [cells, ("plain", 8, "", None, "\n", 0.5)])
+    assert out.getvalue() == ('system,n,branch,nu,sigma,energy\r\n'
+                              '"a,b",7,"say ""hi""",,"50%\r\nof it",-0\r\n'
+                              'plain,8,,,"\n",0.5\r\n')
+    assert list(csv.reader(io.StringIO(out.getvalue(), newline="")))[1] == [
+        "a,b", "7", 'say "hi"', "", "50%\r\nof it", "-0"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

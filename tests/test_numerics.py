@@ -94,6 +94,17 @@ class TestQuadrature:
         assert got_nodes.tobytes() == nodes.tobytes()
         assert got_weights.tobytes() == weights.tobytes()
 
+    def test_rules_are_built_once_and_read_only(self):
+        nodes, weights = norm_rule(math.pi)
+        assert norm_rule(math.pi)[0] is nodes
+        assert gauss_legendre_rule(48, 12, 0.0, math.pi, endpoint_refinement=40)[1] is weights
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+        assert nodes[0] > 0.0 and weights[0] > 0.0
+
     def test_validation_rule_is_accepted(self):
         nodes, _ = norm_rule(math.pi / 2)
         assert np.all(np.diff(nodes) > 0.0)

@@ -1,14 +1,16 @@
 """Special-function layer: spot values, identities, and the exact-rational oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from circle_sqm import specfun
 from circle_sqm.errors import DegenerateDenominatorError, DomainError, PoleError
+from circle_sqm.numerics import validate
 
-from oracles import hyp1f1_exact, hyp2f1_exact, qc
+from oracles import hyp1f1_exact, hyp2f1_exact, qc, terminating_sum_allocating
 
 # frozen with mpmath.gamma(0.25) at 40 digits
 GAMMA_QUARTER = 3.6256099082219083
@@ -162,6 +164,44 @@ class TestHyp1F1Terminating:
             exact = hyp1f1_exact(n, c, y)
             got = complex(specfun.hyp1f1_terminating(n, c.to_complex(), y.to_complex()))
             assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0)
+
+
+class TestScalarSummation:
+    def test_scalar_sums_match_the_0d_array_reference_bit_for_bit(self):
+        # NumPy's complex multiply and abs differ from Python complex arithmetic in
+        # the last bit, so repr (which tells -0.0 from 0.0) must agree on every draw
+        draws = 10_000
+        rng = np.random.default_rng(2020)
+        degrees = rng.integers(0, 41, size=draws)
+        parts = rng.uniform(-4.0, 4.0, size=(draws, 4))
+        xs = rng.uniform(-1.5, 1.5, size=(draws, 2))
+        for i in range(draws):
+            n = int(degrees[i])
+            b, c = complex(parts[i, 0], parts[i, 1]), complex(parts[i, 2], parts[i, 3])
+            x = complex(xs[i, 0], (xs[i, 1], 0.0, -0.0, -0.0)[i // 2 % 4])
+            if i // 2 % 4 == 3:  # every argument on the real axis, from below
+                b, c = complex(b.real, -0.0), complex(c.real, -0.0)
+            if i % 2:  # odd draws sum the Kummer series, even ones the Gauss series
+                factor, got = (lambda j: (-n + j) / ((c + j) * (j + 1)),
+                               specfun.hyp1f1_terminating(n, c, x))
+            else:
+                factor, got = (lambda j: (-n + j) * (b + j) / ((c + j) * (j + 1)),
+                               specfun.hyp2f1_terminating(n, b, c, x))
+            assert repr(got) == repr(terminating_sum_allocating(n, factor, x)), (i, n, b, c, x)
+
+
+    def test_integer_oracle_matches_fraction_arithmetic(self, monkeypatch):
+        drawn, integer_oracle = [], validate._hyp2f1_rational
+        monkeypatch.setattr(validate, "_hyp2f1_rational",
+                            lambda *args: drawn.append(args) or integer_oracle(*args))
+        validate.specfun_reports()
+        assert len(drawn) == 44  # the suite's draws: 4 per degree 0, 3, ..., 30
+        cases = (drawn + [(0, b, c, x) for _, b, c, x in drawn]
+                 + [(n, b, c, (0, 0)) for n, b, c, _ in drawn])
+        for n, b, c, x in cases:
+            exact = hyp2f1_exact(n, *(qc(Fraction(re, 16), Fraction(im, 16))
+                                      for re, im in (b, c, x)))
+            assert repr(integer_oracle(n, b, c, x)) == repr(exact), (n, b, c, x)
 
 
 class TestJacobiScaled:
