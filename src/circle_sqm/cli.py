@@ -12,8 +12,10 @@ row.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -23,24 +25,10 @@ import numpy as np
 
 from . import coulomb, oscillator
 from .errors import CircleSqmError, DomainError
-from .numerics.validate import SUITE_NAMES, run_suite
+from .numerics.validate import SUITE_NAMES, ValidationReport, run_suite
 from .systems import Branch, CircleGeometry, closed_forms, spectrum
 
 _FLOAT = "%.17g"  # every float printed, in JSON and CSV alike
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    """``obj`` as JSON indented by two spaces a level, floats at 17 significant digits."""
-    if isinstance(obj, float):
-        return _FLOAT % obj
-    if not (isinstance(obj, (dict, list, tuple)) and obj):  # scalars and empty containers
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        rows = [f"{json.dumps(key)}: {_json_text(val, indent + 1)}" for key, val in obj.items()]
-    else:
-        rows = [_json_text(val, indent + 1) for val in obj]
-    inner, (opening, closing) = "\n" + "  " * (indent + 1), "{}" if isinstance(obj, dict) else "[]"
-    return opening + inner + ("," + inner).join(rows) + "\n" + "  " * indent + closing
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -67,28 +55,40 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-def _emit(args, kind: str, header: tuple[str, ...], rows) -> int:
-    """Write ``rows``, tuples in ``header`` order, as the JSON records of ``kind`` or as CSV.
+def _json_array(values) -> str:
+    """A tuple of floats as the indented JSON array of a record field."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(_FLOAT % value for value in values) + "\n      ]"
 
-    One text template holds each cell after its column's label: a float is a ``%.17g``
-    slot, any other cell its JSON or CSV text with ``%`` doubled (None is ``null`` or
-    empty), so that a single ``%`` pass formats every float at once; a CSV cell that
-    :func:`_needs_quotes` is quoted.  A row's first label ends the row before it;
-    ``first`` stands in for it on the first row."""
+
+def _emit(args, kind: str, header: tuple[str, ...], rows, key: str = "records",
+          **envelope) -> int:
+    """Write ``rows``, tuples in ``header`` order, as CSV or as the JSON payload of
+    ``kind``: its ``envelope`` fields, then the records under ``key``.
+
+    One text template holds each cell after its column's label: a float is a
+    ``%.17g`` slot, a tuple of floats its array text, any other cell its JSON or
+    CSV text with ``%`` doubled (None is ``null`` or empty), so that a single
+    ``%`` pass formats every float cell; a CSV cell that :func:`_needs_quotes` is
+    quoted.  A row's first label ends the row before it; ``first`` stands in for
+    it on the first row."""
     cells = list(chain.from_iterable(rows))
     if args.format == "json":  # header names are plain words, free of %
-        head, empty, tail = _json_text(
-            {"schema": "circle-sqm/1", "kind": kind, "records": []}).rpartition("[]")
-        keys = [f"      {json.dumps(key)}: " for key in header]
-        labels = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
-        first, last, tail, render, none = ("[\n    {\n" + keys[0], "\n    }\n  ]", tail + "\n",
-                                           json.dumps, "null")
+        fields = {"schema": "circle-sqm/1", "kind": kind, **envelope}
+        head = "{\n" + "".join(f"  {json.dumps(name)}: {json.dumps(value)},\n"
+                               for name, value in fields.items()) + f"  {json.dumps(key)}: "
+        keys = [f"      {json.dumps(name)}: " for name in header]
+        labels = ["\n    },\n    {\n" + keys[0], *(",\n" + name for name in keys[1:])]
+        empty, first, last, tail, render, none = ("[]", "[\n    {\n" + keys[0], "\n    }\n  ]",
+                                                  "\n}\n", json.dumps, "null")
     else:
         head, empty, tail, render, none = ",".join(header), "", "\r\n", str, ""
         labels, first, last = ["\r\n"] + [","] * (len(header) - 1), "\r\n", ""
     template = [None] * (2 * len(cells))
     template[::2] = labels * (len(cells) // len(header))
     template[1::2] = [_FLOAT if isinstance(cell, float) else none if cell is None
+                      else _json_array(cell) if isinstance(cell, tuple)
                       else render(cell).replace("%", "%%") for cell in cells]
     if args.format == "csv" and _needs_quotes("".join(template[1::2])):  # quote as RFC 4180
         template[1::2] = ['"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
@@ -148,14 +148,9 @@ def _cmd_wavefunction(args) -> int:
 def _cmd_validate(args) -> int:
     reports = run_suite(args.suite)
     passed = all(report.passed for report in reports)
-    payload = {
-        "schema": "circle-sqm/1",
-        "kind": "validation",
-        "suite": args.suite,
-        "passed": passed,
-        "reports": [report.to_dict() for report in reports],
-    }
-    _write_output(_json_text(payload) + "\n", args.output)
+    header = tuple(field.name for field in dataclasses.fields(ValidationReport))
+    _emit(args, "validation", header, map(operator.attrgetter(*header), reports),
+          key="reports", suite=args.suite, passed=passed)
     return 0 if passed else 1
 
 
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run a validation suite and write its report")
     p_val.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_val.add_argument("--output", default=None, help="report path (default stdout)")
-    p_val.set_defaults(func=_cmd_validate)
+    p_val.set_defaults(func=_cmd_validate, format="json")  # reports are JSON only
     return parser
 
 

@@ -13,11 +13,6 @@ import numpy as np
 
 from ..errors import DomainError
 
-@lru_cache(maxsize=32)
-def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
 
 @lru_cache(maxsize=8, typed=True)
 def gauss_legendre_rule(
@@ -55,7 +50,7 @@ def gauss_legendre_rule(
         raise DomainError(f"rule ({panel_count}, {order}, {endpoint_refinement}) collapses "
                           f"panels on ({a!r}, {b!r})")
 
-    xs, ws = _base_rule(order)
+    xs, ws = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (breaks[1:] - breaks[:-1])
     nodes = (breaks[:-1, None] + half[:, None] * (xs + 1.0)).ravel()
     if not np.all((nodes > a) & (nodes < b)):

@@ -41,7 +41,9 @@ class ValidationReport:
     exactly max(rel_err) <= tolerance.  For convergence-rate cases the single
     rel_err entry is the shortfall max(0, (floor - rate)/floor); for the
     contraction shape case rel_err holds consecutive deviation ratios (which
-    must stay below 1).
+    must stay below 1).  Every tuple field holds floats only, and every other
+    field is a str, float, bool or None: the CLI writes a report's fields as
+    JSON cells on that promise.
     """
 
     case_id: str
@@ -52,10 +54,6 @@ class ValidationReport:
     convergence_rate: float | None
     passed: bool
     tolerance: float
-
-    def to_dict(self) -> dict:
-        # a shallow dict: every field is a str, float, bool, None or tuple of floats
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
 
 def _report(case_id: str, analytic, numeric, tolerance: float,
@@ -187,36 +185,38 @@ def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarr
 def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[ValidationReport]:
     """Contraction-limit reports for one (system, n) across increasing radii.
 
-    Three reports: (a) the energy-gap identity E_n(R) - E_n(inf) ==
-    (n + nu)^2/(2 R^2), evaluated in exact rational arithmetic (the float
-    route loses ~8 digits to cancellation at R = 1e4 and cannot certify
-    1e-14); (b) the log-log decay rate of the float-route gap, which must be
-    -2; (c) the sup-norm deviation of the rescaled wavefunction from the
+    Three reports: (a) the shipped level E_n(R) against (n + nu)^2/(2 R^2) -
+    mu^2/(2 (n + nu)^2) in exact rational arithmetic, rounded once; (b) the
+    log-log decay rate of the float gap E_n(R) - E_n(inf), which must be -2;
+    (c) the sup-norm deviation of the rescaled wavefunction from the
     flat-space profile, whose consecutive ratios must stay at or below
     ``SHAPE_TOLERANCE`` (one positive scale is fitted per radius, per the
-    normalization-matching convention).
+    normalization-matching convention).  A radius whose float gap is not
+    positive (the level rounds onto its limit) is refused with DomainError.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
         raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
     mu, nu = sys.mu, sys.nu
     tag = f"contraction[nu={nu:g},n={n}]"
-    mu_frac, n_nu = Fraction(mu), n + Fraction(nu)
-    limit = -(mu_frac**2) / (2 * n_nu**2)
+    n_nu = n + Fraction(nu)
+    limit = Fraction(mu) ** 2 / (2 * n_nu**2)  # -E_n(inf), exact
     # (c) compares on a fixed grid of the flat-space coordinate y = 2 mu x/(n + nu);
     # the circle angle at radius R is x/R
     y = np.linspace(0.05, 24.0, 120)
     x = y * (n + nu) / (2.0 * mu)
     target = flat_limit_wavefunction(mu, nu, n, y)
     target_peak = float(np.max(np.abs(target)))
-    exact_gaps, identity_gaps, float_gaps, deviations = [], [], [], []
+    exact_energies, energies, float_gaps, deviations = [], [], [], []
     for r in radii:
         member = dataclasses.replace(sys, geometry=CircleGeometry(float(r)))
-        r_frac = Fraction(float(r))
-        energy = n_nu**2 / (2 * r_frac**2) - mu_frac**2 / (2 * n_nu**2)  # (a), exact
-        identity_gaps.append(float(energy - limit))
-        exact_gaps.append(float(n_nu**2 / (2 * r_frac**2)))
-        float_gaps.append(coulomb.energy_level(member, n) - flat_limit_energy(mu, nu, n))  # (b)
+        energy = coulomb.energy_level(member, n)
+        gap = energy - flat_limit_energy(mu, nu, n)  # (b)
+        if not gap > 0.0:
+            raise DomainError(f"float energy gap is not positive at R = {r:g}")
+        exact_energies.append(float(n_nu**2 / (2 * Fraction(float(r)) ** 2) - limit))  # (a)
+        energies.append(energy)
+        float_gaps.append(gap)
         phi = x / r  # (c)
         if np.any(phi >= math.pi):
             raise DomainError(f"scaled grid leaves (0, pi) at R = {r:g}")
@@ -225,7 +225,7 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
         deviations.append(float(np.max(np.abs(scale * psi - target))) / target_peak)
     slope = float(np.polyfit(np.log(radii), np.log(float_gaps), 1)[0])
     reports = [
-        _report(f"{tag}/energy-gap", exact_gaps, identity_gaps, 1e-14),
+        _report(f"{tag}/energy-gap", exact_energies, energies, 1e-14),
         _report(f"{tag}/gap-decay-rate", [-2.0], [slope], 5e-5, convergence_rate=slope),
     ]
     ratios = tuple(deviations[i + 1] / deviations[i] for i in range(len(deviations) - 1))

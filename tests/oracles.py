@@ -12,8 +12,8 @@ cross-checks do not share a code path with what they verify:
 * the closed-form wavefunctions with one new array per operation, whose
   order of operations the in-place evaluators must match bit for bit;
 * closed-form spot values frozen from well-known identities;
-* the CLI's JSON and CSV record text, rendered one value at a time (CSV
-  through the standard ``csv`` writer).
+* the CLI's JSON and CSV text of records and validation payloads, rendered
+  one value at a time (CSV through the standard ``csv`` writer).
 """
 
 from __future__ import annotations
@@ -213,10 +213,12 @@ def json_text(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def records_text(fmt: str, kind: str, header: list[str], records: list[dict]) -> str:
-    """The CLI's output for ``records`` of ``kind``: the JSON payload or CSV with ``header``."""
+def records_text(fmt: str, kind: str, header: list[str], records: list[dict],
+                 key: str = "records", **fields) -> str:
+    """The CLI's output for ``records`` of ``kind``: CSV with ``header``, or the JSON
+    payload with the envelope ``fields`` and the records under ``key``."""
     if fmt == "json":
-        return json_text({"schema": "circle-sqm/1", "kind": kind, "records": records}) + "\n"
+        return json_text({"schema": "circle-sqm/1", "kind": kind, **fields, key: records}) + "\n"
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\r\n")
     writer.writerow(header)

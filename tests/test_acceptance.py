@@ -186,15 +186,14 @@ def test_criterion_9_contraction_limit():
     shape_ok = True
     for nu, k1, branch in ((0.25, 0.5, Branch.MINUS), (0.75, 0.5, Branch.PLUS)):
         for n in (0, 1, 2):
-            # exact-rational energy-gap identity (float subtraction loses
-            # ~8 digits to cancellation at R = 1e4 and cannot certify 1e-14)
-            nu_f, mu_f = Fraction(nu), Fraction(1)
+            # the shipped level against the exact rational
+            # E_n(R) = (n + nu)^2/(2 R^2) - mu^2/(2 (n + nu)^2), mu = 1
+            n_nu = n + Fraction(nu)
             for r in radii:
-                r_f = Fraction(r)
-                energy = (n + nu_f) ** 2 / (2 * r_f**2) - mu_f**2 / (2 * (n + nu_f) ** 2)
-                gap = energy - (-(mu_f**2) / (2 * (n + nu_f) ** 2))
-                target = (n + nu_f) ** 2 / (2 * r_f**2)
-                worst_gap = max(worst_gap, abs(float((gap - target) / target)))
+                exact = n_nu**2 / (2 * Fraction(r) ** 2) - 1 / (2 * n_nu**2)
+                member = cou.CoulombSystem(CircleGeometry(r), mu=1.0, k1=k1, branch=branch)
+                shipped = Fraction(cou.energy_level(member, n))
+                worst_gap = max(worst_gap, abs(float((shipped - exact) / exact)))
             system = cou.CoulombSystem(UNIT, mu=1.0, k1=k1, branch=branch)
             reports = {r.case_id.split("/")[-1]: r
                        for r in contraction_check(system, n, radii)}
@@ -202,8 +201,8 @@ def test_criterion_9_contraction_limit():
             shape_ok = shape_ok and all(
                 b < a for a, b in zip(deviations, deviations[1:]))
     ok = worst_gap <= 1e-14 and shape_ok
-    check(9, "contraction limit: exact gap identity and shape convergence", ok,
-          f"max gap rel {worst_gap:.3e} tol 1e-14, shapes strictly decreasing: {shape_ok}")
+    check(9, "contraction limit: shipped level against exact rationals and shape convergence",
+          ok, f"max level rel {worst_gap:.3e} tol 1e-14, shapes strictly decreasing: {shape_ok}")
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

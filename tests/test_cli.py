@@ -1,31 +1,30 @@
-"""CLI surface: flag handling, exit codes, file formats, determinism, golden
-files, the one-pass record writer against the value-by-value oracle, and the
-parser shared by every call."""
+"""CLI surface: flag handling, exit codes, file formats, determinism, the
+one-pass writer against the value-by-value oracle for records and validation
+payloads, and the parser shared by every call.  The golden files are checked
+by acceptance criterion 10."""
 
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circle_sqm import Branch, CircleGeometry
+from circle_sqm import Branch, CircleGeometry, cli
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
-from circle_sqm.cli import _emit, _json_text, build_parser, main
+from circle_sqm.cli import _emit, build_parser, main
+from circle_sqm.numerics.validate import SUITE_NAMES, ValidationReport
 from circle_sqm.systems import spectrum
 
 from oracles import json_text, records_text
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, capsys):
@@ -253,47 +252,6 @@ class TestDeterminismAndGoldens:
         assert str(tmp_path / target) in err and ".circle-sqm-" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_golden_spectrum(self, capsys, tmp_path):
-        out_path = tmp_path / "spectrum.json"
-        code, _, _ = run_cli(
-            ["spectrum", "--system", "coulomb", "--mu", "1", "--radius", "1",
-             "--k1", "1", "--levels", "3", "--output", str(out_path)], capsys)
-        assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / "spectrum_coulomb.json").read_bytes()
-
-    def test_golden_wavefunction(self, capsys, tmp_path):
-        out_path = tmp_path / "wave.csv"
-        code, _, _ = run_cli(
-            ["wavefunction", "--system", "oscillator", "--omega", "1", "--radius",
-             "1", "--k1", "1.5", "--n", "2", "--samples", "8", "--format", "csv",
-             "--output", str(out_path)], capsys)
-        assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / "wavefunction_oscillator.csv").read_bytes()
-
-    def test_golden_wavefunction_json(self, capsys, tmp_path):
-        out_path = tmp_path / "wave.json"
-        code, _, _ = run_cli(
-            ["wavefunction", "--system", "coulomb", "--mu", "1", "--radius", "1",
-             "--k1", "1", "--n", "2", "--samples", "8", "--output", str(out_path)], capsys)
-        assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / "wavefunction_coulomb.json").read_bytes()
-
-    def test_golden_spectrum_csv(self, capsys, tmp_path):
-        out_path = tmp_path / "spectrum.csv"
-        code, _, _ = run_cli(
-            ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1",
-             "--k1", "0.3", "--branch", "both", "--levels", "3", "--format", "csv",
-             "--output", str(out_path)], capsys)
-        assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / "spectrum_oscillator.csv").read_bytes()
-
-    def test_golden_validation_report(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            ["validate", "--suite", "specfun", "--output", str(out_path)], capsys)
-        assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / "validate_specfun.json").read_bytes()
-
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "circle_sqm.cli", "spectrum", "--system",
@@ -304,26 +262,59 @@ class TestDeterminismAndGoldens:
 
 
 HEADERS = {"spectrum": ("system", "n", "branch", "nu", "sigma", "energy"),
-           "wavefunction": ("phi", "re", "im")}
+           "wavefunction": ("phi", "re", "im"),
+           "validation": tuple(field.name for field in dataclasses.fields(ValidationReport))}
 CELLS = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]),
     st.floats(), st.integers(), st.none(),
     st.text(st.sampled_from('%"\\,{}aé€\u2028\n')), st.text())
+# a validation report's cells: tuples of floats, bools, None and the record cells above
+REPORT_CELLS = st.one_of(
+    st.sampled_from([(), (math.nan,), (math.inf, -math.inf, -0.0)]),
+    st.lists(st.floats()).map(tuple), st.booleans(), CELLS)
+JOBS = [("json", "spectrum"), ("csv", "spectrum"), ("json", "wavefunction"),
+        ("csv", "wavefunction"), ("json", "validation")]  # validation payloads are JSON only
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(fmt=st.sampled_from(["json", "csv"]), kind=st.sampled_from(sorted(HEADERS)),
-       data=st.data())
-@example(fmt="json", kind="spectrum", data=None)
-@example(fmt="csv", kind="wavefunction", data=None)
-def test_emit_matches_value_by_value_oracle(fmt, kind, data):
+@given(job=st.sampled_from(JOBS), data=st.data())
+@example(job=("json", "spectrum"), data=None)
+@example(job=("csv", "wavefunction"), data=None)
+@example(job=("json", "validation"), data=None)
+def test_emit_matches_value_by_value_oracle(job, data):
+    fmt, kind = job
     header = HEADERS[kind]
-    rows = [] if data is None else data.draw(st.lists(st.tuples(*[CELLS] * len(header))))
+    key, envelope, cells = "records", {}, CELLS
+    if kind == "validation":
+        key, cells = "reports", REPORT_CELLS
+        envelope = {"suite": "all", "passed": True} if data is None else data.draw(
+            st.fixed_dictionaries({"suite": st.text(), "passed": st.booleans()}))
+    rows = [] if data is None else data.draw(st.lists(st.tuples(*[cells] * len(header))))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows) == 0
+        assert _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows,
+                     key, **envelope) == 0
     assert out.getvalue() == records_text(fmt, kind, list(header),
-                                          [dict(zip(header, row)) for row in rows])
+                                          [dict(zip(header, row)) for row in rows],
+                                          key, **envelope)
+
+
+@pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "all"])
+def test_validate_writes_the_oracle_payload(monkeypatch, capsys, suite):
+    run_suite, written = cli.run_suite, []
+
+    def recorded(name):  # the reports the command writes, kept for the oracle
+        written.append(run_suite(name))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "run_suite", recorded)
+    code, out, _ = run_cli(["validate", "--suite", suite], capsys)
+    [reports] = written
+    passed = all(report.passed for report in reports)
+    payload = {"schema": "circle-sqm/1", "kind": "validation", "suite": suite,
+               "passed": passed, "reports": [dataclasses.asdict(report) for report in reports]}
+    assert code == (0 if passed else 1)
+    assert out == json_text(payload) + "\n"
 
 
 def test_csv_cells_holding_separators_are_quoted():
@@ -337,14 +328,6 @@ def test_csv_cells_holding_separators_are_quoted():
                               'plain,8,,,"\n",0.5\r\n')
     assert list(csv.reader(io.StringIO(out.getvalue(), newline="")))[1] == [
         "a,b", "7", 'say "hi"', "", "50%\r\nof it", "-0"]
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(payload=st.recursive(
-    CELLS | st.booleans(),
-    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner)))
-def test_json_text_matches_value_by_value_oracle(payload):
-    assert _json_text(payload) == json_text(payload)
 
 
 def test_parser_is_shared_and_calls_do_not_leak(capsys):

@@ -1,6 +1,7 @@
 """Numerics layer: quadrature, FD assembly, Sturm bisection, residuals,
 Richardson, and the validation/contraction machinery."""
 
+import json
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_sqm import Branch, CircleGeometry
+from circle_sqm import Branch, CircleGeometry, cli
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm.errors import ConvergenceError, DomainError, SingularPointError
@@ -685,12 +686,18 @@ class TestValidationReports:
         monkeypatch.setattr(module, "energy_level", lambda sys, n: exact(sys, n) + 1e-3)
         assert _residual_reports(system, (0,), "x")[0].passed is False
 
-    def test_report_dict_round_trip(self):
-        report = _report("case", [1.0], [1.0], 1e-8)
-        payload = report.to_dict()
-        assert payload["case_id"] == "case"
-        assert payload["passed"] is True
-        assert payload["tolerance"] == 1e-8
+    def test_report_dict_round_trip(self, monkeypatch, capsys):
+        # a report written by the validate command reads back as its fields
+        reports = [_report("case", [1.0], [1.0], 1e-8), _report("worse", [2.0], [3.0], 0.1)]
+        monkeypatch.setattr(cli, "run_suite", lambda name: reports)
+        assert cli.main(["validate", "--suite", "specfun"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["suite"], payload["passed"]) == ("specfun", False)
+        assert payload["reports"][0] == {
+            "case_id": "case", "analytic": [1.0], "numeric": [1.0], "abs_err": [0.0],
+            "rel_err": [0.0], "convergence_rate": None, "passed": True, "tolerance": 1e-8}
+        assert payload["reports"][1]["rel_err"] == [0.5]
+        assert payload["reports"][1]["passed"] is False
 
 
 class TestContraction:
@@ -715,7 +722,7 @@ class TestContraction:
 
     def test_contraction_check_requires_increasing_radii(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
-        for radii in ((1e4, 1e3), (1e3,), (), (0.0, 1e3)):
+        for radii in ((1e4, 1e3), (1e3,), (), (0.0, 1e3), (1e2, 1e9)):
             with pytest.raises(DomainError):
                 contraction_check(system, 0, radii)
 
@@ -729,16 +736,23 @@ class TestContraction:
             with pytest.raises(DomainError, match="mu"):
                 flat_limit_wavefunction(mu, 0.5, 0, [1.0])
 
-    def test_contraction_check_reports(self):
+    def test_contraction_check_reports(self, monkeypatch):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.MINUS)
-        reports = contraction_check(system, 0, (1e2, 1e3, 1e4))
-        by_kind = {r.case_id.split("/")[-1]: r for r in reports}
-        assert by_kind["energy-gap"].passed
-        assert max(by_kind["energy-gap"].rel_err) == 0.0
-        assert by_kind["gap-decay-rate"].passed
-        assert by_kind["shape-convergence"].passed
-        deviations = by_kind["shape-convergence"].numeric
+        radii = (1e2, 1e3, 1e4)
+
+        def by_kind():
+            return {r.case_id.split("/")[-1]: r for r in contraction_check(system, 0, radii)}
+
+        reports = by_kind()
+        assert reports["energy-gap"].passed
+        assert reports["gap-decay-rate"].passed
+        assert reports["shape-convergence"].passed
+        deviations = reports["shape-convergence"].numeric
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
+        # the gap report checks the shipped level: off by 1e-12 relative, it fails
+        exact = cou.energy_level
+        monkeypatch.setattr(cou, "energy_level", lambda sys, n: exact(sys, n) * (1.0 + 1e-12))
+        assert by_kind()["energy-gap"].passed is False
 
 
 class TestSuites:
