@@ -81,32 +81,41 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     shift counting at least j.  A bracket whose ends count j - 1 and j
     eigenvalues holds the j-th alone, and once both ends also carry the
     log|det(T - s)| of the count, it takes a regula falsi step on the
-    signed determinant instead of its midpoint, with the Illinois rule
-    (Dowell & Jarratt 1971): an end that stays while the other moves twice
-    in a row has its determinant halved.  Every other bracket (not yet
-    isolated, or not halved by its last two passes) is split in two.  One
-    wider than 2 min(|lo|, |hi|) + u, with u = _REL_TOL times the spectral
-    radius, is split at u sinh((asinh(lo/u) + asinh(hi/u)) / 2), its
-    midpoint on an asinh scale: near the geometric mean when both ends are
-    far from zero on one side, near the midpoint within u of zero, and
+    signed determinant instead of its midpoint while it is wider than
+    eps ||T||, with ||T|| = max |Gershgorin bounds|, and with the Illinois
+    rule (Dowell & Jarratt 1971): an end that stays while the other moves
+    twice in a row has its determinant halved.  Every other bracket (not
+    yet isolated, not halved by its last two passes, or narrower than
+    eps ||T||) is split in two.  One wider than 2 min(|lo|, |hi|) + u,
+    with u = _REL_TOL ||T||, is split at u sinh((asinh(lo/u) + asinh(hi/u)) / 2),
+    its midpoint on an asinh scale: near the geometric mean when both ends
+    are far from zero on one side, near the midpoint within u of zero, and
     clamped like the regula falsi step.  So the Gershgorin interval, whose
     upper end is some 1e6 times the lowest level of an FD matrix, brackets
     that level within a factor of 2 in a few passes rather than some 20.
     The other brackets bisect.  A bracket closes once its width drops below
-    _REL_TOL relative to the eigenvalue, with an absolute floor of
-    _REL_TOL^2 times the spectral radius (so that eigenvalues crossing
-    zero still terminate); the result is its midpoint.
+    _REL_TOL relative to the eigenvalue plus an absolute floor of
+    0.03 eps ||T|| (so that eigenvalues crossing zero still terminate);
+    the result is its midpoint.
+
+    Both rules sit at the count's resolution.  A backward-stable Sturm
+    count places a level only to about eps ||T|| (Kahan 1966; Demmel,
+    Dhillon & Ren 1995): on the FD matrices of the validation suites this
+    solver and LAPACK ``dstebz`` differ by 0.02-0.06 eps ||T||, so a
+    narrower close buys no accuracy, and within eps ||T|| of a level the
+    log-determinant is rounding noise, so a falsi step there follows noise
+    where a bisection still halves the bracket.
 
     ``guess``, approximate levels such as those of a coarser grid, makes
-    the first pass count the 2 ``count`` shifts g (1 +- 1e-3) +- that floor
-    instead; they tighten the brackets like any other counts, so a wrong
-    guess costs passes but never changes a level.
+    the first pass count the 2 ``count`` shifts g (1 +- 1e-3) +- the
+    absolute floor instead; they tighten the brackets like any other
+    counts, so a wrong guess costs passes but never changes a level.
 
     The reduction count is not backward stable, so two checks stand between
     it and the result.  A bracket that inverts (lo > hi, a count that is not
     monotone in the shift) raises ConvergenceError at once.  The closed
     brackets are then certified by one serial LDL^T pass: with
-    tau = 8 eps max |Gershgorin bounds|, the j-th bracket must count
+    tau = 8 eps ||T||, the j-th bracket must count
     fewer than j eigenvalues below lo_j - tau and at least j below
     hi_j + tau, or ConvergenceError is raised.  _MAX_PASSES caps the number
     of passes.  Deterministic: fixed bracketing, fixed shifts, no randomness.
@@ -124,7 +133,8 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     scale = max(abs(lo_bound), abs(hi_bound))
     if not _SCALES[0] <= scale <= _SCALES[1]:
         raise ConvergenceError(f"matrix scale {scale:.3g} outside the envelope {_SCALES}")
-    abs_floor = _REL_TOL * _REL_TOL * scale
+    resolution = np.finfo(float).eps * scale  # what a backward-stable count resolves
+    abs_floor = 0.03 * resolution
     unit = _REL_TOL * scale  # the asinh split is near-linear within it of zero
 
     lo = np.full(count, lo_bound)
@@ -144,12 +154,12 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
         tol = _REL_TOL * np.maximum(np.abs(lo), np.abs(hi)) + abs_floor
         open_ = width > tol
         if not np.any(open_):
-            _certify(d, e, lo, hi, 8.0 * np.finfo(float).eps * scale)
+            _certify(d, e, lo, hi, 8.0 * resolution)
             return 0.5 * (lo + hi)
         if shifts is None:
             isolated = ((below_lo == want - 1) & (below_hi == want)
                         & np.isfinite(logdet_lo) & np.isfinite(logdet_hi))
-            falsi = isolated & (width <= 0.5 * widths[0])
+            falsi = isolated & (width <= 0.5 * widths[0]) & (width > resolution)
             with np.errstate(over="ignore"):
                 step = lo + width / (1.0 + np.exp(logdet_hi - logdet_lo))
             # a bracket spanning more than a factor of 3, or zero, splits on an asinh scale

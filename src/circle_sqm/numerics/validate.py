@@ -37,9 +37,10 @@ class ValidationReport:
 
     ``rel_err`` entries are |numeric - analytic| scaled by max(|analytic|, 1),
     and FD levels by max(|E|, 1/(2 R^2)), the system's energy unit, so
-    near-zero reference values are judged absolutely.  ``passed`` is
-    exactly max(rel_err) <= tolerance.  For convergence-rate cases the single
-    rel_err entry is the shortfall max(0, (floor - rate)/floor); for the
+    near-zero reference values are judged absolutely.  ``passed`` is true
+    exactly when every rel_err entry is <= tolerance, so a NaN entry fails.
+    For convergence-rate cases the single rel_err entry is the shortfall
+    max(0, (floor - rate)/floor), NaN for a NaN rate; for the
     contraction shape case rel_err holds consecutive deviation ratios (which
     must stay below 1).  Every tuple field holds floats only, and every other
     field is a str, float, bool or None: the CLI writes a report's fields as
@@ -62,15 +63,16 @@ def _report(case_id: str, analytic, numeric, tolerance: float,
     numeric = tuple(float(x) for x in numeric)
     abs_err = tuple(abs(x - a) for a, x in zip(analytic, numeric))
     rel_err = tuple(e / max(abs(a), unit) for a, e in zip(analytic, abs_err))
-    passed = max(rel_err, default=0.0) <= tolerance
+    passed = all(err <= tolerance for err in rel_err)
     return ValidationReport(case_id, analytic, numeric, abs_err, rel_err,
                             convergence_rate, passed, tolerance)
 
 
 def _rate_report(case_id: str, rate: float, floor: float) -> ValidationReport:
-    shortfall = max(0.0, (floor - rate) / floor)
-    return ValidationReport(case_id, (floor,), (float(rate),), (abs(rate - floor),),
-                            (shortfall,), float(rate), shortfall == 0.0, 0.0)
+    rate = float(rate)
+    shortfall = 0.0 if rate >= floor else (floor - rate) / floor  # NaN for a NaN rate
+    return ValidationReport(case_id, (floor,), (rate,), (abs(rate - floor),),
+                            (shortfall,), rate, shortfall <= 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,8 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     ]
     err_coarse = np.abs(coarse - np.asarray(analytic))
     err_fine = np.abs(fine - np.asarray(analytic))
-    orders = np.log2(err_coarse / err_fine)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is a NaN order, which fails
+        orders = np.log2(err_coarse / err_fine)
     reports.append(_rate_report(f"{label}/levels-order[{schedule}]",
                                 float(np.min(orders)), RATE_FLOOR))
     reports.extend(norms)
@@ -236,7 +239,7 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
         abs_err=tuple(deviations),
         rel_err=ratios,
         convergence_rate=None,
-        passed=max(ratios) <= SHAPE_TOLERANCE,
+        passed=all(ratio <= SHAPE_TOLERANCE for ratio in ratios),
         tolerance=SHAPE_TOLERANCE,
     ))
     return reports

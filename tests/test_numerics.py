@@ -32,7 +32,7 @@ from circle_sqm.numerics import (
 from circle_sqm.numerics import _kernels, eigensolve, validate
 from circle_sqm.numerics._kernels import _serial_counts, sturm_counts
 from circle_sqm.numerics.quadrature import norm_rule
-from circle_sqm.numerics.validate import _report, _residual_reports
+from circle_sqm.numerics.validate import _rate_report, _report, _residual_reports
 
 from oracles import exact_sturm_counts, trapezoid_romberg
 
@@ -137,6 +137,17 @@ class TestBuildHamiltonian:
             build_hamiltonian(lambda phi: 0.0 * phi, 1.0, (0.0, 1.0), 8)
 
 
+# the FD systems of `validate --suite all`: (system, module, coarse grid, levels)
+_FD_SUITE_SYSTEMS = {
+    "oscillator": (osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5,
+                                        branch=Branch.PLUS), osc, 4096, 5),
+    "oscillator-branch-union": (osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=0.5,
+                                                     branch=Branch.PLUS), osc, 4096, 6),
+    "coulomb": (cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0, branch=Branch.PLUS),
+                cou, 8192, 4),
+}
+
+
 class TestSturmEigenvalues:
     def test_two_by_two(self):
         for a, b in ((1.0, 0.5), (-2.0, 3.0), (0.0, 1e-3)):
@@ -192,9 +203,10 @@ class TestSturmEigenvalues:
     def test_bisection_work_bound(self, monkeypatch):
         # a cold solve counts one shift per distinct open bracket in each pass;
         # the asinh split narrows the Gershgorin interval to the levels and
-        # regula falsi closes the isolated brackets, in about half the 63
-        # passes that bisection alone needs at N = 4096, and a solve started
-        # from the coarse levels needs fewer still at N = 8192
+        # regula falsi closes the isolated brackets at the count's resolution,
+        # in about a third of the 63 passes that bisection alone needs at
+        # N = 4096, and a solve started from the coarse levels needs fewer
+        # still at N = 8192
         passes = []
 
         def counting(diag, off, shifts):
@@ -212,10 +224,10 @@ class TestSturmEigenvalues:
         count = 5
         coarse = lowest_eigenvalues(matrix(4096), count)
         assert max(passes) <= count
-        assert len(passes) <= 34
+        assert len(passes) <= 24
         passes.clear()
         fine = lowest_eigenvalues(matrix(8192), count, guess=coarse)
-        assert len(passes) <= 25
+        assert len(passes) <= 14
         exact = np.array([osc.energy_level(system, n) for n in range(count)])
         assert np.max(np.abs(coarse - exact) / exact) <= 1e-4
         assert np.max(np.abs(fine - exact) / exact) <= 1e-4
@@ -225,16 +237,7 @@ class TestSturmEigenvalues:
         # the cold solves of `validate --suite all`: no shift lands on the
         # constant part of the FD diagonal, where the reduction's pivots grow
         # and force a serial recount, so the one serial pass is the certificate
-        geometry = CircleGeometry(1.0)
-        system, module, grid, count = {
-            "oscillator": (osc.OscillatorSystem(geometry, omega=1.0, k1=1.5, branch=Branch.PLUS),
-                           osc, 4096, 5),
-            "oscillator-branch-union": (
-                osc.OscillatorSystem(geometry, omega=1.0, k1=0.5, branch=Branch.PLUS),
-                osc, 4096, 6),
-            "coulomb": (cou.CoulombSystem(geometry, mu=1.0, k1=1.0, branch=Branch.PLUS),
-                        cou, 8192, 4),
-        }[name]
+        system, module, grid, count = _FD_SUITE_SYSTEMS[name]
         calls = []
 
         def counting(diag, off, shifts):
@@ -247,6 +250,20 @@ class TestSturmEigenvalues:
                                    system.motion_domain, grid)
         lowest_eigenvalues(matrix, count)
         assert calls == [2 * count]
+
+    @pytest.mark.parametrize("name", list(_FD_SUITE_SYSTEMS))
+    def test_fd_levels_match_dense_within_count_resolution(self, name):
+        # closing at 0.03 eps ||T|| leaves every level of the FD systems of
+        # `validate --suite all`, on small grids, within eps ||T|| of LAPACK's
+        # dense solver (two backward-stable methods can differ by that much)
+        system, module, _, count = _FD_SUITE_SYSTEMS[name]
+        for grid in (256, 512, 1024):
+            matrix = build_hamiltonian(lambda phi: module.potential(system, phi), 1.0,
+                                       system.motion_domain, grid)
+            dense = np.linalg.eigvalsh(_tridiagonal(matrix.diagonal, matrix.off_diagonal))
+            resolution = np.finfo(float).eps * np.max(np.abs(dense))
+            got = lowest_eigenvalues(matrix, count)
+            assert np.max(np.abs(got - dense[:count])) <= resolution
 
     @pytest.mark.parametrize("name", ["half", "one-and-a-half", "reversed", "all-equal",
                                       "with-inf", "all-nan"])
@@ -650,6 +667,33 @@ class TestValidationReports:
         assert max(report.rel_err) <= report.tolerance
         report = _report("case", [1.0, 2.0], [1.0, 2.1], 1e-5)
         assert not report.passed
+
+    def test_nan_entry_fails_a_report(self):
+        # max() would skip a NaN that is not the first entry
+        assert not _report("x", [1.0, 1.0], [1.0, math.nan], 1e-8).passed
+        assert not _report("x", [1.0, 1.0], [math.nan, 1.0], 1e-8).passed
+        assert not _report("x", [math.nan], [1.0], 1e-8).passed
+
+    def test_nan_rate_fails_its_report(self):
+        # max(0.0, nan) is 0.0, which read as no shortfall
+        report = _rate_report("x", math.nan, 1.8)
+        assert not report.passed
+        assert math.isnan(report.rel_err[0])
+        assert _rate_report("x", 2.0, 1.8).rel_err == (0.0,)
+        assert _rate_report("x", 1.8, 1.8).passed
+        assert not _rate_report("x", 1.7, 1.8).passed
+
+    def test_exact_fd_levels_fail_the_order_report(self, monkeypatch):
+        # errors of zero on both grids give a 0/0 order: a NaN that fails, not a warning
+        system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)
+        exact = np.array([osc.energy_level(system, n) for n in range(2)])
+        monkeypatch.setattr(validate, "eigenvalue_with_refinement",
+                            lambda *args: (exact, exact, exact))
+        reports = {r.case_id: r for r in validate_system(system, 1, 64, 1e-4,
+                                                         residual_levels=())}
+        assert reports["oscillator/levels[N=64/128]"].passed
+        order = reports["oscillator/levels-order[N=64/128]"]
+        assert math.isnan(order.convergence_rate) and not order.passed
 
     def test_near_zero_reference_judged_absolutely(self):
         report = _report("case", [0.0], [5e-9], 1e-8)
