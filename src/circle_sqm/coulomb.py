@@ -49,10 +49,10 @@ from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_adm
                       finite_result, in_blocks, level_index, open_angles)
 
 _SINGULAR_TOL = 1e-12
-# Largest mu R at which the quadrature.norm_rule of norm_nodes is trusted: every
-# n <= 100 there gives |norm - 1/2| <= 2.2e-9, but the rule's endpoint
-# refinement does not follow the e^(-sigma phi) decay beyond it (6.5e-7 at
-# mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
+# Largest mu R at which diamond_norm, and so every Coulomb norm report of validate,
+# trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 2.2e-9,
+# but the rule's endpoint refinement does not follow the e^(-sigma phi) decay
+# beyond it (6.5e-7 at mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
 _NORM_MAX_MU_R = 1e3
 # Largest Im k0 for contour_norm_constant: over n <= 100 and k1/branch 1+, 0.5+-, 1.3+ it
 # is 5.3e-11 off 60-digit mpmath at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
@@ -183,23 +183,24 @@ def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
 
     Assembled entirely in log space: exp(sigma pi/2) and |Gamma(nu+i sigma)|
     overflow/underflow separately already for sigma of a few hundred while
-    their product stays O(sigma^(nu - 1/2)).  A constant that is not a finite
-    double raises DomainError.
+    their product stays O(sigma^(nu - 1/2)).  A radius that is not finite and
+    > 0, or a constant that is not a finite double, raises DomainError.
     """
     n = level_index(n)
+    CircleGeometry(radius)  # refuses a radius that is not finite and > 0
     if nu <= 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
     ln_c = (
         0.5 * sigma * math.pi
         + nu * math.log(2.0)
         + specfun.ln_gamma_complex(complex(nu, sigma)).real
-        - specfun.ln_gamma_complex(complex(2.0 * nu)).real
+        - specfun.ln_gamma_real(2.0 * nu)
         + 0.5
         * (
             math.log((n + nu) ** 2 + sigma**2)
-            + specfun.ln_gamma_complex(complex(n + 2.0 * nu)).real
+            + specfun.ln_gamma_real(n + 2.0 * nu)
             - math.log(4.0 * math.pi * radius * (n + nu))
-            - specfun.ln_gamma_complex(complex(n + 1.0)).real
+            - specfun.ln_gamma_real(n + 1.0)
         )
     )
     return math.exp(ln_c)
@@ -218,6 +219,7 @@ def contour_norm_constant(
     principal-branch choices and is not observable.  Im k0 > 1e5 raises DomainError.
     """
     n = level_index(n)
+    CircleGeometry(radius)  # refuses a radius that is not finite and > 0
     if not k0.imag <= _CONTOUR_MAX_SIGMA:
         raise DomainError(f"contour route needs Im k0 <= {_CONTOUR_MAX_SIGMA:g}, got {k0.imag!r}")
     check_branch_admissible(branch, k1)
@@ -288,22 +290,6 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     return _evaluate(sys, qn, open_angles(phi, *sys.motion_domain))
 
 
-def norm_nodes(sys: CoulombSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of every Coulomb norm integral on (0, pi).
-
-    The composite Gauss rule :func:`quadrature.norm_rule`, whose endpoint
-    refinement follows the (sin phi)^(2 nu) behavior at the ends (nu as
-    small as 1/4).  Refused with DomainError for mu R > 1e3, where the rule
-    stops resolving the e^(-sigma phi) decay.
-    """
-    mu_r = sys.mu * sys.geometry.radius
-    if mu_r > _NORM_MAX_MU_R:
-        raise DomainError(f"the norm rule is not resolved at mu R = {mu_r:g} > {_NORM_MAX_MU_R:g}")
-    from .numerics.quadrature import norm_rule
-
-    return norm_rule(sys.motion_domain[1])
-
-
 def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
     """R * integral_0^pi psi_n psi_m^diamond dphi by quadrature (1/2 when n == m).
 
@@ -313,9 +299,14 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
     the module docstring for why the principal-branch alternative is not a
     normalizable convention).
 
-    The integral uses the rule of :func:`norm_nodes`.
+    It integrates on :func:`quadrature.norm_rule` and refuses mu R > 1e3 with DomainError.
     """
-    nodes, weights = norm_nodes(sys)
+    mu_r = sys.mu * sys.geometry.radius
+    if mu_r > _NORM_MAX_MU_R:
+        raise DomainError(f"the norm rule is not resolved at mu R = {mu_r:g} > {_NORM_MAX_MU_R:g}")
+    from .numerics.quadrature import norm_rule
+
+    nodes, weights = norm_rule(sys.motion_domain[1])
     psi = wavefunction(sys, n, nodes)
     partner = psi if m is None or level_index(m) == n else wavefunction(sys, m, nodes)
     return float(sys.geometry.radius * np.dot(weights, psi * partner))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
+from ..systems import CircleGeometry
 from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
@@ -51,6 +52,7 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     1/(2 R^2 h^2).  Plainly truncating instead would shift the effective box
     by h and degrade eigenvalue convergence from O(h^2) to O(h).
     """
+    CircleGeometry(radius)  # refuses a radius that is not finite and > 0
     a, b = domain
     if not b > a:
         raise DomainError(f"empty domain: {domain!r}")

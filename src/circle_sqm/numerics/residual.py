@@ -39,4 +39,5 @@ def residual_rate(wavefn, bracket, domain: tuple[float, float], n_nodes: int) ->
     """Measured convergence order log2(residual_h / residual_h_half) of the residual."""
     r_coarse = ode_residual(wavefn, bracket, domain, n_nodes)
     r_fine = ode_residual(wavefn, bracket, domain, 2 * n_nodes)
-    return float(np.log2(r_coarse / r_fine))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is a NaN rate, which fails
+        return float(np.log2(np.float64(r_coarse) / r_fine))

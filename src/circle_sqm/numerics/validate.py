@@ -19,14 +19,14 @@ import numpy as np
 
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
-from ..systems import Branch, CircleGeometry, closed_forms, finite_result, spectrum
+from ..systems import Branch, CircleGeometry, closed_forms, finite_result, level_index, spectrum
 from .eigensolve import eigenvalue_with_refinement
-from .quadrature import norm_rule
 from .residual import residual_rate
 
 RATE_FLOOR = 1.8  # least measured convergence order of FD levels and ODE residuals
 SHAPE_TOLERANCE = 0.999  # largest ratio of consecutive contraction shape deviations
-_NORM_CASES = {oscillator: ("l2-norm", 1.0), coulomb: ("diamond-norm", 0.5)}
+_NORM_CASES = {oscillator: ("l2-norm", 1.0, "l2_norm"),  # (case, target, norm routine)
+               coulomb: ("diamond-norm", 0.5, "diamond_norm")}
 # the (k1, branch) families of the Coulomb norm and contraction suites: nu = 1/4, 3/4, 1
 _COULOMB_FAMILIES = ((0.5, Branch.MINUS), (0.5, Branch.PLUS), (1.0, Branch.PLUS))
 
@@ -125,17 +125,10 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
 
 
 def _norm_reports(system, n_max: int, label: str) -> list[ValidationReport]:
-    """R * integral of psi_n^2 over (0, hi): 1 for the oscillator, 1/2 for Coulomb."""
+    """Norms of n = 0..n_max by the module's routine, looked up per call: 1, or 1/2 for Coulomb."""
     module = closed_forms(system)
-    if module is coulomb:
-        nodes, weights = coulomb.norm_nodes(system)
-    else:
-        nodes, weights = norm_rule(system.motion_domain[1])
-    norms = []
-    for n in range(n_max + 1):
-        psi = module.wavefunction(system, n, nodes)
-        norms.append(float(system.geometry.radius * np.dot(weights, psi * psi)))
-    case, target = _NORM_CASES[module]
+    case, target, routine = _NORM_CASES[module]
+    norms = [getattr(module, routine)(system, n) for n in range(n_max + 1)]
     return [_report(f"{label}/{case}", [target] * len(norms), norms, 1e-8)]
 
 
@@ -163,22 +156,24 @@ def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[Valid
 @finite_result
 def flat_limit_energy(mu: float, nu: float, n: int) -> float:
     """Flat-space limit of the Coulomb level: -mu^2 / (2 (n + nu)^2)."""
+    n = level_index(n)
     return -(mu * mu) / (2.0 * (n + nu) ** 2)
 
 
 @finite_result
 def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarray:
     """Flat-space limit profile in the scaled coordinate y = 2 mu x/(n + nu); mu > 0."""
+    n = level_index(n)
     if not mu > 0.0:
         raise DomainError(f"mu must be > 0, got {mu!r}")
     y_arr = np.asarray(y, dtype=float)
     ln_pref = (
         0.5 * math.log(mu)
-        - specfun.ln_gamma_complex(complex(2.0 * nu)).real
+        - specfun.ln_gamma_real(2.0 * nu)
         - math.log(n + nu)
-        + 0.5 * (specfun.ln_gamma_complex(complex(n + 2.0 * nu)).real
+        + 0.5 * (specfun.ln_gamma_real(n + 2.0 * nu)
                  - math.log(2.0)
-                 - specfun.ln_gamma_complex(complex(n + 1.0)).real)
+                 - specfun.ln_gamma_real(n + 1.0))
     )
     series = np.real(specfun.hyp1f1_terminating(n, complex(2.0 * nu), y_arr.astype(complex)))
     with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result

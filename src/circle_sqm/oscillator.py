@@ -61,10 +61,6 @@ class OscillatorSystem:
         return (0.0, math.pi / 2)
 
 
-def _lgamma(x: float) -> float:
-    return specfun.ln_gamma_complex(complex(x)).real
-
-
 @finite_result
 def potential(sys: OscillatorSystem, phi) -> float | np.ndarray:
     """Potential energy at angle phi (radians).
@@ -128,10 +124,10 @@ def _norm_constant(sys: OscillatorSystem, n: int) -> float:
     k0 = sys.k0
     ln_c2 = (
         math.log(2.0 * (2.0 * n + k0 + a + 1.0))
-        + _lgamma(n + 1.0)
-        + _lgamma(n + k0 + a + 1.0)
-        - _lgamma(n + a + 1.0)
-        - _lgamma(n + k0 + 1.0)
+        + specfun.ln_gamma_real(n + 1.0)
+        + specfun.ln_gamma_real(n + k0 + a + 1.0)
+        - specfun.ln_gamma_real(n + a + 1.0)
+        - specfun.ln_gamma_real(n + k0 + 1.0)
         - math.log(sys.geometry.radius)
     )
     return math.exp(0.5 * ln_c2)
@@ -173,3 +169,12 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
             return s
 
     return in_blocks(block, phi)
+
+
+def l2_norm(sys: OscillatorSystem, n: int) -> float:
+    """R * integral_0^(pi/2) psi_n^2 dphi on :func:`quadrature.norm_rule` (1 for every n)."""
+    from .numerics.quadrature import norm_rule
+
+    nodes, weights = norm_rule(math.pi / 2)
+    psi = wavefunction(sys, n, nodes)
+    return float(sys.geometry.radius * np.dot(weights, psi * psi))

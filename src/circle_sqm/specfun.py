@@ -10,7 +10,7 @@ once:
   the principal (real-on-positive-axis) branch; on the reflected half-plane
   the imaginary part may differ from the analytic continuation by a multiple
   of ``2*pi`` (``exp`` of the result is unaffected, and only ``exp`` and the
-  real part are consumed by this package).
+  real part, on the real axis ``ln_gamma_real``, are consumed by this package).
 * Terminating hypergeometric series are summed by forward term recurrence
   with compensated (Neumaier) accumulation; no gamma-ratio prefactors are
   formed, so negative-integer upper parameters are handled exactly.  A
@@ -95,6 +95,11 @@ def ln_gamma_complex(z: complex) -> complex:
         return _lanczos_ln_gamma(z)
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
     return _LN_PI - _ln_sin_pi(z) - _lanczos_ln_gamma(1.0 - z)
+
+
+def ln_gamma_real(x: float) -> float:
+    """ln|Gamma(x)| for real x, exactly the real part of :func:`ln_gamma_complex`."""
+    return ln_gamma_complex(complex(x)).real
 
 
 @finite_result

@@ -175,6 +175,12 @@ class TestNormConstants:
         for nu in (0.25, 0.75, 1.0):
             for n in (0, 3):
                 assert cou.norm_constant(n, nu, 0.7, 2.0) > 0.0
+        # and refused off a finite positive radius by both routes
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="radius"):
+                cou.norm_constant(0, 1.0, 1.0, radius)
+            with pytest.raises(DomainError, match="radius"):
+                cou.contour_norm_constant(0, -1 + 1j, 1.0, radius, Branch.PLUS)
 
     def test_contour_route_modulus_case_i(self):
         # spec'd comparison grid: k1 = 1, n in 0..5, sigma in {1/2, 1, 2, 4}

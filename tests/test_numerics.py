@@ -132,6 +132,11 @@ class TestBuildHamiltonian:
         with pytest.raises(SingularPointError):
             build_hamiltonian(bad_potential, 1.0, (0.0, 1.0), 32)
 
+    def test_refuses_a_radius_off_the_positive_reals(self):
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="radius"):
+                build_hamiltonian(lambda phi: 0.0 * phi, radius, (0.0, 1.0), 32)
+
     def test_too_few_nodes(self):
         with pytest.raises(DomainError):
             build_hamiltonian(lambda phi: 0.0 * phi, 1.0, (0.0, 1.0), 8)
@@ -650,6 +655,12 @@ class TestOdeResidual:
                              bracket, (0.3, math.pi / 2 - 0.3), 1000)
         assert rate > 1.8
 
+    def test_zero_residual_gives_a_failing_nan_rate(self):
+        rate = residual_rate(lambda phi: 0.0 * phi, lambda phi: 1.0 + 0.0 * phi,
+                             (0.1, 1.0), 100)
+        assert math.isnan(rate)
+        assert not _rate_report("x", rate, 1.8).passed
+
     def test_complex_residual_for_coulomb(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
         energy = cou.energy_level(system, 1)
@@ -705,8 +716,22 @@ class TestValidationReports:
         with pytest.raises(DomainError):
             validate_system(system, 2, 64, 1e-4)
 
+    @pytest.mark.parametrize("module, routine, system", [
+        (osc, "l2_norm", osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)),
+        (cou, "diamond_norm", cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)),
+    ], ids=["oscillator", "coulomb"])
+    def test_norm_reports_call_the_system_norm_routine(self, monkeypatch, module, routine,
+                                                       system):
+        # looked up on the module when called, so a wrapper installed there sees each n
+        calls, norm = [], getattr(module, routine)
+        monkeypatch.setattr(module, routine,
+                            lambda sys, n: calls.append(n) or norm(sys, n))
+        (report,) = validate._norm_reports(system, 2, "x")
+        assert calls == [0, 1, 2]
+        assert report.numeric == tuple(norm(system, n) for n in range(3))
+
     def test_validate_system_refuses_unresolved_coulomb_norm(self):
-        # the norm reports share diamond_norm's rule and its mu R > 1e3 refusal
+        # the norm reports call diamond_norm, so they share its mu R > 1e3 refusal
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=2e3, k1=1.0, branch=Branch.PLUS)
         with pytest.raises(DomainError, match="mu R"):
             cou.diamond_norm(system, 0)

@@ -195,6 +195,14 @@ class TestWavefunction:
             psi = osc.wavefunction(system, n, nodes)
             assert float(np.dot(weights, psi * psi)) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("k1,branch", [(1.5, Branch.PLUS), (0.75, Branch.PLUS),
+                                           (0.5, Branch.PLUS), (0.5, Branch.MINUS),
+                                           (0.3, Branch.MINUS)])
+    def test_l2_norm_of_the_norms_suite_families(self, k1, branch):
+        system = osc.OscillatorSystem(UNIT, omega=1.0, k1=k1, branch=branch)
+        for n in range(5):
+            assert osc.l2_norm(system, n) == pytest.approx(1.0, abs=1e-8)
+
     def test_norm_carries_radius_measure(self):
         system = osc.OscillatorSystem(CircleGeometry(2.0), omega=1.0, k1=1.0)
         nodes, weights = norm_rule(math.pi / 2)

@@ -41,6 +41,19 @@ class TestLnGamma:
             with pytest.raises(PoleError):
                 specfun.ln_gamma_complex(z)
 
+    def test_ln_gamma_real_is_the_real_part(self):
+        # bit for bit, over (0, 200], the band [0.71, 1.73] where cmath.log takes its
+        # log1p branch, and negative non-integers
+        rng = np.random.default_rng(24)
+        xs = np.concatenate((rng.uniform(0.0, 200.0, 3999), [200.0],
+                             rng.uniform(0.71, 1.73, 4000), rng.uniform(-40.0, 0.0, 2000)))
+        assert not np.any((xs <= 0.0) & (xs == np.floor(xs)))  # no pole drawn
+        assert all(specfun.ln_gamma_real(x) == specfun.ln_gamma_complex(complex(x)).real
+                   for x in xs.tolist())
+        assert specfun.ln_gamma_real(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
+        assert specfun.ln_gamma_real(-2.5) == pytest.approx(
+            math.log(abs(math.gamma(-2.5))), rel=1e-12)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             specfun.ln_gamma_complex(complex(math.inf, 0.0))

@@ -5,6 +5,8 @@ float for a scalar angle), the level-index guard, the dispatch on system type
 and the merged spectrum."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +110,7 @@ LEVEL_FORMS = {
     "oscillator.reduced_eigenvalue": lambda n: osc.reduced_eigenvalue(n, OSC.k0, 1.5, Branch.PLUS),
     "oscillator.energy_level": lambda n: osc.energy_level(OSC, n),
     "oscillator.wavefunction": lambda n: osc.wavefunction(OSC, n, 0.5),
+    "oscillator.l2_norm": lambda n: osc.l2_norm(OSC, n),
     "coulomb.quantize": lambda n: cou.quantize(COU, n),
     "coulomb.energy_level": lambda n: cou.energy_level(COU, n),
     "coulomb.wavefunction": lambda n: cou.wavefunction(COU, n, 0.5),
@@ -117,15 +120,25 @@ LEVEL_FORMS = {
     "coulomb.contour_norm_constant": lambda n: cou.contour_norm_constant(
         n, complex(-3.0, 1.0 / 3.0), 1.0, 1.0, Branch.PLUS),
     "systems.spectrum": lambda n: spectrum(OSC, n),
+    "validate.flat_limit_energy": lambda n: validate.flat_limit_energy(1.0, 0.5, n),
+    "validate.flat_limit_wavefunction": lambda n: validate.flat_limit_wavefunction(
+        1.0, 0.5, n, 1.0),
 }
 
 
 @pytest.mark.parametrize("form", LEVEL_FORMS.values(), ids=LEVEL_FORMS)
 def test_level_index_guard(form):
-    for n in (-1, 0.5, 2.0):
+    for n in (-1, 0.5, 1.5, 2.0):
         with pytest.raises(DomainError):
             form(n)
     assert form(np.int64(2)) == form(2)
+
+
+def test_package_import_leaves_numerics_unloaded():
+    # the closed forms import numerics only inside their norm routines
+    for code in ("import sys, circle_sqm; assert 'circle_sqm.numerics' not in sys.modules",
+                 "import circle_sqm.numerics.validate"):
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_closed_forms_dispatch():
