@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .numerics.validate import SUITE_NAMES, ValidationReport, run_suite
 from .systems import Branch, CircleGeometry, closed_forms, spectrum
 
 _FLOAT = "%.17g"  # every float printed, in JSON and CSV alike
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+_CSV_LITERALS = {None: "", True: "True", False: "False"}
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -50,51 +53,109 @@ def _write_output(text: str, path: str | None) -> None:
             os.unlink(tmp_path)
 
 
-def _needs_quotes(text: str) -> bool:
-    """Whether ``text`` holds a comma, a double quote, CR or LF, which RFC 4180 quotes."""
-    return "," in text or '"' in text or "\r" in text or "\n" in text
+def _csv_text(cell) -> str:
+    """A cell's CSV text, quoted per RFC 4180 if it holds a comma, a double quote, CR or LF."""
+    text = str(cell)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _json_array(values) -> str:
-    """A tuple of floats as the indented JSON array of a record field."""
-    if not values:
-        return "[]"
-    return "[\n        " + ",\n        ".join(_FLOAT % value for value in values) + "\n      ]"
+def _slot(shape) -> str:
+    """The template slot of a cell's shape: its type, a tuple's length, or a literal."""
+    if shape is float:
+        return _FLOAT
+    if shape is int:
+        return "%d"
+    if shape is str:
+        return "%s"
+    if type(shape) is int:  # a tuple of that many floats, as an indented JSON array
+        return "[\n        " + ",\n        ".join([_FLOAT] * shape) + "\n      ]" if shape else "[]"
+    return shape  # the literal text of None or a bool
+
+
+def _slots(cells, json_format: bool) -> tuple[list, list]:
+    """Each cell's shape (see :func:`_slot`) and the values it gives the ``%`` pass, in
+    one pass: a float or int itself, a str its JSON or CSV text, a tuple (JSON only) its
+    floats, None and a bool nothing, and any other cell the text ``json.dumps`` or
+    ``str`` gives it."""
+    if json_format:
+        text, other, literals = encode_basestring_ascii, json.dumps, _JSON_LITERALS
+    else:
+        text = other = _csv_text
+        literals = _CSV_LITERALS
+    shapes, values = [], []
+    shape, value, extend = shapes.append, values.append, values.extend
+    for cell in cells:
+        kind = type(cell)
+        if kind is float or kind is int:
+            shape(kind)
+            value(cell)
+        elif kind is str:
+            shape(str)
+            value(text(cell))
+        elif cell is None or kind is bool:
+            shape(literals[cell])
+        elif isinstance(cell, float):
+            shape(float)
+            value(cell)
+        elif json_format and isinstance(cell, tuple):
+            shape(len(cell))
+            extend(cell)
+        else:
+            shape(str)
+            value(other(cell))
+    return shapes, values
+
+
+def _row_template(labels: tuple[str, ...], row_shape: tuple) -> str:
+    """A row's template: each cell's label, then its slot."""
+    return "".join(label + _slot(shape) for label, shape in zip(labels, row_shape))
+
+
+@functools.cache
+def _layout(json_format: bool, header: tuple[str, ...]) -> tuple[tuple[str, ...], str, str]:
+    """The label before each cell of a row, and the texts that begin the first row and
+    end the last.  A row's first label ends the row before it; ``first`` stands in for
+    it on the first row."""
+    if not json_format:
+        return ("\r\n",) + (",",) * (len(header) - 1), "\r\n", ""
+    keys = [f"      {json.dumps(name)}: " for name in header]  # plain words, free of %
+    labels = ("\n    },\n    {\n" + keys[0], *(",\n" + name for name in keys[1:]))
+    return labels, "[\n    {\n" + keys[0], "\n    }\n  ]"
 
 
 def _emit(args, kind: str, header: tuple[str, ...], rows, key: str = "records",
           **envelope) -> int:
-    """Write ``rows``, tuples in ``header`` order, as CSV or as the JSON payload of
-    ``kind``: its ``envelope`` fields, then the records under ``key``.
+    """Write ``rows``, tuples in ``header`` order or a 2-D float64 array, as CSV or as the
+    JSON payload of ``kind``: its ``envelope`` fields, then the records under ``key``.
 
-    One text template holds each cell after its column's label: a float is a
-    ``%.17g`` slot, a tuple of floats its array text, any other cell its JSON or
-    CSV text with ``%`` doubled (None is ``null`` or empty), so that a single
-    ``%`` pass formats every float cell; a CSV cell that :func:`_needs_quotes` is
-    quoted.  A row's first label ends the row before it; ``first`` stands in for
-    it on the first row."""
-    cells = list(chain.from_iterable(rows))
-    if args.format == "json":  # header names are plain words, free of %
+    A single ``%`` pass formats every record.  Its template holds each cell after its
+    column's label as a slot (:func:`_slot`): ``%.17g`` for a float, ``%d`` for an int,
+    ``%s`` for a str's JSON or quoted CSV text, the literal text of None and of a bool,
+    and, in JSON, a ``%.17g`` slot for each float of a tuple.  A row's template is
+    built once per row shape; an array's rows share one, in which a column holding
+    nothing but +0.0 is the literal ``0``."""
+    json_format = args.format == "json"
+    if json_format:
         fields = {"schema": "circle-sqm/1", "kind": kind, **envelope}
         head = "{\n" + "".join(f"  {json.dumps(name)}: {json.dumps(value)},\n"
                                for name, value in fields.items()) + f"  {json.dumps(key)}: "
-        keys = [f"      {json.dumps(name)}: " for name in header]
-        labels = ["\n    },\n    {\n" + keys[0], *(",\n" + name for name in keys[1:])]
-        empty, first, last, tail, render, none = ("[]", "[\n    {\n" + keys[0], "\n    }\n  ]",
-                                                  "\n}\n", json.dumps, "null")
+        empty, tail = "[]", "\n}\n"
     else:
-        head, empty, tail, render, none = ",".join(header), "", "\r\n", str, ""
-        labels, first, last = ["\r\n"] + [","] * (len(header) - 1), "\r\n", ""
-    template = [None] * (2 * len(cells))
-    template[::2] = labels * (len(cells) // len(header))
-    template[1::2] = [_FLOAT if isinstance(cell, float) else none if cell is None
-                      else _json_array(cell) if isinstance(cell, tuple)
-                      else render(cell).replace("%", "%%") for cell in cells]
-    if args.format == "csv" and _needs_quotes("".join(template[1::2])):  # quote as RFC 4180
-        template[1::2] = ['"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
-                          for text in template[1::2]]
-    floats = tuple(cell for cell in cells if isinstance(cell, float))
-    body = first + "".join(template[1:]) % floats + last if cells else empty
+        head, empty, tail = ",".join(header), "", "\r\n"
+    labels, first, last = _layout(json_format, header)
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:  # one row shape
+        zero = ~rows.view(np.int64).any(axis=0)  # columns of +0.0 alone: all bits clear
+        row_shape = tuple("0" if z else float for z in zero.tolist())  # "0" is their %.17g
+        template = _row_template(labels, row_shape) * len(rows)
+        values = tuple(rows[:, ~zero].ravel().tolist())
+    else:
+        shapes, values = _slots(chain.from_iterable(rows), json_format)
+        row_shapes = list(zip(*[iter(shapes)] * len(header)))
+        templates = {shape: _row_template(labels, shape) for shape in set(row_shapes)}
+        template = "".join(map(templates.__getitem__, row_shapes))
+    body = first + template[len(labels[0]):] % tuple(values) + last if template else empty
     _write_output(head + body + tail, args.output)
     return 0
 
@@ -142,7 +203,7 @@ def _cmd_wavefunction(args) -> int:
     phis = lo + (np.arange(args.samples) + 0.5) * step
     values = closed_forms(system).wavefunction(system, args.n, phis)
     return _emit(args, "wavefunction", ("phi", "re", "im"),
-                 zip(phis.tolist(), values.tolist(), [0.0] * args.samples))
+                 np.column_stack((phis, values, np.zeros(args.samples))))
 
 
 def _cmd_validate(args) -> int:

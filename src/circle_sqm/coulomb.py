@@ -59,6 +59,12 @@ _NORM_MAX_MU_R = 1e3
 _CONTOUR_MAX_SIGMA = 1e5
 
 
+def _check_k1(k1: float) -> None:
+    if not 0.0 <= k1 < math.sqrt(2.0):  # NaN fails too
+        raise DomainError(f"k1 must satisfy 0 <= k1 < sqrt(2) (so that 0 < p^2 <= 1/2), "
+                          f"got {k1!r}")
+
+
 @dataclass(frozen=True)
 class CoulombSystem:
     """Parameter bundle: geometry, coupling mu > 0, duality strength k1, branch.
@@ -77,10 +83,7 @@ class CoulombSystem:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise DomainError(f"mu must be finite and > 0, got {self.mu!r}")
-        if not (math.isfinite(self.k1) and 0.0 <= self.k1 < math.sqrt(2.0)):
-            raise DomainError(
-                f"k1 must satisfy 0 <= k1 < sqrt(2) (so that 0 < p^2 <= 1/2), got {self.k1!r}"
-            )
+        _check_k1(self.k1)
         check_branch_admissible(self.branch, self.k1)
 
     @property
@@ -184,12 +187,14 @@ def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
     Assembled entirely in log space: exp(sigma pi/2) and |Gamma(nu+i sigma)|
     overflow/underflow separately already for sigma of a few hundred while
     their product stays O(sigma^(nu - 1/2)).  A radius that is not finite and
-    > 0, or a constant that is not a finite double, raises DomainError.
+    > 0, sigma < 0, or a constant that is not a finite double, raises DomainError.
     """
     n = level_index(n)
     CircleGeometry(radius)  # refuses a radius that is not finite and > 0
     if nu <= 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
+    if not sigma >= 0.0:  # quantize gives sigma > 0, or 0 where mu R/(n + nu) underflows
+        raise DomainError(f"sigma must be >= 0, got {sigma!r}")
     ln_c = (
         0.5 * sigma * math.pi
         + nu * math.log(2.0)
@@ -216,27 +221,30 @@ def contour_norm_constant(
     (sin phi)^nu representation used by :func:`wavefunction` contributes the
     Jacobian factor (-2i)^nu, which is included here.  Its modulus then equals
     :func:`norm_constant` on the quantized locus; the phase is an artifact of
-    principal-branch choices and is not observable.  Im k0 > 1e5 raises DomainError.
+    principal-branch choices and is not observable.  k1 outside [0, sqrt(2)), and Im k0
+    outside [0, 1e5], raise DomainError.
     """
     n = level_index(n)
     CircleGeometry(radius)  # refuses a radius that is not finite and > 0
-    if not k0.imag <= _CONTOUR_MAX_SIGMA:
-        raise DomainError(f"contour route needs Im k0 <= {_CONTOUR_MAX_SIGMA:g}, got {k0.imag!r}")
+    if not 0.0 <= k0.imag <= _CONTOUR_MAX_SIGMA:
+        raise DomainError(f"contour route needs 0 <= Im k0 <= {_CONTOUR_MAX_SIGMA:g}, "
+                          f"got {k0.imag!r}")
+    _check_k1(k1)
     check_branch_admissible(branch, k1)
     a = branch.sign * k1
     nu = 0.5 * (1.0 + a)
     ln_num = (
         cmath.log(-1j * k0)
         + cmath.log(2.0 * n + k0 + a + 1.0)
-        + specfun.ln_gamma_complex(n + 1.0 + a)
+        + specfun.ln_gamma_real(n + 1.0 + a)
         + specfun.ln_gamma_complex(n + k0 + a + 1.0)
     )
     ln_den = (
         math.log(radius)
         + cmath.log(1.0 - cmath.exp(2j * cmath.pi * k0))
         + cmath.log(2.0 * n + a + 1.0)
-        + specfun.ln_gamma_complex(complex(n + 1.0))
-        + 2.0 * specfun.ln_gamma_complex(complex(1.0 + a))
+        + specfun.ln_gamma_real(n + 1.0)
+        + 2.0 * specfun.ln_gamma_real(1.0 + a)
         + specfun.ln_gamma_complex(n + k0 + 1.0)
     )
     jacobian = cmath.exp(nu * (math.log(2.0) - 0.5j * math.pi))  # (-2i)^nu

@@ -153,19 +153,27 @@ def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[Valid
 # ---------------------------------------------------------------------------
 
 
+def _check_nu(nu: float) -> None:
+    if not 0.0 < nu < math.inf:  # NaN fails too
+        raise DomainError(f"nu must be finite and > 0, got {nu!r}")
+
+
 @finite_result
 def flat_limit_energy(mu: float, nu: float, n: int) -> float:
-    """Flat-space limit of the Coulomb level: -mu^2 / (2 (n + nu)^2)."""
+    """Flat-space limit of the Coulomb level: -mu^2 / (2 (n + nu)^2); nu finite and > 0."""
     n = level_index(n)
+    _check_nu(nu)
     return -(mu * mu) / (2.0 * (n + nu) ** 2)
 
 
 @finite_result
 def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarray:
-    """Flat-space limit profile in the scaled coordinate y = 2 mu x/(n + nu); mu > 0."""
+    """Flat-space limit profile in the scaled coordinate y = 2 mu x/(n + nu); mu > 0 and
+    nu finite and > 0."""
     n = level_index(n)
     if not mu > 0.0:
         raise DomainError(f"mu must be > 0, got {mu!r}")
+    _check_nu(nu)
     y_arr = np.asarray(y, dtype=float)
     ln_pref = (
         0.5 * math.log(mu)

@@ -98,8 +98,26 @@ def ln_gamma_complex(z: complex) -> complex:
 
 
 def ln_gamma_real(x: float) -> float:
-    """ln|Gamma(x)| for real x, exactly the real part of :func:`ln_gamma_complex`."""
-    return ln_gamma_complex(complex(x)).real
+    """ln|Gamma(x)| for real x, exactly the real part of :func:`ln_gamma_complex`.
+
+    On 1/2 <= x < inf it runs the Lanczos sum of :func:`ln_gamma_complex` on floats,
+    the real parts of the same operations in the same order; non-finite x, the poles
+    and x < 1/2 go through :func:`ln_gamma_complex` itself."""
+    x = float(x)
+    if not 0.5 <= x < math.inf:
+        return ln_gamma_complex(complex(x)).real
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_COEFFS
+    series = (c0 + c1 / x + c2 / (x + 1) + c3 / (x + 2) + c4 / (x + 3) + c5 / (x + 4)
+              + c6 / (x + 5) + c7 / (x + 6) + c8 / (x + 7))  # summed left to right
+    t = x + _LANCZOS_G - 0.5
+    # cmath.log(complex(v)).real: CPython's c_log takes log1p((v - 1)(v + 1))/2 for
+    # 0.71 <= v <= 1.73 and log(v) otherwise (t >= 7; above DBL_MAX/4, where it halves
+    # its argument first, (x - 1/2) log t is inf either way)
+    if 0.71 <= series <= 1.73:
+        ln_series = math.log1p((series - 1.0) * (series + 1.0)) / 2.0
+    else:
+        ln_series = math.log(series)
+    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + ln_series
 
 
 @finite_result

@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -274,6 +275,12 @@ REPORT_CELLS = st.one_of(
     st.lists(st.floats()).map(tuple), st.booleans(), CELLS)
 JOBS = [("json", "spectrum"), ("csv", "spectrum"), ("json", "wavefunction"),
         ("csv", "wavefunction"), ("json", "validation")]  # validation payloads are JSON only
+# a wavefunction of the benchmark's largest size, as the float array the command writes
+_PHI = (np.arange(5000) + 0.5) * (math.pi / 5000)
+WAVEFUNCTION = np.column_stack((_PHI, np.sin(7.0 * _PHI) * np.exp(-_PHI), np.zeros(5000)))
+# a spectrum whose nu and sigma cells alternate between None and floats from row to row
+ALTERNATING = [("coulomb" if n % 3 else "oscillator", n, "plus", *((None, None) if n % 2
+                else (0.5 + n, 1.0 / (n + 1.0))), (n + 0.25) ** 2 / 3.0) for n in range(60)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -281,21 +288,32 @@ JOBS = [("json", "spectrum"), ("csv", "spectrum"), ("json", "wavefunction"),
 @example(job=("json", "spectrum"), data=None)
 @example(job=("csv", "wavefunction"), data=None)
 @example(job=("json", "validation"), data=None)
+@example(job=("json", "wavefunction"), data=WAVEFUNCTION)
+@example(job=("csv", "wavefunction"), data=[tuple(row) for row in WAVEFUNCTION.tolist()])
+@example(job=("json", "spectrum"), data=ALTERNATING)
+@example(job=("csv", "wavefunction"), data=np.array([[0.0, -0.0, 1.5], [0.0, -0.0, -0.0]]))
+@example(job=("json", "wavefunction"), data=np.empty((0, 3)))
+@example(job=("csv", "spectrum"), data=ALTERNATING)
 def test_emit_matches_value_by_value_oracle(job, data):
+    # data draws the rows, or is the rows of an example (None: no rows)
     fmt, kind = job
     header = HEADERS[kind]
     key, envelope, cells = "records", {}, CELLS
+    drawn = data is not None and not isinstance(data, (list, np.ndarray))
     if kind == "validation":
         key, cells = "reports", REPORT_CELLS
-        envelope = {"suite": "all", "passed": True} if data is None else data.draw(
-            st.fixed_dictionaries({"suite": st.text(), "passed": st.booleans()}))
-    rows = [] if data is None else data.draw(st.lists(st.tuples(*[cells] * len(header))))
+        envelope = data.draw(st.fixed_dictionaries(
+            {"suite": st.text(), "passed": st.booleans()})) if drawn else {"suite": "all",
+                                                                          "passed": True}
+    rows = data.draw(st.lists(st.tuples(*[cells] * len(header)))) if drawn else (
+        [] if data is None else data)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows,
                      key, **envelope) == 0
+    records = rows.tolist() if isinstance(rows, np.ndarray) else rows
     assert out.getvalue() == records_text(fmt, kind, list(header),
-                                          [dict(zip(header, row)) for row in rows],
+                                          [dict(zip(header, row)) for row in records],
                                           key, **envelope)
 
 

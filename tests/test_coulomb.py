@@ -181,6 +181,17 @@ class TestNormConstants:
                 cou.norm_constant(0, 1.0, 1.0, radius)
             with pytest.raises(DomainError, match="radius"):
                 cou.contour_norm_constant(0, -1 + 1j, 1.0, radius, Branch.PLUS)
+        # and off the quantized locus: sigma < 0, Im k0 < 0, k1 outside [0, sqrt(2))
+        for sigma in (-1.0, -5e-324, math.nan):
+            with pytest.raises(DomainError, match="sigma"):
+                cou.norm_constant(0, 1.0, sigma, 1.0)
+        assert cou.norm_constant(0, 1.0, 0.0, 1.0) > 0.0  # quantize's underflow
+        for im_k0 in (-1.0, -5e-324, math.nan):
+            with pytest.raises(DomainError, match="Im k0"):
+                cou.contour_norm_constant(0, complex(-1.5, im_k0), 1.0, 1.0, Branch.PLUS)
+        for k1 in (2.0, math.sqrt(2.0), -0.5, math.nan):
+            with pytest.raises(DomainError, match="k1"):
+                cou.contour_norm_constant(0, complex(-1.5, 1.0), k1, 1.0, Branch.PLUS)
 
     def test_contour_route_modulus_case_i(self):
         # spec'd comparison grid: k1 = 1, n in 0..5, sigma in {1/2, 1, 2, 4}

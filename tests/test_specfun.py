@@ -40,13 +40,17 @@ class TestLnGamma:
         for z in (0.0, -1.0, -2.0, -17.0):
             with pytest.raises(PoleError):
                 specfun.ln_gamma_complex(z)
+            with pytest.raises(PoleError):
+                specfun.ln_gamma_real(z)
 
     def test_ln_gamma_real_is_the_real_part(self):
         # bit for bit, over (0, 200], the band [0.71, 1.73] where cmath.log takes its
-        # log1p branch, and negative non-integers
+        # log1p branch, negative non-integers, and magnitudes up to DBL_MAX
         rng = np.random.default_rng(24)
         xs = np.concatenate((rng.uniform(0.0, 200.0, 3999), [200.0],
-                             rng.uniform(0.71, 1.73, 4000), rng.uniform(-40.0, 0.0, 2000)))
+                             rng.uniform(0.71, 1.73, 4000), rng.uniform(-40.0, 0.0, 2000),
+                             10.0 ** rng.uniform(2.0, 308.0, 2000),
+                             [0.5, 1e15, 1e300, 4.5e307, 1.7976931348623157e308]))
         assert not np.any((xs <= 0.0) & (xs == np.floor(xs)))  # no pole drawn
         assert all(specfun.ln_gamma_real(x) == specfun.ln_gamma_complex(complex(x)).real
                    for x in xs.tolist())
@@ -59,6 +63,9 @@ class TestLnGamma:
             specfun.ln_gamma_complex(complex(math.inf, 0.0))
         with pytest.raises(DomainError):
             specfun.ln_gamma_complex(complex(0.0, math.nan))
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                specfun.ln_gamma_real(x)
 
     def test_recurrence_on_complex_grid(self):
         rng = np.random.default_rng(11)

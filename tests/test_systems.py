@@ -126,12 +126,25 @@ LEVEL_FORMS = {
 }
 
 
-@pytest.mark.parametrize("form", LEVEL_FORMS.values(), ids=LEVEL_FORMS)
-def test_level_index_guard(form):
+# the flat-space limits also take nu, with nu in its place
+NU_FORMS = {
+    "validate.flat_limit_energy": lambda nu: validate.flat_limit_energy(1.0, nu, 0),
+    "validate.flat_limit_wavefunction": lambda nu: validate.flat_limit_wavefunction(
+        1.0, nu, 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_FORMS, ids=LEVEL_FORMS)
+def test_level_index_guard(name):
+    form = LEVEL_FORMS[name]
     for n in (-1, 0.5, 1.5, 2.0):
         with pytest.raises(DomainError):
             form(n)
     assert form(np.int64(2)) == form(2)
+    if name in NU_FORMS:
+        for nu in (-0.5, -0.25, 0.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(DomainError, match="nu"):
+                NU_FORMS[name](nu)
 
 
 def test_package_import_leaves_numerics_unloaded():
