@@ -77,13 +77,11 @@ def _slot(shape) -> str:
 def _slots(cells, json_format: bool) -> tuple[list, list]:
     """Each cell's shape (see :func:`_slot`) and the values it gives the ``%`` pass, in
     one pass: a float or int itself, a str its JSON or CSV text, a tuple (JSON only) its
-    floats, None and a bool nothing, and any other cell the text ``json.dumps`` or
-    ``str`` gives it."""
+    floats, and None and a bool nothing.  Any other cell raises TypeError."""
     if json_format:
-        text, other, literals = encode_basestring_ascii, json.dumps, _JSON_LITERALS
+        text, literals = encode_basestring_ascii, _JSON_LITERALS
     else:
-        text = other = _csv_text
-        literals = _CSV_LITERALS
+        text, literals = _csv_text, _CSV_LITERALS
     shapes, values = [], []
     shape, value, extend = shapes.append, values.append, values.extend
     for cell in cells:
@@ -96,15 +94,11 @@ def _slots(cells, json_format: bool) -> tuple[list, list]:
             value(text(cell))
         elif cell is None or kind is bool:
             shape(literals[cell])
-        elif isinstance(cell, float):
-            shape(float)
-            value(cell)
-        elif json_format and isinstance(cell, tuple):
+        elif json_format and kind is tuple:
             shape(len(cell))
             extend(cell)
         else:
-            shape(str)
-            value(other(cell))
+            raise TypeError(f"no {'JSON' if json_format else 'CSV'} cell for {kind.__name__}")
     return shapes, values
 
 

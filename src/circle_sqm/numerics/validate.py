@@ -197,8 +197,10 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     (c) the sup-norm deviation of the rescaled wavefunction from the
     flat-space profile, whose consecutive ratios must stay at or below
     ``SHAPE_TOLERANCE`` (one positive scale is fitted per radius, per the
-    normalization-matching convention).  A radius whose float gap is not
-    positive (the level rounds onto its limit) is refused with DomainError.
+    normalization-matching convention).  A radius at which the exact level's
+    float gap is not positive (it rounds onto its limit) is refused with
+    DomainError; a shipped level whose gap is not positive fails (a), and
+    its NaN log fails (b).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
@@ -213,23 +215,25 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     x = y * (n + nu) / (2.0 * mu)
     target = flat_limit_wavefunction(mu, nu, n, y)
     target_peak = float(np.max(np.abs(target)))
+    flat = flat_limit_energy(mu, nu, n)
     exact_energies, energies, float_gaps, deviations = [], [], [], []
     for r in radii:
         member = dataclasses.replace(sys, geometry=CircleGeometry(float(r)))
+        exact = float(n_nu**2 / (2 * Fraction(float(r)) ** 2) - limit)  # (a)
+        if not exact - flat > 0.0:
+            raise DomainError(f"exact energy gap is not positive in floats at R = {r:g}")
         energy = coulomb.energy_level(member, n)
-        gap = energy - flat_limit_energy(mu, nu, n)  # (b)
-        if not gap > 0.0:
-            raise DomainError(f"float energy gap is not positive at R = {r:g}")
-        exact_energies.append(float(n_nu**2 / (2 * Fraction(float(r)) ** 2) - limit))  # (a)
+        exact_energies.append(exact)
         energies.append(energy)
-        float_gaps.append(gap)
+        float_gaps.append(energy - flat)  # (b)
         phi = x / r  # (c)
         if np.any(phi >= math.pi):
             raise DomainError(f"scaled grid leaves (0, pi) at R = {r:g}")
         psi = coulomb.wavefunction(member, n, phi)
         scale = float(np.dot(psi, target) / np.dot(psi, psi))
         deviations.append(float(np.max(np.abs(scale * psi - target))) / target_peak)
-    slope = float(np.polyfit(np.log(radii), np.log(float_gaps), 1)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a gap <= 0 gives a NaN slope
+        slope = float(np.polyfit(np.log(radii), np.log(float_gaps), 1)[0])
     reports = [
         _report(f"{tag}/energy-gap", exact_energies, energies, 1e-14),
         _report(f"{tag}/gap-decay-rate", [-2.0], [slope], 5e-5, convergence_rate=slope),

@@ -9,6 +9,8 @@ cross-checks do not share a code path with what they verify:
   operation, whose results the scalar summation must match bit for bit;
 * a plain trapezoid-with-Richardson integrator for smooth integrands;
 * a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
+* the float LDL^T recurrence of the Sturm kernels, shift and log-determinant
+  included, which their serial loops must match bit for bit;
 * the closed-form wavefunctions with one new array per operation, whose
   order of operations the in-place evaluators must match bit for bit;
 * closed-form spot values frozen from well-known identities;
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,6 +153,30 @@ def exact_sturm_counts(diag, off, shifts, digits: int = 400) -> list[int]:
                 count += q < 0
             counts.append(count)
     return counts
+
+
+def ldl_sturm_reference(diag, off, shifts) -> tuple[list[int], list[float]]:
+    """Negative pivots of the LDL^T of the tridiagonal (diag, off) - shift, and the sum of
+    ln|pivot|, per shift, in floats.
+
+    One shift at a time, q = d - shift - |e| (|e| / q); a pivot of magnitude below
+    pivmin = (1e-300 m) m, m = max(1, max |e|), is replaced by -pivmin.
+    """
+    e = [0.0] + [abs(float(x)) for x in off]
+    m = max([1.0] + e)
+    pivmin = 1e-300 * m * m
+    counts, logdets = [], []
+    for shift in map(float, shifts):
+        q, count, logdet = 1.0, 0, 0.0
+        for d, b in zip(map(float, diag), e):
+            q = d - shift - b * (b / q)
+            if abs(q) < pivmin:
+                q = -pivmin
+            count += q < 0.0
+            logdet += math.log(abs(q))
+        counts.append(count)
+        logdets.append(logdet)
+    return counts, logdets
 
 
 def jacobi_scaled_allocating(n, ab_sum, ab_product, x_w, d_w, w_sq):

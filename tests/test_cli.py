@@ -348,6 +348,14 @@ def test_csv_cells_holding_separators_are_quoted():
         "a,b", "7", 'say "hi"', "", "50%\r\nof it", "-0"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_refuses_a_cell_it_has_no_slot_for(fmt, capsys):
+    with pytest.raises(TypeError, match="list"):
+        _emit(argparse.Namespace(format=fmt, output=None), "spectrum", HEADERS["spectrum"],
+              [("oscillator", 0, "plus", None, None, [1.0])])
+    assert capsys.readouterr().out == ""
+
+
 def test_parser_is_shared_and_calls_do_not_leak(capsys):
     assert build_parser() is build_parser()
     spec = ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1",

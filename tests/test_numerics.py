@@ -34,7 +34,7 @@ from circle_sqm.numerics._kernels import _serial_counts, sturm_counts
 from circle_sqm.numerics.quadrature import norm_rule
 from circle_sqm.numerics.validate import _rate_report, _report, _residual_reports
 
-from oracles import exact_sturm_counts, trapezoid_romberg
+from oracles import exact_sturm_counts, ldl_sturm_reference, trapezoid_romberg
 
 
 class TestQuadrature:
@@ -507,6 +507,27 @@ class TestSturmHardCases:
         monkeypatch.setattr(_kernels, "_GROWTH", np.inf)
         assert sturm_counts(diag, off, shift)[0].tolist() == [4]
 
+    def test_serial_loops_match_the_reference_recurrence(self):
+        # both serial loops run the float LDL^T recurrence bit for bit: the certificate
+        # on every matrix, the reduction's tail where it counts alone (rows x shifts <=
+        # _TAIL), counts and log-determinants both, shifts on eigenvalues included
+        rng = np.random.default_rng(26)
+        matrices = list(_hard_matrices().values())
+        for n in (1, 2, 5, 40, 120):
+            matrices.append((rng.uniform(-4.0, 4.0, n), rng.uniform(-2.0, 2.0, n - 1), []))
+            matrices.append((*_graded(n, rng.uniform(5.0, 60.0), rng), []))
+        for diag, off, special in matrices:
+            dense = np.linalg.eigvalsh(_tridiagonal(diag, off))
+            shifts = np.concatenate((dense, 0.5 * (dense[:-1] + dense[1:]), special))
+            counts, logdets = ldl_sturm_reference(diag, off, shifts)
+            assert _serial_counts(diag, off, shifts).tolist() == counts
+            step = max(1, _kernels._TAIL // diag.size)
+            assert diag.size * step <= _kernels._TAIL
+            got = [sturm_counts(diag, off, shifts[i:i + step])
+                   for i in range(0, shifts.size, step)]
+            assert np.concatenate([c for c, _ in got]).tolist() == counts
+            assert np.concatenate([l for _, l in got]).tobytes() == np.array(logdets).tobytes()
+
 
 @st.composite
 def _tridiagonals(draw):
@@ -822,6 +843,15 @@ class TestContraction:
         exact = cou.energy_level
         monkeypatch.setattr(cou, "energy_level", lambda sys, n: exact(sys, n) * (1.0 + 1e-12))
         assert by_kind()["energy-gap"].passed is False
+        # off by 1e-9, the shipped level falls below its limit at R = 1e4: the exact gap is
+        # still positive, so the reports fail, the decay rate on its NaN slope
+        monkeypatch.setattr(cou, "energy_level", lambda sys, n: exact(sys, n) * (1.0 + 1e-9))
+        far = cou.CoulombSystem(CircleGeometry(1e4), mu=1.0, k1=0.5, branch=Branch.MINUS)
+        assert cou.energy_level(far, 0) < flat_limit_energy(1.0, far.nu, 0)
+        reports = by_kind()
+        assert reports["energy-gap"].passed is False
+        assert reports["gap-decay-rate"].passed is False
+        assert math.isnan(reports["gap-decay-rate"].convergence_rate)
 
 
 class TestSuites:
