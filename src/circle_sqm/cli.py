@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import operator
 import os
 import sys
@@ -29,7 +30,7 @@ from .errors import CircleSqmError, DomainError
 from .numerics.validate import SUITE_NAMES, ValidationReport, run_suite
 from .systems import Branch, CircleGeometry, closed_forms, spectrum
 
-_FLOAT = "%.17g"  # every float printed, in JSON and CSV alike
+_FLOAT = "%.17g"  # every float printed, but a NaN or an infinity in JSON
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 _CSV_LITERALS = {None: "", True: "True", False: "False"}
 
@@ -53,70 +54,46 @@ def _write_output(text: str, path: str | None) -> None:
             os.unlink(tmp_path)
 
 
-def _csv_text(cell) -> str:
-    """A cell's CSV text, quoted per RFC 4180 if it holds a comma, a double quote, CR or LF."""
-    text = str(cell)
+def _csv_text(text: str) -> str:
+    """A str's CSV text, quoted per RFC 4180 if it holds a comma, a double quote, CR or LF."""
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _slot(shape) -> str:
-    """The template slot of a cell's shape: its type, a tuple's length, or a literal."""
-    if shape is float:
-        return _FLOAT
-    if shape is int:
-        return "%d"
-    if shape is str:
-        return "%s"
-    if type(shape) is int:  # a tuple of that many floats, as an indented JSON array
-        return "[\n        " + ",\n        ".join([_FLOAT] * shape) + "\n      ]" if shape else "[]"
-    return shape  # the literal text of None or a bool
-
-
 def _slots(cells, json_format: bool) -> tuple[list, list]:
-    """Each cell's shape (see :func:`_slot`) and the values it gives the ``%`` pass, in
-    one pass: a float or int itself, a str its JSON or CSV text, a tuple (JSON only) its
-    floats, and None and a bool nothing.  Any other cell raises TypeError."""
-    if json_format:
-        text, literals = encode_basestring_ascii, _JSON_LITERALS
-    else:
-        text, literals = _csv_text, _CSV_LITERALS
-    shapes, values = [], []
-    shape, value, extend = shapes.append, values.append, values.extend
+    """Each cell's slot text and the values it gives the ``%`` pass: ``%.17g`` and a
+    float, ``%d`` and an int, ``%s`` and a str's JSON or CSV text, the literal text of
+    None and of a bool, and in JSON a tuple's indented array of its floats' slots.  JSON
+    spells a NaN or infinite float ``NaN``, ``Infinity`` or ``-Infinity``, as
+    ``json.loads`` reads it; CSV keeps ``nan`` and ``inf``.  Other cells raise TypeError."""
+    text, literals = ((encode_basestring_ascii, _JSON_LITERALS) if json_format
+                      else (_csv_text, _CSV_LITERALS))
+    slots, values = [], []
+    slot, value = slots.append, values.append
     for cell in cells:
         kind = type(cell)
-        if kind is float or kind is int:
-            shape(kind)
+        if kind is float and (not json_format or cell - cell == 0.0):  # NaN and inf fail
+            slot(_FLOAT)
+            value(cell)
+        elif kind is int:
+            slot("%d")
             value(cell)
         elif kind is str:
-            shape(str)
+            slot("%s")
             value(text(cell))
         elif cell is None or kind is bool:
-            shape(literals[cell])
-        elif json_format and kind is tuple:
-            shape(len(cell))
-            extend(cell)
+            slot(literals[cell])
+        elif json_format and kind is float:
+            slot(json.dumps(cell))
+        elif json_format and kind is tuple:  # a NaN or an inf makes the sum non-finite
+            items, floats = (([_FLOAT] * len(cell), cell) if math.isfinite(sum(cell))
+                             else _slots(cell, True))
+            slot("[\n        " + ",\n        ".join(items) + "\n      ]" if cell else "[]")
+            values.extend(floats)
         else:
             raise TypeError(f"no {'JSON' if json_format else 'CSV'} cell for {kind.__name__}")
-    return shapes, values
-
-
-def _row_template(labels: tuple[str, ...], row_shape: tuple) -> str:
-    """A row's template: each cell's label, then its slot."""
-    return "".join(label + _slot(shape) for label, shape in zip(labels, row_shape))
-
-
-@functools.cache
-def _layout(json_format: bool, header: tuple[str, ...]) -> tuple[tuple[str, ...], str, str]:
-    """The label before each cell of a row, and the texts that begin the first row and
-    end the last.  A row's first label ends the row before it; ``first`` stands in for
-    it on the first row."""
-    if not json_format:
-        return ("\r\n",) + (",",) * (len(header) - 1), "\r\n", ""
-    keys = [f"      {json.dumps(name)}: " for name in header]  # plain words, free of %
-    labels = ("\n    },\n    {\n" + keys[0], *(",\n" + name for name in keys[1:]))
-    return labels, "[\n    {\n" + keys[0], "\n    }\n  ]"
+    return slots, values
 
 
 def _emit(args, kind: str, header: tuple[str, ...], rows, key: str = "records",
@@ -124,31 +101,33 @@ def _emit(args, kind: str, header: tuple[str, ...], rows, key: str = "records",
     """Write ``rows``, tuples in ``header`` order or a 2-D float64 array, as CSV or as the
     JSON payload of ``kind``: its ``envelope`` fields, then the records under ``key``.
 
-    A single ``%`` pass formats every record.  Its template holds each cell after its
-    column's label as a slot (:func:`_slot`): ``%.17g`` for a float, ``%d`` for an int,
-    ``%s`` for a str's JSON or quoted CSV text, the literal text of None and of a bool,
-    and, in JSON, a ``%.17g`` slot for each float of a tuple.  A row's template is
-    built once per row shape; an array's rows share one, in which a column holding
-    nothing but +0.0 is the literal ``0``."""
+    A single ``%`` pass formats every record.  Its template holds each cell's slot text
+    (:func:`_slots`) after its column's label; a row's first label ends the row before
+    it, and ``first`` stands in for it on the first row.  An array's rows share one row
+    text, in which a column of +0.0 alone is the literal ``0``, unless NaN or inf in a
+    JSON array sends its cells through :func:`_slots`."""
     json_format = args.format == "json"
     if json_format:
         fields = {"schema": "circle-sqm/1", "kind": kind, **envelope}
         head = "{\n" + "".join(f"  {json.dumps(name)}: {json.dumps(value)},\n"
                                for name, value in fields.items()) + f"  {json.dumps(key)}: "
-        empty, tail = "[]", "\n}\n"
+        names = [f"      {encode_basestring_ascii(name)}: " for name in header]  # free of %
+        labels = ["\n    },\n    {\n" + names[0], *(",\n" + name for name in names[1:])]
+        first, last, empty, tail = "[\n    {\n" + names[0], "\n    }\n  ]", "[]", "\n}\n"
     else:
         head, empty, tail = ",".join(header), "", "\r\n"
-    labels, first, last = _layout(json_format, header)
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:  # one row shape
+        labels, first, last = ["\r\n"] + [","] * (len(header) - 1), "\r\n", ""
+    array = isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    if array and (not json_format or np.isfinite(rows).all()):
         zero = ~rows.view(np.int64).any(axis=0)  # columns of +0.0 alone: all bits clear
-        row_shape = tuple("0" if z else float for z in zero.tolist())  # "0" is their %.17g
-        template = _row_template(labels, row_shape) * len(rows)
-        values = tuple(rows[:, ~zero].ravel().tolist())
+        template = "".join(label + ("0" if z else _FLOAT)  # "0" is their %.17g
+                           for label, z in zip(labels, zero.tolist())) * len(rows)
+        values = rows[:, ~zero].ravel().tolist()
     else:
-        shapes, values = _slots(chain.from_iterable(rows), json_format)
-        row_shapes = list(zip(*[iter(shapes)] * len(header)))
-        templates = {shape: _row_template(labels, shape) for shape in set(row_shapes)}
-        template = "".join(map(templates.__getitem__, row_shapes))
+        slots, values = _slots(chain.from_iterable(rows.tolist() if array else rows), json_format)
+        template = [None] * (2 * len(slots))  # each row's labels, each followed by its slot
+        template[::2], template[1::2] = labels * (len(slots) // len(labels)), slots
+        template = "".join(template)
     body = first + template[len(labels[0]):] % tuple(values) + last if template else empty
     _write_output(head + body + tail, args.output)
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ..systems import CircleGeometry
+from ..systems import CircleGeometry, real_array
 from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
@@ -26,12 +26,17 @@ _SCALES = (1e-250, 1e250)
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix."""
+    """Symmetric tridiagonal matrix; its real 1-D entries are kept as float64 arrays."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("diagonal", "off_diagonal"):
+            entries = real_array(getattr(self, name), name)
+            if entries.ndim != 1:
+                raise DomainError(f"{name} must be 1-D, got shape {entries.shape}")
+            object.__setattr__(self, name, entries)  # frozen: the converted entries
         if self.off_diagonal.shape[0] != self.diagonal.shape[0] - 1:
             raise DomainError("off_diagonal must have length len(diagonal) - 1")
         if not (np.all(np.isfinite(self.diagonal)) and np.all(np.isfinite(self.off_diagonal))):
@@ -60,7 +65,7 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
         raise DomainError(f"need at least 16 nodes, got {n_nodes}")
     h = (b - a) / n_nodes
     phi = a + (np.arange(n_nodes) + 0.5) * h
-    v = np.asarray(potential(phi), dtype=float)
+    v = real_array(potential(phi), "potential values")
     if not np.all(np.isfinite(v)):
         raise SingularPointError("potential not finite on the grid")
     c = 1.0 / (2.0 * radius * radius * h * h)

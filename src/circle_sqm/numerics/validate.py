@@ -44,7 +44,8 @@ class ValidationReport:
     contraction shape case rel_err holds consecutive deviation ratios (which
     must stay below 1).  Every tuple field holds floats only, and every other
     field is a str, float, bool or None: the CLI writes a report's fields as
-    JSON cells on that promise.
+    JSON cells on that promise, a NaN or infinite float as ``NaN``,
+    ``Infinity`` or ``-Infinity``, the spelling ``json.loads`` reads.
     """
 
     case_id: str

@@ -50,9 +50,17 @@ def check_branch_admissible(branch: Branch, k1: float) -> None:
         )
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; DomainError unless they are real numbers."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":  # bool, signed, unsigned, float
+        raise DomainError(f"{name} must be real numbers, got {array.dtype} values")
+    return array.astype(np.float64, copy=False)
+
+
 def open_angles(phi, lo: float, hi: float) -> np.ndarray:
     """``phi`` as a float array; DomainError unless every angle lies strictly inside (lo, hi)."""
-    phi_arr = np.asarray(phi, dtype=float)
+    phi_arr = real_array(phi, "phi")
     if phi_arr.size and not (lo < phi_arr.min() and phi_arr.max() < hi):  # NaN fails both
         raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
     return phi_arr

@@ -217,7 +217,8 @@ def _fmt(value: float) -> str:
 
 
 def json_text(obj, indent: int = 0) -> str:
-    """Indented JSON with every float at 17 significant digits, one value at a time."""
+    """Indented JSON with every finite float at 17 significant digits and NaN and the
+    infinities spelled as ``json.dumps`` spells them, one value at a time."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -234,7 +235,7 @@ def json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)

@@ -1,6 +1,7 @@
 """CLI surface: flag handling, exit codes, file formats, determinism, the
 one-pass writer against the value-by-value oracle for records and validation
-payloads, and the parser shared by every call.  The golden files are checked
+payloads and read back through ``json.loads`` and ``csv.reader``, and the parser
+shared by every call.  The golden files are checked
 by acceptance criterion 10."""
 
 import argparse
@@ -10,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -295,18 +297,9 @@ ALTERNATING = [("coulomb" if n % 3 else "oscillator", n, "plus", *((None, None) 
 @example(job=("json", "wavefunction"), data=np.empty((0, 3)))
 @example(job=("csv", "spectrum"), data=ALTERNATING)
 def test_emit_matches_value_by_value_oracle(job, data):
-    # data draws the rows, or is the rows of an example (None: no rows)
     fmt, kind = job
     header = HEADERS[kind]
-    key, envelope, cells = "records", {}, CELLS
-    drawn = data is not None and not isinstance(data, (list, np.ndarray))
-    if kind == "validation":
-        key, cells = "reports", REPORT_CELLS
-        envelope = data.draw(st.fixed_dictionaries(
-            {"suite": st.text(), "passed": st.booleans()})) if drawn else {"suite": "all",
-                                                                          "passed": True}
-    rows = data.draw(st.lists(st.tuples(*[cells] * len(header)))) if drawn else (
-        [] if data is None else data)
+    key, envelope, rows = emitted_payload(kind, data)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows,
@@ -315,6 +308,112 @@ def test_emit_matches_value_by_value_oracle(job, data):
     assert out.getvalue() == records_text(fmt, kind, list(header),
                                           [dict(zip(header, row)) for row in records],
                                           key, **envelope)
+
+
+def emitted_payload(kind, data):
+    """The records key, the envelope and the rows of a payload of ``kind``: ``data``
+    draws them, or is the rows of an example (None: no rows)."""
+    key, envelope, cells = "records", {}, CELLS
+    drawn = data is not None and not isinstance(data, (list, np.ndarray))
+    if kind == "validation":
+        key, cells = "reports", REPORT_CELLS
+        envelope = data.draw(st.fixed_dictionaries(
+            {"suite": st.text(), "passed": st.booleans()})) if drawn else {"suite": "all",
+                                                                          "passed": True}
+    rows = data.draw(st.lists(st.tuples(*[cells] * len(HEADERS[kind])))) if drawn else (
+        [] if data is None else data)
+    return key, envelope, rows
+
+
+class JsonNumber(str):
+    """A JSON number's text as ``json.loads`` found it, told apart from a JSON string."""
+
+
+def same_float(cell: float, value: float) -> bool:
+    """Bit for bit, but any NaN matches any NaN: neither format keeps a NaN's sign."""
+    return math.isnan(value) if math.isnan(cell) else (
+        struct.pack("<d", cell) == struct.pack("<d", value))
+
+
+def same_json_cell(cell, value) -> bool:
+    """Whether ``value``, a JSON value read back with its numbers as :class:`JsonNumber`
+    and NaN and the infinities as floats, is ``cell``."""
+    if type(cell) is tuple:
+        return type(value) is list and len(value) == len(cell) and all(
+            map(same_json_cell, cell, value))
+    if type(cell) is float:
+        return type(value) in (JsonNumber, float) and same_float(cell, float(value))
+    if type(cell) is int:
+        return type(value) is JsonNumber and int(value) == cell
+    return type(value) is type(cell) and value == cell  # a str, a bool or None
+
+
+def assert_parses_back(fmt, kind, header, rows, text, key="records", **envelope):
+    """``text`` parses back to ``rows``: JSON through ``json.loads``, CSV through
+    ``csv.reader``, every float bit for bit and NaN as NaN."""
+    if fmt == "json":
+        payload = json.loads(text, parse_int=JsonNumber, parse_float=JsonNumber,
+                             parse_constant=float)
+        assert list(payload) == ["schema", "kind", *envelope, key]
+        assert payload["schema"] == "circle-sqm/1" and payload["kind"] == kind
+        assert all(payload[name] == value for name, value in envelope.items())
+        assert [list(record) for record in payload[key]] == [list(header)] * len(rows)
+        assert all(same_json_cell(cell, record[name]) for row, record in zip(rows, payload[key])
+                   for name, cell in zip(header, row))
+    else:
+        table = list(csv.reader(io.StringIO(text, newline="")))
+        assert table[0] == list(header) and len(table) == len(rows) + 1
+        assert all(len(fields) == len(header) for fields in table[1:])
+        assert all(same_float(cell, float(field)) if type(cell) is float
+                   else field == ("" if cell is None else str(cell))
+                   for row, fields in zip(rows, table[1:]) for cell, field in zip(row, fields))
+
+
+# a wavefunction array holding NaN and both infinities, beside a column of +0.0
+NON_FINITE = np.array([[0.5, math.nan, 0.0], [1.0, math.inf, 0.0], [1.5, -math.inf, 0.0]])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(job=st.sampled_from(JOBS), data=st.data())
+@example(job=("json", "wavefunction"), data=WAVEFUNCTION)
+@example(job=("json", "spectrum"), data=ALTERNATING)
+@example(job=("csv", "spectrum"), data=ALTERNATING)
+@example(job=("json", "wavefunction"), data=NON_FINITE)
+@example(job=("csv", "wavefunction"), data=NON_FINITE)
+@example(job=("json", "wavefunction"), data=np.array([[0.0, -0.0, 1.5], [0.0, -0.0, -0.0]]))
+@example(job=("json", "validation"), data=[("c", (math.nan, -math.inf), (math.inf,), (), (-0.0,),
+                                            math.nan, False, math.inf)])
+@example(job=("json", "spectrum"), data=[("x", 10**30, "y", -math.inf, -0.0, 1e16)])
+def test_emit_output_parses_back_to_its_cells(job, data):
+    fmt, kind = job
+    header = HEADERS[kind]
+    key, envelope, rows = emitted_payload(kind, data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(format=fmt, output=None), kind, header, rows, key, **envelope)
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    assert_parses_back(fmt, kind, header, rows, out.getvalue(), key, **envelope)
+
+
+def test_a_failing_contraction_report_parses_back(monkeypatch, capsys):
+    # a shipped level 1e-9 too high falls below its flat limit at R = 1e4: the suite
+    # fails, and its decay-rate report carries a NaN slope
+    run_suite, written, exact = cli.run_suite, [], cou.energy_level
+    monkeypatch.setattr(cou, "energy_level", lambda sys, n: exact(sys, n) * (1.0 + 1e-9))
+
+    def recorded(name):
+        written.append(run_suite(name))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "run_suite", recorded)
+    code, out, _ = run_cli(["validate", "--suite", "contraction"], capsys)
+    [reports] = written
+    assert code == 1
+    assert any(report.convergence_rate is not None and math.isnan(report.convergence_rate)
+               for report in reports)
+    rows = [dataclasses.astuple(report) for report in reports]
+    assert_parses_back("json", "validation", HEADERS["validation"], rows, out, "reports",
+                       suite="contraction", passed=False)
 
 
 @pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "all"])

@@ -171,3 +171,18 @@ def test_open_angles_refuses_nan_and_accepts_no_angles():
     assert cou.wavefunction(system, 3, np.array([])).shape == (0,)
     with pytest.raises(DomainError):
         cou.wavefunction(system, 3, np.array([1.0, math.nan]))
+
+
+def test_evaluators_refuse_angles_that_are_not_real():
+    # a complex angle used to lose its imaginary part with only a ComplexWarning (arrays)
+    # or raise an untyped TypeError (scalars); both are refused as a domain error now
+    oscillator = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)
+    coulomb = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)  # two-sided
+    evaluations = (lambda phi: osc.wavefunction(oscillator, 1, phi),
+                   lambda phi: cou.wavefunction(coulomb, 1, phi),
+                   lambda phi: cou.extend_parity(coulomb, 1, phi, cou.Parity.ODD))
+    for evaluate in evaluations:
+        for phi in (np.array([0.5 + 1j]), 0.5 + 1j, np.array([0.5 + 0j]), np.array(["0.5"])):
+            with pytest.raises(DomainError, match="real"):
+                evaluate(phi)
+        assert np.array_equal(evaluate([0.5, 1]), evaluate(np.array([0.5, 1.0])))

@@ -141,6 +141,15 @@ class TestBuildHamiltonian:
         with pytest.raises(DomainError):
             build_hamiltonian(lambda phi: 0.0 * phi, 1.0, (0.0, 1.0), 8)
 
+    def test_refuses_a_potential_that_is_not_real(self):
+        with pytest.raises(DomainError, match="real"):
+            build_hamiltonian(lambda phi: phi + 1e-3j, 1.0, (0.0, 1.0), 32)
+        with pytest.raises(DomainError, match="real"):
+            build_hamiltonian(lambda phi: phi.astype(complex), 1.0, (0.0, 1.0), 32)
+        ints = build_hamiltonian(lambda phi: np.ones(phi.shape, dtype=int), 1.0, (0.0, 1.0), 32)
+        floats = build_hamiltonian(lambda phi: np.ones(phi.shape), 1.0, (0.0, 1.0), 32)
+        assert np.array_equal(ints.diagonal, floats.diagonal)
+
 
 # the FD systems of `validate --suite all`: (system, module, coarse grid, levels)
 _FD_SUITE_SYSTEMS = {
@@ -336,6 +345,25 @@ class TestSturmEigenvalues:
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(DomainError):
             TridiagonalMatrix(np.array([1.0, np.nan]), np.array([0.5]))
+
+    def test_entries_are_real_1d_and_kept_as_float64(self):
+        # complex entries used to be solved as their real parts, and lists raised
+        # AttributeError
+        off = np.array([0.5, 0.5])
+        for diag in (np.array([1 + 5j, 2.0, 3.0]), np.array([1 + 0j, 2.0, 3.0]),
+                     np.array(["1", "2", "3"]), np.array([1.0, 2.0, 3.0], dtype=object)):
+            with pytest.raises(DomainError, match="real"):
+                TridiagonalMatrix(diag, off)
+            with pytest.raises(DomainError, match="real"):
+                TridiagonalMatrix(off[:1].repeat(3), diag[:2])
+        for shape in ((3, 1), ()):
+            with pytest.raises(DomainError, match="1-D"):
+                TridiagonalMatrix(np.ones(shape), off)
+        matrix = TridiagonalMatrix([1, 2, 3], [0.5, 0.5])
+        assert matrix.diagonal.dtype == matrix.off_diagonal.dtype == np.float64
+        reference = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), off)
+        assert reference.off_diagonal is off  # float64 entries are kept, not copied
+        assert np.array_equal(lowest_eigenvalues(matrix, 2), lowest_eigenvalues(reference, 2))
 
     def test_sturm_counts_match_dense_eigenvalues(self):
         rng = np.random.default_rng(123)
