@@ -28,7 +28,7 @@ import numpy as np
 from . import coulomb, oscillator
 from .errors import CircleSqmError, DomainError
 from .numerics.validate import SUITE_NAMES, ValidationReport, run_suite
-from .systems import Branch, CircleGeometry, closed_forms, spectrum
+from .systems import Branch, CircleGeometry, closed_forms, level_index, spectrum
 
 _FLOAT = "%.17g"  # every float printed, but a NaN or an infinity in JSON
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
@@ -147,13 +147,12 @@ def _build_system(args):
 
 
 def _spectrum_rows(args) -> list[tuple]:
-    if args.levels < 0:
-        raise DomainError("--levels must be >= 0")
+    levels = level_index(args.levels, 0, "--levels")
     system = _build_system(args)  # "both" builds the plus member
-    if args.levels == 0:
+    if levels == 0:
         return []
     rows = []
-    for n, member, energy in spectrum(system, args.levels - 1):
+    for n, member, energy in spectrum(system, levels - 1):
         if args.branch not in ("both", member.branch.value):
             continue
         qn = coulomb.quantize(member, n) if args.system == "coulomb" else None
@@ -168,15 +167,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    if args.samples < 2:
-        raise DomainError("--samples must be >= 2")
+    samples = level_index(args.samples, 2, "--samples")
     system = _build_system(args)
     lo, hi = system.motion_domain
-    step = (hi - lo) / args.samples
-    phis = lo + (np.arange(args.samples) + 0.5) * step
+    step = (hi - lo) / samples
+    phis = lo + (np.arange(samples) + 0.5) * step
     values = closed_forms(system).wavefunction(system, args.n, phis)
     return _emit(args, "wavefunction", ("phi", "re", "im"),
-                 np.column_stack((phis, values, np.zeros(args.samples))))
+                 np.column_stack((phis, values, np.zeros(samples))))
 
 
 def _cmd_validate(args) -> int:

@@ -45,10 +45,10 @@ import numpy as np
 
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
-from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, in_blocks, level_index, open_angles)
+from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
+                      check_branch_admissible, finite_result, in_blocks, level_index,
+                      open_angles, real_array)
 
-_SINGULAR_TOL = 1e-12
 # Largest mu R at which diamond_norm, and so every Coulomb norm report of validate,
 # trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 2.2e-9,
 # but the rule's endpoint refinement does not follow the e^(-sigma phi) decay
@@ -57,6 +57,12 @@ _NORM_MAX_MU_R = 1e3
 # Largest Im k0 for contour_norm_constant: over n <= 100 and k1/branch 1+, 0.5+-, 1.3+ it
 # is 5.3e-11 off 60-digit mpmath at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
 _CONTOUR_MAX_SIGMA = 1e5
+
+
+def check_nu(nu: float) -> None:
+    """The rule of every effective offset nu: DomainError unless it is finite and > 0."""
+    if not 0.0 < nu < math.inf:  # NaN fails too
+        raise DomainError(f"nu must be finite and > 0, got {nu!r}")
 
 
 def _check_k1(k1: float) -> None:
@@ -129,11 +135,12 @@ class Parity(enum.Enum):
 
 @finite_result
 def potential(sys: CoulombSystem, phi) -> float | np.ndarray:
-    """Potential energy at angle phi in (-pi, pi) \\ {0}.
+    """Potential energy at angle(s) phi in (-pi, pi) \\ {0}, a ``systems.real_array``.
 
     V(phi) = -(mu/R) cot|phi| - (p^2 - 1/4)/(2 R^2 sin^2 phi); singular at
     phi in {0, +-pi}.
     """
+    phi = real_array(phi, "phi")
     s = np.sin(phi)
     if np.any(np.abs(s) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) vanishes")
@@ -187,12 +194,11 @@ def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
     Assembled entirely in log space: exp(sigma pi/2) and |Gamma(nu+i sigma)|
     overflow/underflow separately already for sigma of a few hundred while
     their product stays O(sigma^(nu - 1/2)).  A radius that is not finite and
-    > 0, sigma < 0, or a constant that is not a finite double, raises DomainError.
+    > 0, nu (:func:`check_nu`), sigma < 0, or a result not a finite double, raises DomainError.
     """
     n = level_index(n)
     CircleGeometry(radius)  # refuses a radius that is not finite and > 0
-    if nu <= 0.0:
-        raise DomainError(f"nu must be > 0, got {nu}")
+    check_nu(nu)
     if not sigma >= 0.0:  # quantize gives sigma > 0, or 0 where mu R/(n + nu) underflows
         raise DomainError(f"sigma must be >= 0, got {sigma!r}")
     ln_c = (

@@ -81,8 +81,7 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
     """
     shifts = np.ascontiguousarray(shifts, dtype=np.float64)
     diag = np.asarray(diag, dtype=np.float64)
-    even = diag[None, 0::2] - shifts[:, None]  # (shifts, rows); each shift is independent
-    kept = diag[None, 1::2] - shifts[:, None]
+    t = diag[None, :] - shifts[:, None]  # (shifts, rows); each shift is independent
     e = np.abs(np.asarray(off, dtype=np.float64))[None, :]
     off_max = e.max(initial=0.0)
     pivmin = _pivmin(off_max)
@@ -95,7 +94,8 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
     # the largest of them measures the growth; overflow and inf - inf stay
     # within a shift that it then marks.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while (even.shape[1] + kept.shape[1]) * shifts.shape[0] > _TAIL:
+        while t.size > _TAIL:  # t: the Schur complement left to count, its rows shifted
+            even, kept = t[:, 0::2], t[:, 1::2]
             size = np.abs(even)
             largest = np.maximum(largest, size.max(axis=1))
             tiny = size < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
@@ -111,12 +111,10 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
             np.subtract(kept, d, out=d)
             ratio *= right
             d[:, :width] -= ratio
-            even, kept = d[:, 0::2], d[:, 1::2]
-        tail = np.empty((shifts.shape[0], even.shape[1] + kept.shape[1]))
-        tail[:, 0::2], tail[:, 1::2] = even, kept
-        largest = np.maximum(largest, np.abs(tail).max(axis=1, initial=0.0))
+            t = d
+        largest = np.maximum(largest, np.abs(t).max(axis=1, initial=0.0))
         grown = ~(largest <= bound)  # NaN counts as grown
-        tail = tail.tolist()
+        tail = t.tolist()
         offs = np.broadcast_to(e, (shifts.shape[0], e.shape[1])).tolist()
     for i in np.flatnonzero(~grown).tolist():
         q, count, log = 1.0, 0, 0.0  # the LDL^T of the tail's rows, already shifted

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ..systems import CircleGeometry, real_array
+from ..systems import CircleGeometry, level_index, real_array
 from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
@@ -54,15 +54,14 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     Nodes sit half a step inside both endpoints (which keeps cot and 1/sin^2
     finite on the grid); Dirichlet boundaries are closed with antisymmetric
     ghost values, i.e. the endpoint diagonal entries gain one extra
-    1/(2 R^2 h^2).  Plainly truncating instead would shift the effective box
-    by h and degrade eigenvalue convergence from O(h^2) to O(h).
+    1/(2 R^2 h^2).  Plainly truncating instead would shift the effective box by h and
+    degrade eigenvalue convergence from O(h^2) to O(h).  ``n_nodes`` is a ``level_index`` >= 16.
     """
     CircleGeometry(radius)  # refuses a radius that is not finite and > 0
     a, b = domain
     if not b > a:
         raise DomainError(f"empty domain: {domain!r}")
-    if n_nodes < 16:
-        raise DomainError(f"need at least 16 nodes, got {n_nodes}")
+    n_nodes = level_index(n_nodes, 16, "n_nodes")
     h = (b - a) / n_nodes
     phi = a + (np.arange(n_nodes) + 0.5) * h
     v = real_array(potential(phi), "potential values")
@@ -113,7 +112,8 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     log-determinant is rounding noise, so a falsi step there follows noise
     where a bisection still halves the bracket.
 
-    ``guess``, approximate levels such as those of a coarser grid, makes
+    ``count`` is a ``systems.level_index`` from 1 to the matrix dimension.  ``guess``, a
+    ``systems.real_array`` of approximate levels such as those of a coarser grid, makes
     the first pass count the 2 ``count`` shifts g (1 +- 1e-3) +- the
     absolute floor instead; they tighten the brackets like any other
     counts, so a wrong guess costs passes but never changes a level.
@@ -128,7 +128,10 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
     of passes.  Deterministic: fixed bracketing, fixed shifts, no randomness.
     A matrix scaled outside _SCALES, the zero matrix too, raises ConvergenceError.
     """
-    if count < 1 or count > matrix.dimension:
+    if not isinstance(matrix, TridiagonalMatrix):
+        raise DomainError(f"matrix must be a TridiagonalMatrix, got {type(matrix).__name__}")
+    count = level_index(count, 1, "count")
+    if count > matrix.dimension:
         raise DomainError(f"count must be in 1..{matrix.dimension}, got {count}")
     d = matrix.diagonal
     e = matrix.off_diagonal
@@ -208,7 +211,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
 
 def _guess_shifts(guess, count: int, floor: float) -> np.ndarray | None:
     """The warm-start shifts g (1 +- 1e-3) +- floor around each finite guess g."""
-    guess = np.asarray(guess, dtype=np.float64)
+    guess = real_array(guess, "guess")
     if guess.shape != (count,):
         raise DomainError(f"guess must hold {count} levels, got shape {guess.shape}")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e305

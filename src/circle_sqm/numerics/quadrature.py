@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DomainError
+from ..systems import level_index
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -24,22 +25,19 @@ def gauss_legendre_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on (a, b).
 
-    ``panel_count`` uniform panels; with ``endpoint_refinement = L > 0`` the
-    first and last panel are each split into L extra panels whose widths
-    halve toward the endpoint.  Weights sum to b - a exactly up to roundoff.
-    Refinement so deep that panels or nodes collapse in floating point (break
-    points not strictly increasing, or a node not strictly inside (a, b)) is
-    refused with ``DomainError``.  The eight latest rules are cached, read-only
+    ``panel_count`` >= 1 uniform panels of ``order`` >= 2; with ``endpoint_refinement = L
+    > 0`` the first and last panel are each split into L extra panels whose widths halve
+    toward the endpoint (all three are ``systems.level_index`` counts).  Weights sum to
+    b - a exactly up to roundoff.  Refinement so deep that panels or nodes collapse in
+    floating point (break points not strictly increasing, or a node not strictly inside
+    (a, b)) is refused with ``DomainError``.  The eight latest rules are cached, read-only
     since callers share them, so each :func:`norm_rule` is built once per process.
     """
     if not b > a:
         raise DomainError(f"empty interval: a = {a!r}, b = {b!r}")
-    if order < 2:
-        raise DomainError(f"order must be >= 2, got {order}")
-    if panel_count < 1:
-        raise DomainError(f"panel_count must be >= 1, got {panel_count}")
-    if endpoint_refinement < 0:
-        raise DomainError(f"endpoint_refinement must be >= 0, got {endpoint_refinement}")
+    order = level_index(order, 2, "order")
+    panel_count = level_index(panel_count, 1, "panel_count")
+    endpoint_refinement = level_index(endpoint_refinement, 0, "endpoint_refinement")
 
     width = (b - a) / panel_count
     breaks = a + np.arange(panel_count + 1) * width

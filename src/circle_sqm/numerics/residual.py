@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
+from ..systems import level_index
 
 
 def richardson_extrapolate(coarse, fine):
@@ -20,13 +21,12 @@ def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> 
     returned residual decays as O(h^2) wherever psi has bounded fourth
     derivative.  Pass a ``domain`` safely inside the motion domain: near
     singular endpoints the higher derivatives of psi are unbounded and the
-    max residual there does not converge.
+    max residual there does not converge.  ``n_nodes`` is a ``level_index`` >= 8.
     """
     a, b = domain
     if not b > a:
         raise DomainError(f"empty domain: {domain!r}")
-    if n_nodes < 8:
-        raise DomainError(f"need at least 8 nodes, got {n_nodes}")
+    n_nodes = level_index(n_nodes, 8, "n_nodes")
     h = (b - a) / n_nodes
     phi = a + (np.arange(n_nodes) + 0.5) * h
     psi = np.asarray(wavefn(phi))

@@ -19,7 +19,8 @@ import numpy as np
 
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
-from ..systems import Branch, CircleGeometry, closed_forms, finite_result, level_index, spectrum
+from ..systems import (Branch, CircleGeometry, closed_forms, finite_result, level_index,
+                       real_array, spectrum)
 from .eigensolve import eigenvalue_with_refinement
 from .residual import residual_rate
 
@@ -154,28 +155,23 @@ def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[Valid
 # ---------------------------------------------------------------------------
 
 
-def _check_nu(nu: float) -> None:
-    if not 0.0 < nu < math.inf:  # NaN fails too
-        raise DomainError(f"nu must be finite and > 0, got {nu!r}")
-
-
 @finite_result
 def flat_limit_energy(mu: float, nu: float, n: int) -> float:
-    """Flat-space limit of the Coulomb level: -mu^2 / (2 (n + nu)^2); nu finite and > 0."""
+    """Flat-space limit of the Coulomb level -mu^2 / (2 (n + nu)^2); ``coulomb.check_nu``."""
     n = level_index(n)
-    _check_nu(nu)
+    coulomb.check_nu(nu)
     return -(mu * mu) / (2.0 * (n + nu) ** 2)
 
 
 @finite_result
 def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarray:
-    """Flat-space limit profile in the scaled coordinate y = 2 mu x/(n + nu); mu > 0 and
-    nu finite and > 0."""
+    """Flat-space limit profile at y = 2 mu x/(n + nu), a ``systems.real_array``; mu > 0 and
+    nu by ``coulomb.check_nu``."""
     n = level_index(n)
     if not mu > 0.0:
         raise DomainError(f"mu must be > 0, got {mu!r}")
-    _check_nu(nu)
-    y_arr = np.asarray(y, dtype=float)
+    coulomb.check_nu(nu)
+    y_arr = real_array(y, "y")
     ln_pref = (
         0.5 * math.log(mu)
         - specfun.ln_gamma_real(2.0 * nu)
@@ -198,12 +194,12 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     (c) the sup-norm deviation of the rescaled wavefunction from the
     flat-space profile, whose consecutive ratios must stay at or below
     ``SHAPE_TOLERANCE`` (one positive scale is fitted per radius, per the
-    normalization-matching convention).  A radius at which the exact level's
-    float gap is not positive (it rounds onto its limit) is refused with
-    DomainError; a shipped level whose gap is not positive fails (a), and
-    its NaN log fails (b).
+    normalization-matching convention).  ``radii``: a ``systems.real_array``.  A radius
+    at which the exact level's float gap is not positive (it rounds onto its limit), or
+    the scaled grid leaves (0, pi), is refused with DomainError; a shipped level whose
+    gap is not positive fails (a), and its NaN log fails (b).
     """
-    radii = np.asarray(radii, dtype=float)
+    radii = real_array(radii, "radii")
     if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
         raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
     mu, nu = sys.mu, sys.nu
@@ -227,10 +223,7 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
         exact_energies.append(exact)
         energies.append(energy)
         float_gaps.append(energy - flat)  # (b)
-        phi = x / r  # (c)
-        if np.any(phi >= math.pi):
-            raise DomainError(f"scaled grid leaves (0, pi) at R = {r:g}")
-        psi = coulomb.wavefunction(member, n, phi)
+        psi = coulomb.wavefunction(member, n, x / r)  # (c)
         scale = float(np.dot(psi, target) / np.dot(psi, psi))
         deviations.append(float(np.max(np.abs(scale * psi - target))) / target_peak)
     with np.errstate(divide="ignore", invalid="ignore"):  # a gap <= 0 gives a NaN slope

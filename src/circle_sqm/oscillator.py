@@ -25,10 +25,9 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, SingularPointError
-from .systems import (Branch, CircleGeometry, PoschlTellerForm, check_branch_admissible,
-                      finite_result, in_blocks, level_index, open_angles, two_branch)
-
-_SINGULAR_TOL = 1e-12
+from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
+                      check_branch_admissible, finite_result, in_blocks, level_index,
+                      open_angles, real_array, two_branch)
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,12 @@ class OscillatorSystem:
 
 @finite_result
 def potential(sys: OscillatorSystem, phi) -> float | np.ndarray:
-    """Potential energy at angle phi (radians).
+    """Potential energy at angle(s) phi (radians), a ``systems.real_array``.
 
     Singular at phi in {0, +-pi/2, pi} where sin or cos vanishes; evaluation
     within 1e-12 of those points raises SingularPointError.
     """
+    phi = real_array(phi, "phi")
     s, c = np.sin(phi), np.cos(phi)
     if np.any(np.abs(s) < _SINGULAR_TOL) or np.any(np.abs(c) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) or cos(phi) vanishes")

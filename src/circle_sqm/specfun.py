@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, PoleError
-from .systems import finite_result
+from .systems import finite_result, level_index, real_array
 
 # Lanczos parameters (g = 7, 9 terms): the classic double-precision set.  It
 # keeps the relative error of Gamma below ~1e-13 on Re z >= 1/2, which the
@@ -160,11 +160,10 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarra
     """Terminating Gauss series sum_{j=0}^{n} (-n)_j (b)_j / ((c)_j j!) x^j.
 
     ``x`` may be a scalar or an ndarray (complex); parameters are scalars.
-    ``n >= 0`` and ``c`` must avoid {0, -1, ..., -(n-1)}; a violation raises
-    ``DegenerateDenominatorError``.
+    ``n`` is a ``systems.level_index``; ``c`` must avoid {0, -1, ..., -(n-1)}, or
+    ``DegenerateDenominatorError`` is raised.
     """
-    if n < 0:
-        raise DomainError(f"series degree must be >= 0, got {n}")
+    n = level_index(n, 0, "series degree")
     b = _check_finite(b, "b")
     c = _check_finite(c, "c")
     _check_lower_parameter(c, n, "c")
@@ -172,9 +171,8 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarra
 
 
 def hyp1f1_terminating(n: int, c: complex, y) -> complex | np.ndarray:
-    """Terminating Kummer series sum_{j=0}^{n} (-n)_j / ((c)_j j!) y^j."""
-    if n < 0:
-        raise DomainError(f"series degree must be >= 0, got {n}")
+    """Terminating Kummer series sum_{j=0}^{n} (-n)_j / ((c)_j j!) y^j; ``n`` as in hyp2f1."""
+    n = level_index(n, 0, "series degree")
     c = _check_finite(c, "c")
     _check_lower_parameter(c, n, "c")
     return _terminating_sum(n, lambda j: (-n + j) / ((c + j) * (j + 1)), y)
@@ -188,16 +186,15 @@ def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> n
     when they are: w = 1 gives P_n at real x for real alpha, beta, and
     alpha, beta = -N +- i sigma at x = i cot(phi) with w = -i sin(phi) gives the
     real Romanovski form of the Coulomb states, finite where cot(phi) is not.
+    ``n`` is a ``systems.level_index`` and the arrays ``systems.real_array`` values.
     The result has the shape of ``x_w``, for every n; ``d_w`` and ``w_sq``
     must broadcast to it, or DomainError is raised.  The inputs are never
     written: the recurrence runs in three buffers of that shape (and a fourth
     when ``d_w`` or ``w_sq`` is an array), each step computing
     (a x_w + b d_w) P_m - (c w_sq) P_(m-1) in that order of operations.
     """
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    x_w = np.asarray(x_w, dtype=float)
-    d_w, w_sq = np.asarray(d_w, dtype=float), np.asarray(w_sq, dtype=float)
+    n = level_index(n, 0, "polynomial degree")
+    x_w, d_w, w_sq = real_array(x_w, "x_w"), real_array(d_w, "d_w"), real_array(w_sq, "w_sq")
     try:
         shape = np.broadcast(x_w, d_w, w_sq).shape
     except ValueError:

@@ -1,5 +1,5 @@
 """What both systems share: geometric and branch descriptors, the closed-form
-contract, the level-index guard, the dispatch on system type and the spectrum."""
+contract, the integer and real-array rules, the dispatch on system type and the spectrum."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .errors import BranchError, DomainError
 # Xeon, numpy 2.4.6) 16384 was as fast as 8192 and 5-25% faster than 4096 or 32768, and
 # it keeps the 1e4-angle grids in one block, which runs without the gathering copy.
 _BLOCK = 16384
+_SINGULAR_TOL = 1e-12  # both potentials refuse an angle this close to a zero of sin or cos
 
 
 class Branch(enum.Enum):
@@ -51,8 +52,12 @@ def check_branch_admissible(branch: Branch, k1: float) -> None:
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float64 array; DomainError unless they are real numbers."""
-    array = np.asarray(values)
+    """``values`` as a float64 array, the rule of every public real array; DomainError unless
+    they are real numbers (complex, string, object and ragged nested values are not)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise DomainError(f"{name} must be real numbers, got a ragged nested sequence") from None
     if array.dtype.kind not in "biuf":  # bool, signed, unsigned, float
         raise DomainError(f"{name} must be real numbers, got {array.dtype} values")
     return array.astype(np.float64, copy=False)
@@ -99,14 +104,15 @@ def finite_result(formula):
     return checked
 
 
-def level_index(n) -> int:
-    """``n`` as an int; DomainError unless it is an integer >= 0 (a float, even 2.0, is not)."""
+def level_index(n, least: int = 0, name: str = "level index") -> int:
+    """``n`` as an int, the one rule of every public level index, degree and count;
+    DomainError unless it is an integer >= ``least`` (a float, even 2.0, is not)."""
     try:
         index = operator.index(n)
     except TypeError:
         index = None
-    if index is None or index < 0:
-        raise DomainError(f"level index must be an integer >= 0, got {n!r}")
+    if index is None or index < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
     return index
 
 

@@ -342,6 +342,12 @@ class TestSturmEigenvalues:
         with pytest.raises(DomainError):
             lowest_eigenvalues(matrix, 0)
 
+    def test_refuses_a_matrix_that_is_not_tridiagonal(self):
+        # used to raise AttributeError on the missing .dimension
+        for matrix in (np.eye(4), (np.zeros(4), np.ones(3)), None):
+            with pytest.raises(DomainError, match="TridiagonalMatrix"):
+                lowest_eigenvalues(matrix, 2)
+
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(DomainError):
             TridiagonalMatrix(np.array([1.0, np.nan]), np.array([0.5]))

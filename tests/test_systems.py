@@ -1,9 +1,11 @@
 """What both systems share: the branch rule (the minus branch exists exactly
 when 0 < |k1| <= 1/2, checked at the edges of that interval), the contract
 of every real-valued public closed form (a finite double or DomainError, a
-float for a scalar angle), the level-index guard, the dispatch on system type
-and the merged spectrum."""
+float for a scalar angle), the integer and real-array rules of every public
+argument, the dispatch on system type and the merged spectrum."""
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -16,10 +18,11 @@ from hypothesis import strategies as st
 from circle_sqm import Branch, CircleGeometry
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
-from circle_sqm import specfun
+from circle_sqm import cli, specfun
 from circle_sqm.errors import BranchError, DomainError
-from circle_sqm.numerics import validate
-from circle_sqm.systems import closed_forms, finite_result, spectrum, two_branch
+from circle_sqm.numerics import (TridiagonalMatrix, build_hamiltonian, gauss_legendre_rule,
+                                 lowest_eigenvalues, ode_residual, validate)
+from circle_sqm.systems import closed_forms, finite_result, open_angles, spectrum, two_branch
 
 UNIT = CircleGeometry(1.0)
 ABOVE_HALF = float(np.nextafter(0.5, 1.0))
@@ -126,25 +129,91 @@ LEVEL_FORMS = {
 }
 
 
-# the flat-space limits also take nu, with nu in its place
+def cli_output(argv, flag):
+    """The CLI command ``argv`` with ``flag`` set to the count, as the text it writes."""
+    def run(count):
+        args = cli.build_parser().parse_args(argv)
+        setattr(args, flag, count)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            args.func(args)
+        return out.getvalue()
+    return run
+
+
+MATRIX = TridiagonalMatrix(np.arange(1.0, 7.0), np.full(5, 0.5))
+# every other public count and degree: (its least value, the form called with it in its place)
+COUNT_FORMS = {
+    "specfun.jacobi_scaled": (0, lambda n: specfun.jacobi_scaled(n, 1.0, 0.2, 0.4, 0.3, 1.0)),
+    "specfun.hyp2f1_terminating": (0, lambda n: specfun.hyp2f1_terminating(n, 1.5, 2.5, 0.3)),
+    "specfun.hyp1f1_terminating": (0, lambda n: specfun.hyp1f1_terminating(n, 2.5, 0.3)),
+    "eigensolve.build_hamiltonian": (16, lambda n: build_hamiltonian(
+        np.cos, 1.0, (0.0, 1.0), n).diagonal.tolist()),
+    "eigensolve.lowest_eigenvalues": (1, lambda n: lowest_eigenvalues(MATRIX, n).tolist()),
+    "residual.ode_residual": (8, lambda n: ode_residual(
+        np.sin, lambda p: 1 + 0 * p, (0.1, 1.0), n)),
+    "quadrature.gauss_legendre_rule[panel_count]": (1, lambda n: [
+        part.tolist() for part in gauss_legendre_rule(n, 4, 0.0, 1.0)]),
+    "quadrature.gauss_legendre_rule[order]": (2, lambda n: [
+        part.tolist() for part in gauss_legendre_rule(3, n, 0.0, 1.0)]),
+    "quadrature.gauss_legendre_rule[endpoint_refinement]": (0, lambda n: [
+        part.tolist() for part in gauss_legendre_rule(3, 4, 0.0, 1.0, endpoint_refinement=n)]),
+    "cli.spectrum[--levels]": (0, cli_output(
+        ["spectrum", "--system", "oscillator", "--omega", "1", "--radius", "1", "--k1", "0.5",
+         "--levels", "1"], "levels")),
+    "cli.wavefunction[--samples]": (2, cli_output(
+        ["wavefunction", "--system", "coulomb", "--mu", "1", "--radius", "1", "--k1", "1",
+         "--n", "1", "--samples", "2"], "samples")),
+}
+INTEGER_FORMS = {**{name: (0, form) for name, form in LEVEL_FORMS.items()}, **COUNT_FORMS}
+
+
+# the flat-space limits and the sigma-route constant also take nu, with nu in its place
 NU_FORMS = {
+    "coulomb.norm_constant": lambda nu: cou.norm_constant(2, nu, 1.0 / 3.0, 1.0),
     "validate.flat_limit_energy": lambda nu: validate.flat_limit_energy(1.0, nu, 0),
     "validate.flat_limit_wavefunction": lambda nu: validate.flat_limit_wavefunction(
         1.0, nu, 1, 1.0),
 }
 
 
-@pytest.mark.parametrize("name", LEVEL_FORMS, ids=LEVEL_FORMS)
+@pytest.mark.parametrize("name", INTEGER_FORMS, ids=INTEGER_FORMS)
 def test_level_index_guard(name):
-    form = LEVEL_FORMS[name]
-    for n in (-1, 0.5, 1.5, 2.0):
+    least, form = INTEGER_FORMS[name]
+    for n in (least - 1, 0.5, least + 1.5, float(least), least + 2.0):
         with pytest.raises(DomainError):
             form(n)
-    assert form(np.int64(2)) == form(2)
+    assert form(np.int64(least + 2)) == form(least + 2)
     if name in NU_FORMS:
         for nu in (-0.5, -0.25, 0.0, -math.inf, math.inf, math.nan):
             with pytest.raises(DomainError, match="nu"):
                 NU_FORMS[name](nu)
+
+
+# every public real-array argument, called with the array in its place
+ARRAY_FORMS = {
+    "specfun.jacobi_scaled[x_w]": lambda x: specfun.jacobi_scaled(2, 1.0, 0.2, x, 0.3, 1.0),
+    "specfun.jacobi_scaled[d_w]": lambda x: specfun.jacobi_scaled(2, 1.0, 0.2, 0.4, x, 1.0),
+    "specfun.jacobi_scaled[w_sq]": lambda x: specfun.jacobi_scaled(2, 1.0, 0.2, 0.4, 0.3, x),
+    "oscillator.potential": lambda phi: osc.potential(OSC, phi),
+    "coulomb.potential": lambda phi: cou.potential(COU, phi),
+    "validate.flat_limit_wavefunction": lambda y: validate.flat_limit_wavefunction(
+        1.0, 0.5, 2, y),
+    "validate.contraction_check": lambda radii: validate.contraction_check(COU, 0, radii),
+    "eigensolve.lowest_eigenvalues[guess]": lambda guess: lowest_eigenvalues(
+        MATRIX, 1, guess=guess),
+    "systems.open_angles": lambda phi: open_angles(phi, 0.0, 1.0),
+    "eigensolve.TridiagonalMatrix[diagonal]": lambda d: TridiagonalMatrix(d, [0.5]),
+    "eigensolve.TridiagonalMatrix[off_diagonal]": lambda e: TridiagonalMatrix([1.0, 2.0], e),
+}
+# a complex array, a complex scalar, a string and a ragged list
+NOT_REAL = (np.array([0.5 + 0.1j]), 0.5 + 0.1j, "0.5", [[0.5], [0.6, 0.7]])
+
+
+@pytest.mark.parametrize("name", ARRAY_FORMS, ids=ARRAY_FORMS)
+def test_real_array_guard(name):
+    for values in NOT_REAL:
+        with pytest.raises(DomainError, match="real"):
+            ARRAY_FORMS[name](values)
 
 
 def test_package_import_leaves_numerics_unloaded():
