@@ -28,7 +28,8 @@ import numpy as np
 from . import coulomb, oscillator
 from .errors import CircleSqmError, DomainError
 from .numerics.validate import SUITE_NAMES, ValidationReport, run_suite
-from .systems import Branch, CircleGeometry, closed_forms, level_index, spectrum
+from .systems import (Branch, CircleGeometry, closed_forms, half_offset_grid, level_index,
+                      spectrum)
 
 _FLOAT = "%.17g"  # every float printed, but a NaN or an infinity in JSON
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
@@ -167,14 +168,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    samples = level_index(args.samples, 2, "--samples")
     system = _build_system(args)
-    lo, hi = system.motion_domain
-    step = (hi - lo) / samples
-    phis = lo + (np.arange(samples) + 0.5) * step
+    phis, _ = half_offset_grid(system.motion_domain, args.samples, 2, "--samples")
     values = closed_forms(system).wavefunction(system, args.n, phis)
     return _emit(args, "wavefunction", ("phi", "re", "im"),
-                 np.column_stack((phis, values, np.zeros(samples))))
+                 np.column_stack((phis, values, np.zeros(phis.size))))
 
 
 def _cmd_validate(args) -> int:

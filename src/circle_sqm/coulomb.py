@@ -47,7 +47,7 @@ from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
                       check_branch_admissible, finite_result, in_blocks, level_index,
-                      open_angles, real_array)
+                      open_angles, real_array, real_scalar)
 
 # Largest mu R at which diamond_norm, and so every Coulomb norm report of validate,
 # trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 2.2e-9,
@@ -60,15 +60,9 @@ _CONTOUR_MAX_SIGMA = 1e5
 
 
 def check_nu(nu: float) -> None:
-    """The rule of every effective offset nu: DomainError unless it is finite and > 0."""
+    """The rule of the offset nu of the flat-space limits: DomainError unless finite and > 0."""
     if not 0.0 < nu < math.inf:  # NaN fails too
         raise DomainError(f"nu must be finite and > 0, got {nu!r}")
-
-
-def _check_k1(k1: float) -> None:
-    if not 0.0 <= k1 < math.sqrt(2.0):  # NaN fails too
-        raise DomainError(f"k1 must satisfy 0 <= k1 < sqrt(2) (so that 0 < p^2 <= 1/2), "
-                          f"got {k1!r}")
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,12 @@ class CoulombSystem:
     branch: Branch = Branch.PLUS
 
     def __post_init__(self) -> None:
+        for name in ("mu", "k1"):  # frozen: the fields as floats
+            object.__setattr__(self, name, real_scalar(getattr(self, name), name))
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise DomainError(f"mu must be finite and > 0, got {self.mu!r}")
-        _check_k1(self.k1)
+        if not 0.0 <= self.k1 < math.sqrt(2.0):  # NaN fails too
+            raise DomainError(f"k1 must lie in [0, sqrt(2)) (0 < p^2 <= 1/2), got {self.k1!r}")
         check_branch_admissible(self.branch, self.k1)
 
     @property
@@ -185,22 +182,19 @@ def energy_level(sys: CoulombSystem, n: int) -> float:
 
 
 @finite_result
-def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
-    """Real positive normalization constant in the sigma parameterization.
+def norm_constant(sys: CoulombSystem, n: int) -> float:
+    """Real positive normalization constant of the n-th state, in the sigma parameterization.
 
     C = exp(sigma pi/2) 2^nu (|Gamma(nu + i sigma)| / Gamma(2 nu))
-        * sqrt(((n+nu)^2 + sigma^2) Gamma(n + 2 nu) / (4 pi R (n+nu) n!)).
+        * sqrt(((n+nu)^2 + sigma^2) Gamma(n + 2 nu) / (4 pi R (n+nu) n!)),
 
-    Assembled entirely in log space: exp(sigma pi/2) and |Gamma(nu+i sigma)|
-    overflow/underflow separately already for sigma of a few hundred while
-    their product stays O(sigma^(nu - 1/2)).  A radius that is not finite and
-    > 0, nu (:func:`check_nu`), sigma < 0, or a result not a finite double, raises DomainError.
+    with nu and sigma from :func:`quantize`.  Assembled entirely in log space:
+    exp(sigma pi/2) and |Gamma(nu+i sigma)| overflow/underflow separately already
+    for sigma of a few hundred while their product stays O(sigma^(nu - 1/2)).  A
+    result that is not a finite double raises DomainError.
     """
-    n = level_index(n)
-    CircleGeometry(radius)  # refuses a radius that is not finite and > 0
-    check_nu(nu)
-    if not sigma >= 0.0:  # quantize gives sigma > 0, or 0 where mu R/(n + nu) underflows
-        raise DomainError(f"sigma must be >= 0, got {sigma!r}")
+    qn = quantize(sys, n)
+    n, nu, sigma, radius = qn.n, qn.nu, qn.sigma, sys.geometry.radius
     ln_c = (
         0.5 * sigma * math.pi
         + nu * math.log(2.0)
@@ -217,28 +211,21 @@ def norm_constant(n: int, nu: float, sigma: float, radius: float) -> float:
     return math.exp(ln_c)
 
 
-def contour_norm_constant(
-    n: int, k0: complex, k1: float, radius: float, branch: Branch
-) -> complex:
-    """Normalization constant from the contour-integral route, as a complex value.
+def contour_norm_constant(sys: CoulombSystem, n: int) -> complex:
+    """Normalization constant of state n by the contour-integral route, a complex value.
 
     The contour integral is carried out in the oscillator-side variable whose
     sin^2 equals 1 - e^(2 i phi); translating the resulting constant to the
     (sin phi)^nu representation used by :func:`wavefunction` contributes the
     Jacobian factor (-2i)^nu, which is included here.  Its modulus then equals
-    :func:`norm_constant` on the quantized locus; the phase is an artifact of
-    principal-branch choices and is not observable.  k1 outside [0, sqrt(2)), and Im k0
-    outside [0, 1e5], raise DomainError.
+    :func:`norm_constant`; the phase is an artifact of principal-branch choices and is
+    not observable.  k0 comes from :func:`quantize`; Im k0 > 1e5 raises DomainError.
     """
-    n = level_index(n)
-    CircleGeometry(radius)  # refuses a radius that is not finite and > 0
-    if not 0.0 <= k0.imag <= _CONTOUR_MAX_SIGMA:
-        raise DomainError(f"contour route needs 0 <= Im k0 <= {_CONTOUR_MAX_SIGMA:g}, "
-                          f"got {k0.imag!r}")
-    _check_k1(k1)
-    check_branch_admissible(branch, k1)
-    a = branch.sign * k1
-    nu = 0.5 * (1.0 + a)
+    qn = quantize(sys, n)
+    n, nu, k0, radius = qn.n, qn.nu, qn.k0, sys.geometry.radius
+    if k0.imag > _CONTOUR_MAX_SIGMA:
+        raise DomainError(f"contour route needs Im k0 <= {_CONTOUR_MAX_SIGMA:g}, got {k0.imag!r}")
+    a = sys.branch.sign * sys.k1
     ln_num = (
         cmath.log(-1j * k0)
         + cmath.log(2.0 * n + k0 + a + 1.0)
@@ -262,7 +249,7 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
     a ``parity``, that of :func:`extend_parity` at angles in (-pi, pi)."""
     n, nu, sigma = qn.n, qn.nu, qn.sigma
     scale = math.prod(-2.0 * (m + 1) / (2.0 * nu + m) for m in range(n))  # (-2)^n n!/(2 nu)_n
-    c_scale = norm_constant(n, nu, sigma, sys.geometry.radius) * scale
+    c_scale = norm_constant(sys, n) * scale
     big_n = n + nu
     ab_sum, ab_product, two_sigma = -2.0 * big_n, big_n**2 + sigma**2, 2.0 * sigma
 

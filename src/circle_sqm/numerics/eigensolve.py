@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ..systems import CircleGeometry, level_index, real_array
+from ..systems import CircleGeometry, half_offset_grid, level_index, real_array
 from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
@@ -55,15 +55,10 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     finite on the grid); Dirichlet boundaries are closed with antisymmetric
     ghost values, i.e. the endpoint diagonal entries gain one extra
     1/(2 R^2 h^2).  Plainly truncating instead would shift the effective box by h and
-    degrade eigenvalue convergence from O(h^2) to O(h).  ``n_nodes`` is a ``level_index`` >= 16.
+    degrade eigenvalue convergence from O(h^2) to O(h).  ``n_nodes`` >= 16 half-offset nodes.
     """
     CircleGeometry(radius)  # refuses a radius that is not finite and > 0
-    a, b = domain
-    if not b > a:
-        raise DomainError(f"empty domain: {domain!r}")
-    n_nodes = level_index(n_nodes, 16, "n_nodes")
-    h = (b - a) / n_nodes
-    phi = a + (np.arange(n_nodes) + 0.5) * h
+    phi, h = half_offset_grid(domain, n_nodes, 16, "n_nodes")
     v = real_array(potential(phi), "potential values")
     if not np.all(np.isfinite(v)):
         raise SingularPointError("potential not finite on the grid")
@@ -71,7 +66,7 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     diag = 2.0 * c + v
     diag[0] += c
     diag[-1] += c
-    off = np.full(n_nodes - 1, -c)
+    off = np.full(phi.size - 1, -c)
     return TridiagonalMatrix(diagonal=diag, off_diagonal=off)
 
 

@@ -12,18 +12,13 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DomainError
-from ..systems import level_index
+from ..systems import interval, level_index
 
 
 @lru_cache(maxsize=8, typed=True)
-def gauss_legendre_rule(
-    panel_count: int,
-    order: int,
-    a: float,
-    b: float,
-    endpoint_refinement: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on (a, b).
+def gauss_legendre_rule(panel_count: int, order: int, a: float, b: float,
+                        endpoint_refinement: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule on the ``systems.interval`` (a, b).
 
     ``panel_count`` >= 1 uniform panels of ``order`` >= 2; with ``endpoint_refinement = L
     > 0`` the first and last panel are each split into L extra panels whose widths halve
@@ -33,8 +28,7 @@ def gauss_legendre_rule(
     (a, b)) is refused with ``DomainError``.  The eight latest rules are cached, read-only
     since callers share them, so each :func:`norm_rule` is built once per process.
     """
-    if not b > a:
-        raise DomainError(f"empty interval: a = {a!r}, b = {b!r}")
+    a, b = interval(a, b, "interval")
     order = level_index(order, 2, "order")
     panel_count = level_index(panel_count, 1, "panel_count")
     endpoint_refinement = level_index(endpoint_refinement, 0, "endpoint_refinement")

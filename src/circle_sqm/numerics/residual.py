@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
-from ..systems import level_index
+from ..systems import half_offset_grid
 
 
 def richardson_extrapolate(coarse, fine):
@@ -21,14 +20,9 @@ def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> 
     returned residual decays as O(h^2) wherever psi has bounded fourth
     derivative.  Pass a ``domain`` safely inside the motion domain: near
     singular endpoints the higher derivatives of psi are unbounded and the
-    max residual there does not converge.  ``n_nodes`` is a ``level_index`` >= 8.
+    max residual there does not converge.  ``n_nodes`` >= 8 half-offset nodes.
     """
-    a, b = domain
-    if not b > a:
-        raise DomainError(f"empty domain: {domain!r}")
-    n_nodes = level_index(n_nodes, 8, "n_nodes")
-    h = (b - a) / n_nodes
-    phi = a + (np.arange(n_nodes) + 0.5) * h
+    phi, h = half_offset_grid(domain, n_nodes, 8, "n_nodes")
     psi = np.asarray(wavefn(phi))
     second = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h)
     residual = second + np.asarray(bracket(phi[1:-1])) * psi[1:-1]

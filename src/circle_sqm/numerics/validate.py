@@ -197,8 +197,9 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     normalization-matching convention).  ``radii``: a ``systems.real_array``.  A radius
     at which the exact level's float gap is not positive (it rounds onto its limit), or
     the scaled grid leaves (0, pi), is refused with DomainError; a shipped level whose
-    gap is not positive fails (a), and its NaN log fails (b).
+    gap is not positive fails (a), and its NaN log fails (b).  ``n``: a ``level_index``.
     """
+    n = level_index(n)
     radii = real_array(radii, "radii")
     if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
         raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
@@ -215,7 +216,7 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     flat = flat_limit_energy(mu, nu, n)
     exact_energies, energies, float_gaps, deviations = [], [], [], []
     for r in radii:
-        member = dataclasses.replace(sys, geometry=CircleGeometry(float(r)))
+        member = dataclasses.replace(sys, geometry=CircleGeometry(r))
         exact = float(n_nu**2 / (2 * Fraction(float(r)) ** 2) - limit)  # (a)
         if not exact - flat > 0.0:
             raise DomainError(f"exact energy gap is not positive in floats at R = {r:g}")
@@ -361,9 +362,8 @@ def _norm_suite() -> list[ValidationReport]:
             reports.extend(_norm_reports(
                 system, 5, f"norms/coulomb[nu={system.nu:g},muR={mu_r:g}]"))
             for n in range(6):
-                qn = coulomb.quantize(system, n)
-                general = abs(coulomb.contour_norm_constant(n, qn.k0, k1, 1.0, branch))
-                direct = coulomb.norm_constant(n, qn.nu, qn.sigma, 1.0)
+                general = abs(coulomb.contour_norm_constant(system, n))
+                direct = coulomb.norm_constant(system, n)
                 diffs.append(abs(general - direct) / direct)
     reports.append(_report("norms/constant-consistency", [0.0] * len(diffs), diffs, 1e-10))
     return reports

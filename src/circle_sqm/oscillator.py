@@ -27,7 +27,7 @@ from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
                       check_branch_admissible, finite_result, in_blocks, level_index,
-                      open_angles, real_array, two_branch)
+                      open_angles, real_array, real_scalar, two_branch)
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class OscillatorSystem:
     branch: Branch = Branch.PLUS
 
     def __post_init__(self) -> None:
+        for name in ("omega", "k1"):  # frozen: the fields as floats
+            object.__setattr__(self, name, real_scalar(getattr(self, name), name))
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
             raise DomainError(f"omega must be finite and >= 0, got {self.omega!r}")
         if not (math.isfinite(self.k1) and self.k1 > 0.0):

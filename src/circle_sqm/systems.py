@@ -1,5 +1,5 @@
-"""What both systems share: geometric and branch descriptors, the closed-form
-contract, the integer and real-array rules, the dispatch on system type and the spectrum."""
+"""What both systems share: geometric and branch descriptors, the closed-form contract,
+the rules of every public count, real, array and interval, the dispatch and the spectrum."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import cmath
 import enum
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -44,11 +45,22 @@ def two_branch(k1: float) -> bool:
 
 
 def check_branch_admissible(branch: Branch, k1: float) -> None:
-    """Raise BranchError unless (branch, k1) is an admissible combination."""
+    """DomainError unless ``branch`` is a Branch, BranchError unless it is admissible at k1."""
+    if not isinstance(branch, Branch):
+        raise DomainError(f"branch must be a Branch, got {branch!r}")
     if branch is Branch.MINUS and not two_branch(k1):
-        raise BranchError(
-            f"minus branch requires 0 < |k1| <= 1/2, got k1 = {k1:g}"
-        )
+        raise BranchError(f"minus branch requires 0 < |k1| <= 1/2, got k1 = {k1:g}")
+
+
+def real_scalar(value, name: str) -> float:
+    """``value`` as a float, the rule of every public real parameter; DomainError unless it
+    is a real number (complex, string and None are not) that a double can hold."""
+    if isinstance(value, float) or isinstance(value, numbers.Real):  # the ABC check is slower
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the doubles
+            pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def real_array(values, name: str) -> np.ndarray:
@@ -116,6 +128,22 @@ def level_index(n, least: int = 0, name: str = "level index") -> int:
     return index
 
 
+def interval(a, b, name: str) -> tuple[float, float]:
+    """(a, b) as floats, the rule of every public interval; DomainError unless finite a < b."""
+    a, b = real_scalar(a, name), real_scalar(b, name)
+    if not (math.isfinite(a) and a < b < math.inf):  # NaN fails too
+        raise DomainError(f"{name} must have finite ends a < b, got ({a!r}, {b!r})")
+    return a, b
+
+
+def half_offset_grid(domain, count, least: int, name: str) -> tuple[np.ndarray, float]:
+    """``count`` >= ``least`` nodes a + (i + 1/2) h of the ``interval`` domain (a, b), and h."""
+    a, b = interval(*domain, "domain")
+    count = level_index(count, least, name)
+    h = (b - a) / count
+    return a + (np.arange(count) + 0.5) * h, h
+
+
 def closed_forms(system):
     """The module of closed forms that serves ``system``: the one dispatch on system type."""
     from . import coulomb, oscillator
@@ -152,6 +180,7 @@ class CircleGeometry:
     radius: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "radius", real_scalar(self.radius, "radius"))  # frozen
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be finite and > 0, got {self.radius!r}")
 

@@ -115,10 +115,10 @@ def test_criterion_5_diamond_normalization():
 def test_criterion_6_norm_constant_consistency():
     worst = 0.0
     for nu, k1, branch, mu_r, n in norm_grid():
-        sigma = mu_r / (n + nu)
-        k0 = complex(-(n + nu), sigma)
-        general = abs(cou.contour_norm_constant(n, k0, k1, 1.0, branch))
-        direct = cou.norm_constant(n, nu, sigma, 1.0)
+        system = cou.CoulombSystem(UNIT, mu=mu_r, k1=k1, branch=branch)
+        assert system.nu == nu
+        general = abs(cou.contour_norm_constant(system, n))
+        direct = cou.norm_constant(system, n)
         worst = max(worst, abs(general - direct) / direct)
     check(6, "contour vs sigma normalization constants on the 54-case grid",
           worst <= 1e-10, f"max rel dev {worst:.3e}, tol 1e-10")

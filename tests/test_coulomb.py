@@ -33,10 +33,9 @@ class TestSystemInvariants:
             cou.CoulombSystem(UNIT, mu=-1.0, k1=1.0)
 
     def test_k1_window(self):
-        with pytest.raises(DomainError):
-            cou.CoulombSystem(UNIT, mu=1.0, k1=math.sqrt(2.0))
-        with pytest.raises(DomainError):
-            cou.CoulombSystem(UNIT, mu=1.0, k1=-0.5)
+        for k1 in (2.0, math.sqrt(2.0), -0.5, math.nan):
+            with pytest.raises(DomainError, match="k1"):
+                cou.CoulombSystem(UNIT, mu=1.0, k1=k1)
         cou.CoulombSystem(UNIT, mu=1.0, k1=0.0)  # p^2 = 1/2 boundary is included
 
     def test_branch_rule(self):
@@ -157,49 +156,40 @@ class TestNormConstants:
         expected = (math.exp(math.pi / 2)
                     * math.sqrt(math.pi / math.sinh(math.pi))
                     * math.sqrt(2.0 / math.pi))
-        assert cou.norm_constant(0, 1.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert cou.norm_constant(case_i(), 0) == pytest.approx(expected, rel=1e-12)
 
     def test_sigma_form_nu_one_reduction(self):
         # the general form must collapse to exp(sigma pi/2) |Gamma(1+i sigma)|
-        # sqrt(((n+1)^2 + sigma^2)/(pi R)) at nu = 1
+        # sqrt(((n+1)^2 + sigma^2)/(pi R)) at nu = 1; mu = sigma (n + nu)/R gives sigma
         for n in (0, 2, 5):
             for sigma in (0.5, 1.0, 3.0):
+                system = case_i(mu=sigma * (n + 1))
+                assert cou.quantize(system, n).sigma == sigma
                 modulus = math.sqrt(math.pi * sigma / math.sinh(math.pi * sigma))
                 expected = (math.exp(sigma * math.pi / 2) * modulus
                             * math.sqrt(((n + 1) ** 2 + sigma**2) / math.pi))
-                assert cou.norm_constant(n, 1.0, sigma, 1.0) == pytest.approx(
-                    expected, rel=1e-12
-                )
+                assert cou.norm_constant(system, n) == pytest.approx(expected, rel=1e-12)
 
     def test_positive(self):
-        for nu in (0.25, 0.75, 1.0):
+        # nu = 0.25, 0.75, 1 at sigma = 0.7 (mu = sigma (n + nu)/R) and R = 2
+        for k1, branch in ((0.5, Branch.MINUS), (0.5, Branch.PLUS), (1.0, Branch.PLUS)):
             for n in (0, 3):
-                assert cou.norm_constant(n, nu, 0.7, 2.0) > 0.0
-        # and refused off a finite positive radius by both routes
-        for radius in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="radius"):
-                cou.norm_constant(0, 1.0, 1.0, radius)
-            with pytest.raises(DomainError, match="radius"):
-                cou.contour_norm_constant(0, -1 + 1j, 1.0, radius, Branch.PLUS)
-        # and off the quantized locus: sigma < 0, Im k0 < 0, k1 outside [0, sqrt(2))
-        for sigma in (-1.0, -5e-324, math.nan):
-            with pytest.raises(DomainError, match="sigma"):
-                cou.norm_constant(0, 1.0, sigma, 1.0)
-        assert cou.norm_constant(0, 1.0, 0.0, 1.0) > 0.0  # quantize's underflow
-        for im_k0 in (-1.0, -5e-324, math.nan):
-            with pytest.raises(DomainError, match="Im k0"):
-                cou.contour_norm_constant(0, complex(-1.5, im_k0), 1.0, 1.0, Branch.PLUS)
-        for k1 in (2.0, math.sqrt(2.0), -0.5, math.nan):
-            with pytest.raises(DomainError, match="k1"):
-                cou.contour_norm_constant(0, complex(-1.5, 1.0), k1, 1.0, Branch.PLUS)
+                nu = 0.5 * (1.0 + branch.sign * k1)
+                system = cou.CoulombSystem(CircleGeometry(2.0), 0.7 * (n + nu) / 2.0, k1, branch)
+                assert cou.norm_constant(system, n) > 0.0
+        # quantize's underflow: mu R/(n + nu) rounds to sigma = 0
+        system = cou.CoulombSystem(CircleGeometry(0.5), 5e-324, 1.0)
+        assert cou.quantize(system, 0).sigma == 0.0
+        assert cou.norm_constant(system, 0) > 0.0
 
     def test_contour_route_modulus_case_i(self):
         # spec'd comparison grid: k1 = 1, n in 0..5, sigma in {1/2, 1, 2, 4}
         for n in range(6):
             for sigma in (0.5, 1.0, 2.0, 4.0):
-                k0 = complex(-(n + 1.0), sigma)
-                general = cou.contour_norm_constant(n, k0, 1.0, 1.0, Branch.PLUS)
-                direct = cou.norm_constant(n, 1.0, sigma, 1.0)
+                system = case_i(mu=sigma * (n + 1))
+                assert cou.quantize(system, n).k0 == complex(-(n + 1.0), sigma)
+                general = cou.contour_norm_constant(system, n)
+                direct = cou.norm_constant(system, n)
                 assert abs(general) == pytest.approx(direct, rel=1e-10)
 
     def test_contour_route_refuses_large_sigma(self):
@@ -209,18 +199,18 @@ class TestNormConstants:
             for k1, branch in ((1.0, Branch.PLUS), (0.5, Branch.MINUS), (1.3, Branch.PLUS)):
                 nu = 0.5 * (1.0 + branch.sign * k1)
                 for n in (0, 37, 100):
-                    sigma = 1e5
-                    got = abs(cou.contour_norm_constant(n, complex(-(n + nu), sigma), k1,
-                                                        1.0, branch))
+                    system = cou.CoulombSystem(UNIT, 1e5 * (n + nu), k1, branch)
+                    sigma = cou.quantize(system, n).sigma
+                    got = abs(cou.contour_norm_constant(system, n))
                     big_n, s = mp.mpf(n + nu), mp.mpf(sigma)
                     want = (mp.exp(s * mp.pi / 2) * 2**mp.mpf(nu)
                             * abs(mp.gamma(mp.mpc(nu, s))) / mp.gamma(2 * mp.mpf(nu))
                             * mp.sqrt((big_n**2 + s**2) * mp.gamma(n + 2 * mp.mpf(nu))
                                       / (4 * mp.pi * big_n * mp.factorial(n))))
                     assert abs(got - want) <= 1e-10 * want
-        for sigma in (1e10, 1e300):
+        for sigma in (1e10, 1e300):  # n = 0, nu = 1: mu = sigma
             with pytest.raises(DomainError, match="Im k0"):
-                cou.contour_norm_constant(0, complex(-1.0, sigma), 1.0, 1.0, Branch.PLUS)
+                cou.contour_norm_constant(case_i(mu=sigma), 0)
 
     def test_contour_route_ground_state_hand_check(self):
         # n=0, k1=1: the gamma ratio collapses to Gamma(k0+2)/Gamma(k0+1) = k0+1,
@@ -230,7 +220,9 @@ class TestNormConstants:
         numerator = abs((-1j * k0) * (k0 + 2.0) * (k0 + 1.0))
         denominator = 2.0 * abs(1.0 - cmath.exp(2j * math.pi * k0))
         expected_sq = 4.0 * numerator / denominator
-        got = cou.contour_norm_constant(0, k0, 1.0, 1.0, Branch.PLUS)
+        system = case_i(mu=sigma)
+        assert cou.quantize(system, 0).k0 == k0
+        got = cou.contour_norm_constant(system, 0)
         assert abs(got) ** 2 == pytest.approx(expected_sq, rel=1e-12)
 
     def test_contour_denominator_never_vanishes(self):
@@ -251,7 +243,7 @@ class TestWavefunction:
     def test_ground_state_closed_form(self):
         system = case_ii(Branch.MINUS)
         qn = cou.quantize(system, 0)
-        c = cou.norm_constant(0, qn.nu, qn.sigma, 1.0)
+        c = cou.norm_constant(system, 0)
         for phi in (0.3, 1.4, 2.9):
             expected = c * math.sin(phi) ** qn.nu * math.exp(-qn.sigma * phi)
             got = cou.wavefunction(system, 0, phi)

@@ -83,7 +83,7 @@ def test_coulomb_wavefunction_matches_the_allocating_formula(k1, branch):
     before, full_before = phi.copy(), full.copy()
     for n in DEGREES:
         qn = cou.quantize(system, n)
-        norm = cou.norm_constant(n, qn.nu, qn.sigma, 0.9)
+        norm = cou.norm_constant(system, n)
         for angle in [phi] + scalars:
             want = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, angle)
             assert_same(cou.wavefunction(system, n, angle), want)
@@ -120,7 +120,7 @@ def test_block_boundaries_match_the_allocating_formulas(shape):
                                                   oscillator.k0, phi)
         assert_same(osc.wavefunction(oscillator, n, phi), want)
         qn = cou.quantize(coulomb, n)
-        norm = cou.norm_constant(n, qn.nu, qn.sigma, 0.9)
+        norm = cou.norm_constant(coulomb, n)
         want = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, positive)
         assert_same(cou.wavefunction(coulomb, n, positive), want)
         even = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, np.abs(full))

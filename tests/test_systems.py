@@ -1,8 +1,9 @@
 """What both systems share: the branch rule (the minus branch exists exactly
 when 0 < |k1| <= 1/2, checked at the edges of that interval), the contract
 of every real-valued public closed form (a finite double or DomainError, a
-float for a scalar angle), the integer and real-array rules of every public
-argument, the dispatch on system type and the merged spectrum."""
+float for a scalar angle), the integer, real-array and interval rules of every
+public argument, the real-scalar and branch rules of every system field, the
+dispatch on system type and the merged spectrum."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ from circle_sqm import oscillator as osc
 from circle_sqm import cli, specfun
 from circle_sqm.errors import BranchError, DomainError
 from circle_sqm.numerics import (TridiagonalMatrix, build_hamiltonian, gauss_legendre_rule,
-                                 lowest_eigenvalues, ode_residual, validate)
+                                 lowest_eigenvalues, ode_residual, residual_rate, validate)
 from circle_sqm.systems import closed_forms, finite_result, open_angles, spectrum, two_branch
 
 UNIT = CircleGeometry(1.0)
@@ -78,7 +79,7 @@ CLOSED_FORMS = {
                                 (osc.OscillatorSystem(UNIT, omega=1e200, k1=1.5), 2, 0.5)),
     "coulomb.potential": (cou.potential, (COU, PHI), (cou.CoulombSystem(TINY, 1.0, 1.0), 0.5)),
     "coulomb.energy_level": (cou.energy_level, (COU, 2), (cou.CoulombSystem(TINY, 1.0, 1.0), 2)),
-    "coulomb.norm_constant": (cou.norm_constant, (2, 1.0, 1.0 / 3.0, 1.0), (0, 1.0, 1e300, 1.0)),
+    "coulomb.norm_constant": (cou.norm_constant, (COU, 2), (cou.CoulombSystem(UNIT, 1e300, 1.0), 0)),
     "coulomb.wavefunction": (cou.wavefunction, (COU, 2, PHI),
                              (cou.CoulombSystem(UNIT, 1e300, 1.0), 2, 0.5)),
     "coulomb.extend_parity": (cou.extend_parity, (COU, 2, PHI, cou.Parity.ODD),
@@ -119,13 +120,13 @@ LEVEL_FORMS = {
     "coulomb.wavefunction": lambda n: cou.wavefunction(COU, n, 0.5),
     "coulomb.extend_parity": lambda n: cou.extend_parity(COU, n, 0.5, cou.Parity.ODD),
     "coulomb.diamond_norm[m]": lambda m: cou.diamond_norm(COU, 2, m),
-    "coulomb.norm_constant": lambda n: cou.norm_constant(n, 1.0, 1.0 / 3.0, 1.0),
-    "coulomb.contour_norm_constant": lambda n: cou.contour_norm_constant(
-        n, complex(-3.0, 1.0 / 3.0), 1.0, 1.0, Branch.PLUS),
+    "coulomb.norm_constant": lambda n: cou.norm_constant(COU, n),
+    "coulomb.contour_norm_constant": lambda n: cou.contour_norm_constant(COU, n),
     "systems.spectrum": lambda n: spectrum(OSC, n),
     "validate.flat_limit_energy": lambda n: validate.flat_limit_energy(1.0, 0.5, n),
     "validate.flat_limit_wavefunction": lambda n: validate.flat_limit_wavefunction(
         1.0, 0.5, n, 1.0),
+    "validate.contraction_check": lambda n: validate.contraction_check(COU, n, (1e2, 1e3)),
 }
 
 
@@ -167,9 +168,8 @@ COUNT_FORMS = {
 INTEGER_FORMS = {**{name: (0, form) for name, form in LEVEL_FORMS.items()}, **COUNT_FORMS}
 
 
-# the flat-space limits and the sigma-route constant also take nu, with nu in its place
+# the flat-space limits also take nu, with nu in its place
 NU_FORMS = {
-    "coulomb.norm_constant": lambda nu: cou.norm_constant(2, nu, 1.0 / 3.0, 1.0),
     "validate.flat_limit_energy": lambda nu: validate.flat_limit_energy(1.0, nu, 0),
     "validate.flat_limit_wavefunction": lambda nu: validate.flat_limit_wavefunction(
         1.0, nu, 1, 1.0),
@@ -214,6 +214,51 @@ def test_real_array_guard(name):
     for values in NOT_REAL:
         with pytest.raises(DomainError, match="real"):
             ARRAY_FORMS[name](values)
+
+
+# every public interval, called with its ends in their place
+INTERVAL_FORMS = {
+    "eigensolve.build_hamiltonian": lambda a, b: build_hamiltonian(np.cos, 1.0, (a, b), 16),
+    "residual.ode_residual": lambda a, b: ode_residual(np.sin, np.cos, (a, b), 16),
+    "residual.residual_rate": lambda a, b: residual_rate(np.sin, np.cos, (a, b), 16),
+    "quadrature.gauss_legendre_rule": lambda a, b: gauss_legendre_rule(4, 4, a, b),
+}
+# complex, string, infinite, NaN, reversed and empty ends
+NOT_INTERVALS = ((0, 1j), (1j, 1.0), ("0", 1.0), (0.0, math.inf), (-math.inf, 0.0),
+                 (math.nan, 1.0), (0.0, math.nan), (1.0, 0.5), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("name", INTERVAL_FORMS, ids=INTERVAL_FORMS)
+def test_interval_guard(name):
+    for a, b in NOT_INTERVALS:
+        with pytest.raises(DomainError, match="domain|interval"):
+            INTERVAL_FORMS[name](a, b)
+
+
+# every system field, called with the value in its place: (the form, values it refuses)
+NOT_SCALAR = (1j, 0.5 + 0j, "1.0", None, 10**400)
+NOT_BRANCH = ("minus", "plus", None, -1)
+FIELD_FORMS = {
+    "CircleGeometry.radius": (lambda x: CircleGeometry(x), NOT_SCALAR),
+    "OscillatorSystem.omega": (lambda x: osc.OscillatorSystem(UNIT, x, 1.5), NOT_SCALAR),
+    "OscillatorSystem.k1": (lambda x: osc.OscillatorSystem(UNIT, 1.0, x), NOT_SCALAR),
+    "CoulombSystem.mu": (lambda x: cou.CoulombSystem(UNIT, x, 1.0), NOT_SCALAR),
+    "CoulombSystem.k1": (lambda x: cou.CoulombSystem(UNIT, 1.0, x), NOT_SCALAR),
+    "OscillatorSystem.branch": (lambda b: osc.OscillatorSystem(UNIT, 1.0, 1.5, b), NOT_BRANCH),
+    "CoulombSystem.branch": (lambda b: cou.CoulombSystem(UNIT, 1.0, 1.0, b), NOT_BRANCH),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_FORMS, ids=FIELD_FORMS)
+def test_system_field_guard(name):
+    form, refused = FIELD_FORMS[name]
+    field = name.split(".")[1]
+    for value in refused:
+        with pytest.raises(DomainError, match=field):
+            form(value)
+    if refused is NOT_SCALAR:  # a real number is kept as a float
+        kept = getattr(form(np.int64(1)), field)
+        assert type(kept) is float and kept == 1.0
 
 
 def test_package_import_leaves_numerics_unloaded():
