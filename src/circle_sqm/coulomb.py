@@ -46,8 +46,8 @@ import numpy as np
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
-                      check_branch_admissible, finite_result, in_blocks, level_index,
-                      open_angles, real_array, real_scalar)
+                      check_shared_fields, finite_result, in_blocks, level_index, open_angles,
+                      real_array, real_scalar)
 
 # Largest mu R at which diamond_norm, and so every Coulomb norm report of validate,
 # trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 2.2e-9,
@@ -57,12 +57,6 @@ _NORM_MAX_MU_R = 1e3
 # Largest Im k0 for contour_norm_constant: over n <= 100 and k1/branch 1+, 0.5+-, 1.3+ it
 # is 5.3e-11 off 60-digit mpmath at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
 _CONTOUR_MAX_SIGMA = 1e5
-
-
-def check_nu(nu: float) -> None:
-    """The rule of the offset nu of the flat-space limits: DomainError unless finite and > 0."""
-    if not 0.0 < nu < math.inf:  # NaN fails too
-        raise DomainError(f"nu must be finite and > 0, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ class CoulombSystem:
             raise DomainError(f"mu must be finite and > 0, got {self.mu!r}")
         if not 0.0 <= self.k1 < math.sqrt(2.0):  # NaN fails too
             raise DomainError(f"k1 must lie in [0, sqrt(2)) (0 < p^2 <= 1/2), got {self.k1!r}")
-        check_branch_admissible(self.branch, self.k1)
+        check_shared_fields(self)
 
     @property
     def p_squared(self) -> float:

@@ -15,7 +15,6 @@ from ..errors import DomainError
 from ..systems import interval, level_index
 
 
-@lru_cache(maxsize=8, typed=True)
 def gauss_legendre_rule(panel_count: int, order: int, a: float, b: float,
                         endpoint_refinement: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on the ``systems.interval`` (a, b).
@@ -32,7 +31,11 @@ def gauss_legendre_rule(panel_count: int, order: int, a: float, b: float,
     order = level_index(order, 2, "order")
     panel_count = level_index(panel_count, 1, "panel_count")
     endpoint_refinement = level_index(endpoint_refinement, 0, "endpoint_refinement")
+    return _rule(panel_count, order, a, b, endpoint_refinement)
 
+
+@lru_cache(maxsize=8)
+def _rule(panel_count: int, order: int, a: float, b: float, endpoint_refinement: int):
     width = (b - a) / panel_count
     breaks = a + np.arange(panel_count + 1) * width
     if endpoint_refinement > 0:

@@ -156,21 +156,18 @@ def _residual_reports(system, levels: tuple[int, ...], label: str) -> list[Valid
 
 
 @finite_result
-def flat_limit_energy(mu: float, nu: float, n: int) -> float:
-    """Flat-space limit of the Coulomb level -mu^2 / (2 (n + nu)^2); ``coulomb.check_nu``."""
+def flat_limit_energy(sys: coulomb.CoulombSystem, n: int) -> float:
+    """Flat-space limit -mu^2 / (2 (n + nu)^2) of the system's level n; R is not read."""
     n = level_index(n)
-    coulomb.check_nu(nu)
-    return -(mu * mu) / (2.0 * (n + nu) ** 2)
+    return -(sys.mu * sys.mu) / (2.0 * (n + sys.nu) ** 2)
 
 
 @finite_result
-def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarray:
-    """Flat-space limit profile at y = 2 mu x/(n + nu), a ``systems.real_array``; mu > 0 and
-    nu by ``coulomb.check_nu``."""
+def flat_limit_wavefunction(sys: coulomb.CoulombSystem, n: int, y) -> float | np.ndarray:
+    """Flat-space limit profile of the system's level n at y = 2 mu x/(n + nu), a
+    ``systems.real_array``; R is not read."""
     n = level_index(n)
-    if not mu > 0.0:
-        raise DomainError(f"mu must be > 0, got {mu!r}")
-    coulomb.check_nu(nu)
+    mu, nu = sys.mu, sys.nu
     y_arr = real_array(y, "y")
     ln_pref = (
         0.5 * math.log(mu)
@@ -180,8 +177,8 @@ def flat_limit_wavefunction(mu: float, nu: float, n: int, y) -> float | np.ndarr
                  - math.log(2.0)
                  - specfun.ln_gamma_real(n + 1.0))
     )
-    series = np.real(specfun.hyp1f1_terminating(n, complex(2.0 * nu), y_arr.astype(complex)))
     with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
+        series = np.real(specfun.hyp1f1_terminating(n, complex(2.0 * nu), y_arr.astype(complex)))
         return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
 
 
@@ -211,9 +208,9 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     # the circle angle at radius R is x/R
     y = np.linspace(0.05, 24.0, 120)
     x = y * (n + nu) / (2.0 * mu)
-    target = flat_limit_wavefunction(mu, nu, n, y)
+    target = flat_limit_wavefunction(sys, n, y)
     target_peak = float(np.max(np.abs(target)))
-    flat = flat_limit_energy(mu, nu, n)
+    flat = flat_limit_energy(sys, n)
     exact_energies, energies, float_gaps, deviations = [], [], [], []
     for r in radii:
         member = dataclasses.replace(sys, geometry=CircleGeometry(r))

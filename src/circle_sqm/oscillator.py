@@ -26,8 +26,8 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
-                      check_branch_admissible, finite_result, in_blocks, level_index,
-                      open_angles, real_array, real_scalar, two_branch)
+                      check_shared_fields, finite_result, in_blocks, level_index, open_angles,
+                      real_array, real_scalar, two_branch)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class OscillatorSystem:
             raise DomainError(f"omega must be finite and >= 0, got {self.omega!r}")
         if not (math.isfinite(self.k1) and self.k1 > 0.0):
             raise DomainError(f"k1 must be finite and > 0, got {self.k1!r}")
-        check_branch_admissible(self.branch, self.k1)
+        check_shared_fields(self)
 
     @property
     @finite_result
@@ -97,11 +97,10 @@ def energy_from_reduced(sys: OscillatorSystem, epsilon: float) -> float:
 
 
 @finite_result
-def reduced_eigenvalue(n: int, k0: float, k1: float, branch: Branch) -> float:
-    """Reduced-equation eigenvalue epsilon_n = (2n +- k1 + k0 + 1)^2."""
+def reduced_eigenvalue(sys: OscillatorSystem, n: int) -> float:
+    """Reduced-equation eigenvalue epsilon_n = (2n +- k1 + k0 + 1)^2 of the system's level n."""
     n = level_index(n)
-    check_branch_admissible(branch, k1)
-    return (2.0 * n + branch.sign * k1 + k0 + 1.0) ** 2
+    return (2.0 * n + sys.branch.sign * sys.k1 + sys.k0 + 1.0) ** 2
 
 
 @finite_result

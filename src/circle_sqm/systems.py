@@ -44,12 +44,15 @@ def two_branch(k1: float) -> bool:
     return 0.0 < abs(k1) <= 0.5
 
 
-def check_branch_admissible(branch: Branch, k1: float) -> None:
-    """DomainError unless ``branch`` is a Branch, BranchError unless it is admissible at k1."""
-    if not isinstance(branch, Branch):
-        raise DomainError(f"branch must be a Branch, got {branch!r}")
-    if branch is Branch.MINUS and not two_branch(k1):
-        raise BranchError(f"minus branch requires 0 < |k1| <= 1/2, got k1 = {k1:g}")
+def check_shared_fields(system) -> None:
+    """The rule of the fields both systems share: DomainError unless ``geometry`` is a
+    CircleGeometry and ``branch`` a Branch, BranchError unless the branch is admissible at k1."""
+    if not isinstance(system.geometry, CircleGeometry):
+        raise DomainError(f"geometry must be a CircleGeometry, got {system.geometry!r}")
+    if not isinstance(system.branch, Branch):
+        raise DomainError(f"branch must be a Branch, got {system.branch!r}")
+    if system.branch is Branch.MINUS and not two_branch(system.k1):
+        raise BranchError(f"minus branch requires 0 < |k1| <= 1/2, got k1 = {system.k1:g}")
 
 
 def real_scalar(value, name: str) -> float:
@@ -138,7 +141,11 @@ def interval(a, b, name: str) -> tuple[float, float]:
 
 def half_offset_grid(domain, count, least: int, name: str) -> tuple[np.ndarray, float]:
     """``count`` >= ``least`` nodes a + (i + 1/2) h of the ``interval`` domain (a, b), and h."""
-    a, b = interval(*domain, "domain")
+    try:
+        a, b = domain
+    except (TypeError, ValueError):  # not iterable, or not two ends
+        raise DomainError(f"domain must be a pair (a, b), got {domain!r}") from None
+    a, b = interval(a, b, "domain")
     count = level_index(count, least, name)
     h = (b - a) / count
     return a + (np.arange(count) + 0.5) * h, h

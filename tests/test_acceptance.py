@@ -54,9 +54,7 @@ def test_criterion_1_energy_route_equivalence():
         n = int(rng.integers(0, 21))
         system = osc.OscillatorSystem(CircleGeometry(radius), omega, k1, branch)
         direct = osc.energy_level(system, n)
-        routed = osc.energy_from_reduced(
-            system, osc.reduced_eigenvalue(n, system.k0, k1, branch)
-        )
+        routed = osc.energy_from_reduced(system, osc.reduced_eigenvalue(system, n))
         worst = max(worst, abs(direct - routed) / abs(direct))
     check(1, "energy route equivalence, 10^4 tuples", worst <= 1e-12,
           f"max rel dev {worst:.3e}, tol 1e-12")
@@ -156,7 +154,7 @@ def test_criterion_8_ode_residual_rates():
     oscillator_system = osc.OscillatorSystem(UNIT, omega=1.0, k1=1.5, branch=Branch.PLUS)
     k0 = oscillator_system.k0
     for n in (0, 2, 5):
-        eps = osc.reduced_eigenvalue(n, k0, 1.5, Branch.PLUS)
+        eps = osc.reduced_eigenvalue(oscillator_system, n)
         bracket = lambda phi, eps=eps: (eps - (k0 * k0 - 0.25) / np.cos(phi) ** 2
                                         - (1.5**2 - 0.25) / np.sin(phi) ** 2)
         rate = residual_rate(

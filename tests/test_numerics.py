@@ -702,7 +702,7 @@ class TestOdeResidual:
 
     def test_oscillator_ground_state_rate(self):
         system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)
-        eps = osc.reduced_eigenvalue(0, system.k0, 1.5, Branch.PLUS)
+        eps = osc.reduced_eigenvalue(system, 0)
         k0 = system.k0
         bracket = lambda phi: (eps - (k0 * k0 - 0.25) / np.cos(phi) ** 2
                                - (1.5**2 - 0.25) / np.sin(phi) ** 2)
@@ -826,20 +826,23 @@ class TestValidationReports:
 
 class TestContraction:
     def test_flat_limit_energy_value(self):
-        assert flat_limit_energy(1.0, 0.25, 0) == pytest.approx(-8.0)
+        system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.MINUS)
+        assert flat_limit_energy(system, 0) == pytest.approx(-8.0)  # nu = 1/4
 
     def test_gap_example_at_r_100(self):
         system = cou.CoulombSystem(CircleGeometry(100.0), mu=1.0, k1=1.0)
-        gap = cou.energy_level(system, 0) - flat_limit_energy(1.0, 1.0, 0)
+        gap = cou.energy_level(system, 0) - flat_limit_energy(system, 0)  # nu = 1
         assert gap == pytest.approx(5e-5, rel=1e-10)
 
     def test_flat_limit_profile_norm(self):
         # integral over x of the squared profile is 1/2 (the same half-norm
         # convention the circle states carry); independent quadrature
-        for nu in (0.25, 0.75):
+        for branch in (Branch.MINUS, Branch.PLUS):  # nu = 1/4, 3/4
+            system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=branch)
+            nu = system.nu
             for n in (0, 2):
                 y, w = gauss_legendre_rule(40, 12, 1e-12, 60.0, endpoint_refinement=40)
-                phi2 = flat_limit_wavefunction(1.0, nu, n, y) ** 2
+                phi2 = flat_limit_wavefunction(system, n, y) ** 2
                 # dx = (n + nu)/(2 mu) dy
                 norm = float(np.dot(w, phi2)) * (n + nu) / 2.0
                 assert norm == pytest.approx(0.5, abs=1e-7)
@@ -854,11 +857,6 @@ class TestContraction:
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
         with pytest.raises(DomainError, match="finite"):
             contraction_check(system, 0, (1e2, math.inf))
-
-    def test_flat_limit_wavefunction_requires_positive_mu(self):
-        for mu in (0.0, -1.0):
-            with pytest.raises(DomainError, match="mu"):
-                flat_limit_wavefunction(mu, 0.5, 0, [1.0])
 
     def test_contraction_check_reports(self, monkeypatch):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.MINUS)
@@ -881,7 +879,7 @@ class TestContraction:
         # still positive, so the reports fail, the decay rate on its NaN slope
         monkeypatch.setattr(cou, "energy_level", lambda sys, n: exact(sys, n) * (1.0 + 1e-9))
         far = cou.CoulombSystem(CircleGeometry(1e4), mu=1.0, k1=0.5, branch=Branch.MINUS)
-        assert cou.energy_level(far, 0) < flat_limit_energy(1.0, far.nu, 0)
+        assert cou.energy_level(far, 0) < flat_limit_energy(far, 0)
         reports = by_kind()
         assert reports["energy-gap"].passed is False
         assert reports["gap-decay-rate"].passed is False

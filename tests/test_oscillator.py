@@ -95,15 +95,16 @@ class TestReducedForm:
 
 class TestEnergies:
     def test_reduced_eigenvalue_examples(self):
-        assert osc.reduced_eigenvalue(0, 0.5, 1.0, Branch.PLUS) == pytest.approx(6.25)
-        got = osc.reduced_eigenvalue(2, SQRT5_HALF, 0.25, Branch.MINUS)
+        # omega = 0 gives k0 = 1/2; omega = R = 1 gives k0 = sqrt(5)/2
+        system = osc.OscillatorSystem(UNIT, omega=0.0, k1=1.0)
+        assert osc.reduced_eigenvalue(system, 0) == pytest.approx(6.25)
+        system = osc.OscillatorSystem(UNIT, omega=1.0, k1=0.25, branch=Branch.MINUS)
+        got = osc.reduced_eigenvalue(system, 2)
         assert got == pytest.approx((4.75 + SQRT5_HALF) ** 2, rel=1e-13)
-        assert osc.reduced_eigenvalue(1, 0.5, 0.5, Branch.MINUS) == pytest.approx(9.0)
-        assert osc.reduced_eigenvalue(1, 0.5, 0.5, Branch.PLUS) == pytest.approx(16.0)
-
-    def test_reduced_eigenvalue_branch_rule(self):
-        with pytest.raises(BranchError):
-            osc.reduced_eigenvalue(0, 0.5, 1.0, Branch.MINUS)
+        system = osc.OscillatorSystem(UNIT, omega=0.0, k1=0.5, branch=Branch.MINUS)
+        assert osc.reduced_eigenvalue(system, 1) == pytest.approx(9.0)
+        system = osc.OscillatorSystem(UNIT, omega=0.0, k1=0.5, branch=Branch.PLUS)
+        assert osc.reduced_eigenvalue(system, 1) == pytest.approx(16.0)
 
     def test_energy_level_examples(self):
         system = osc.OscillatorSystem(UNIT, omega=0.0, k1=1.0)
@@ -127,9 +128,7 @@ class TestEnergies:
             n = int(rng.integers(0, 21))
             system = osc.OscillatorSystem(CircleGeometry(radius), omega, k1, branch)
             direct = osc.energy_level(system, n)
-            via_reduced = osc.energy_from_reduced(
-                system, osc.reduced_eigenvalue(n, system.k0, k1, branch)
-            )
+            via_reduced = osc.energy_from_reduced(system, osc.reduced_eigenvalue(system, n))
             assert abs(direct - via_reduced) <= 1e-12 * abs(direct)
 
 

@@ -1,9 +1,9 @@
 """What both systems share: the branch rule (the minus branch exists exactly
 when 0 < |k1| <= 1/2, checked at the edges of that interval), the contract
 of every real-valued public closed form (a finite double or DomainError, a
-float for a scalar angle), the integer, real-array and interval rules of every
-public argument, the real-scalar and branch rules of every system field, the
-dispatch on system type and the merged spectrum."""
+float for a scalar angle), the integer, real-array, domain and interval rules of
+every public argument, the real-scalar, geometry and branch rules of every system
+field, the dispatch on system type and the merged spectrum."""
 
 import contextlib
 import io
@@ -69,8 +69,8 @@ CLOSED_FORMS = {
                       (osc.OscillatorSystem(UNIT, omega=1e200, k1=1.5),)),
     "oscillator.potential": (osc.potential, (OSC, PHI),
                              (osc.OscillatorSystem(TINY, omega=1.0, k1=1.5), 0.5)),
-    "oscillator.reduced_eigenvalue": (osc.reduced_eigenvalue, (2, OSC.k0, 1.5, Branch.PLUS),
-                                      (0, 1e200, 1.5, Branch.PLUS)),
+    "oscillator.reduced_eigenvalue": (osc.reduced_eigenvalue, (OSC, 2),
+                                      (osc.OscillatorSystem(UNIT, 1.0, 1e200), 0)),
     "oscillator.energy_from_reduced": (osc.energy_from_reduced, (OSC, 9.0),
                                        (osc.OscillatorSystem(TINY, omega=1.0, k1=1.5), 9.0)),
     "oscillator.energy_level": (osc.energy_level, (OSC, 2),
@@ -85,9 +85,10 @@ CLOSED_FORMS = {
     "coulomb.extend_parity": (cou.extend_parity, (COU, 2, PHI, cou.Parity.ODD),
                               (cou.CoulombSystem(UNIT, 1e300, 1.0), 2, 0.5, cou.Parity.ODD)),
     "specfun.gamma_abs": (specfun.gamma_abs, (2.5 + 1j,), (200.0,)),
-    "validate.flat_limit_energy": (validate.flat_limit_energy, (1.0, 0.5, 2), (1e200, 1.0, 0)),
-    "validate.flat_limit_wavefunction": (validate.flat_limit_wavefunction, (1.0, 0.5, 2, PHI),
-                                         (1.0, 200.0, 0, 1e3)),
+    "validate.flat_limit_energy": (validate.flat_limit_energy, (COU, 2),
+                                   (cou.CoulombSystem(UNIT, 1e200, 1.0), 0)),
+    "validate.flat_limit_wavefunction": (validate.flat_limit_wavefunction, (COU, 2, PHI),
+                                         (COU, 300, 5000.0)),
 }
 
 
@@ -111,7 +112,7 @@ def test_closed_form_contract(form, args, overflowing):
 
 # every public closed form that takes a level index, called with n in its place
 LEVEL_FORMS = {
-    "oscillator.reduced_eigenvalue": lambda n: osc.reduced_eigenvalue(n, OSC.k0, 1.5, Branch.PLUS),
+    "oscillator.reduced_eigenvalue": lambda n: osc.reduced_eigenvalue(OSC, n),
     "oscillator.energy_level": lambda n: osc.energy_level(OSC, n),
     "oscillator.wavefunction": lambda n: osc.wavefunction(OSC, n, 0.5),
     "oscillator.l2_norm": lambda n: osc.l2_norm(OSC, n),
@@ -123,9 +124,8 @@ LEVEL_FORMS = {
     "coulomb.norm_constant": lambda n: cou.norm_constant(COU, n),
     "coulomb.contour_norm_constant": lambda n: cou.contour_norm_constant(COU, n),
     "systems.spectrum": lambda n: spectrum(OSC, n),
-    "validate.flat_limit_energy": lambda n: validate.flat_limit_energy(1.0, 0.5, n),
-    "validate.flat_limit_wavefunction": lambda n: validate.flat_limit_wavefunction(
-        1.0, 0.5, n, 1.0),
+    "validate.flat_limit_energy": lambda n: validate.flat_limit_energy(COU, n),
+    "validate.flat_limit_wavefunction": lambda n: validate.flat_limit_wavefunction(COU, n, 1.0),
     "validate.contraction_check": lambda n: validate.contraction_check(COU, n, (1e2, 1e3)),
 }
 
@@ -168,25 +168,13 @@ COUNT_FORMS = {
 INTEGER_FORMS = {**{name: (0, form) for name, form in LEVEL_FORMS.items()}, **COUNT_FORMS}
 
 
-# the flat-space limits also take nu, with nu in its place
-NU_FORMS = {
-    "validate.flat_limit_energy": lambda nu: validate.flat_limit_energy(1.0, nu, 0),
-    "validate.flat_limit_wavefunction": lambda nu: validate.flat_limit_wavefunction(
-        1.0, nu, 1, 1.0),
-}
-
-
 @pytest.mark.parametrize("name", INTEGER_FORMS, ids=INTEGER_FORMS)
 def test_level_index_guard(name):
     least, form = INTEGER_FORMS[name]
-    for n in (least - 1, 0.5, least + 1.5, float(least), least + 2.0):
+    for n in (least - 1, 0.5, least + 1.5, float(least), least + 2.0, [least + 2]):
         with pytest.raises(DomainError):
             form(n)
     assert form(np.int64(least + 2)) == form(least + 2)
-    if name in NU_FORMS:
-        for nu in (-0.5, -0.25, 0.0, -math.inf, math.inf, math.nan):
-            with pytest.raises(DomainError, match="nu"):
-                NU_FORMS[name](nu)
 
 
 # every public real-array argument, called with the array in its place
@@ -196,8 +184,7 @@ ARRAY_FORMS = {
     "specfun.jacobi_scaled[w_sq]": lambda x: specfun.jacobi_scaled(2, 1.0, 0.2, 0.4, 0.3, x),
     "oscillator.potential": lambda phi: osc.potential(OSC, phi),
     "coulomb.potential": lambda phi: cou.potential(COU, phi),
-    "validate.flat_limit_wavefunction": lambda y: validate.flat_limit_wavefunction(
-        1.0, 0.5, 2, y),
+    "validate.flat_limit_wavefunction": lambda y: validate.flat_limit_wavefunction(COU, 2, y),
     "validate.contraction_check": lambda radii: validate.contraction_check(COU, 0, radii),
     "eigensolve.lowest_eigenvalues[guess]": lambda guess: lowest_eigenvalues(
         MATRIX, 1, guess=guess),
@@ -216,11 +203,16 @@ def test_real_array_guard(name):
             ARRAY_FORMS[name](values)
 
 
+# every public domain, called with the domain in its place
+DOMAIN_FORMS = {
+    "eigensolve.build_hamiltonian": lambda domain: build_hamiltonian(
+        np.cos, 1.0, domain, 16).diagonal.tolist(),
+    "residual.ode_residual": lambda domain: ode_residual(np.sin, np.cos, domain, 16),
+    "residual.residual_rate": lambda domain: residual_rate(np.sin, np.cos, domain, 16),
+}
 # every public interval, called with its ends in their place
 INTERVAL_FORMS = {
-    "eigensolve.build_hamiltonian": lambda a, b: build_hamiltonian(np.cos, 1.0, (a, b), 16),
-    "residual.ode_residual": lambda a, b: ode_residual(np.sin, np.cos, (a, b), 16),
-    "residual.residual_rate": lambda a, b: residual_rate(np.sin, np.cos, (a, b), 16),
+    **{name: lambda a, b, form=form: form((a, b)) for name, form in DOMAIN_FORMS.items()},
     "quadrature.gauss_legendre_rule": lambda a, b: gauss_legendre_rule(4, 4, a, b),
 }
 # complex, string, infinite, NaN, reversed and empty ends
@@ -235,9 +227,18 @@ def test_interval_guard(name):
             INTERVAL_FORMS[name](a, b)
 
 
+@pytest.mark.parametrize("name", DOMAIN_FORMS, ids=DOMAIN_FORMS)
+def test_domain_pair_guard(name):
+    for domain in ((0.0, 1.0, 2.0), 1.0):  # three ends, a scalar
+        with pytest.raises(DomainError, match="domain"):
+            DOMAIN_FORMS[name](domain)
+    assert DOMAIN_FORMS[name]([0.1, 1.0]) == DOMAIN_FORMS[name]((0.1, 1.0))
+
+
 # every system field, called with the value in its place: (the form, values it refuses)
 NOT_SCALAR = (1j, 0.5 + 0j, "1.0", None, 10**400)
 NOT_BRANCH = ("minus", "plus", None, -1)
+NOT_GEOMETRY = (1.0, "g", None)
 FIELD_FORMS = {
     "CircleGeometry.radius": (lambda x: CircleGeometry(x), NOT_SCALAR),
     "OscillatorSystem.omega": (lambda x: osc.OscillatorSystem(UNIT, x, 1.5), NOT_SCALAR),
@@ -246,6 +247,8 @@ FIELD_FORMS = {
     "CoulombSystem.k1": (lambda x: cou.CoulombSystem(UNIT, 1.0, x), NOT_SCALAR),
     "OscillatorSystem.branch": (lambda b: osc.OscillatorSystem(UNIT, 1.0, 1.5, b), NOT_BRANCH),
     "CoulombSystem.branch": (lambda b: cou.CoulombSystem(UNIT, 1.0, 1.0, b), NOT_BRANCH),
+    "OscillatorSystem.geometry": (lambda g: osc.OscillatorSystem(g, 1.0, 1.5), NOT_GEOMETRY),
+    "CoulombSystem.geometry": (lambda g: cou.CoulombSystem(g, 1.0, 1.0), NOT_GEOMETRY),
 }
 
 
