@@ -175,7 +175,7 @@ def lowest_eigenvalues(matrix: TridiagonalMatrix, count: int, *,
             # to an end closes its bracket with this one count
             step = np.where(falsi | wide, np.clip(step, lo + 0.5 * tol, hi - 0.5 * tol),
                             0.5 * (lo + hi))
-            shifts = np.unique(step[open_])
+            shifts = _distinct(step[open_])
         widths = (widths[1], width)
         counts, logdet = sturm_counts(d, e, shifts)
         below = counts[None, :] < want[:, None]
@@ -212,8 +212,17 @@ def _guess_shifts(guess, count: int, floor: float) -> np.ndarray | None:
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e305
         reach = 1e-3 * np.abs(guess) + floor
         shifts = np.concatenate((guess - reach, guess + reach))
-    shifts = np.unique(shifts[np.isfinite(shifts)])
+    shifts = _distinct(shifts[np.isfinite(shifts)])
     return shifts if shifts.size else None
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a finite 1-D array, as ``np.unique`` returns them
+    (sorted, the first of each run kept), without its masked-array check."""
+    values = np.sort(values)
+    first = np.ones(values.shape, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _certify(d, e, lo, hi, tau: float) -> None:

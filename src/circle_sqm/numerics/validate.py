@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +29,8 @@ _NORM_CASES = {oscillator: ("l2-norm", 1.0, "l2_norm"),  # (case, target, norm r
                coulomb: ("diamond-norm", 0.5, "diamond_norm")}
 # the (k1, branch) families of the Coulomb norm and contraction suites: nu = 1/4, 3/4, 1
 _COULOMB_FAMILIES = ((0.5, Branch.MINUS), (0.5, Branch.PLUS), (1.0, Branch.PLUS))
+# the contraction shape check's grid of the flat-space coordinate y = 2 mu x/(n + nu)
+_FLAT_Y = np.linspace(0.05, 24.0, 120)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,19 +203,24 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
         raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
     mu, nu = sys.mu, sys.nu
     tag = f"contraction[nu={nu:g},n={n}]"
-    n_nu = n + Fraction(nu)
-    limit = Fraction(mu) ** 2 / (2 * n_nu**2)  # -E_n(inf), exact
+    # (a) in integers: n + nu = big_n/q and mu = a/b, so at R = s/t the gap is
+    # (big_n^4 t^2 b^2 - a^2 q^4 s^2) / (2 q^2 s^2 b^2 big_n^2), rounded once by int/int
+    p, q = nu.as_integer_ratio()
+    a, b = mu.as_integer_ratio()
+    big_n = n * q + p
+    level_num, limit_num = big_n**4 * b * b, a * a * q**4
+    gap_den = 2 * q * q * b * b * big_n * big_n
     # (c) compares on a fixed grid of the flat-space coordinate y = 2 mu x/(n + nu);
     # the circle angle at radius R is x/R
-    y = np.linspace(0.05, 24.0, 120)
-    x = y * (n + nu) / (2.0 * mu)
-    target = flat_limit_wavefunction(sys, n, y)
+    x = _FLAT_Y * (n + nu) / (2.0 * mu)
+    target = flat_limit_wavefunction(sys, n, _FLAT_Y)
     target_peak = float(np.max(np.abs(target)))
     flat = flat_limit_energy(sys, n)
     exact_energies, energies, float_gaps, deviations = [], [], [], []
-    for r in radii:
-        member = dataclasses.replace(sys, geometry=CircleGeometry(r))
-        exact = float(n_nu**2 / (2 * Fraction(float(r)) ** 2) - limit)  # (a)
+    for r in radii.tolist():
+        member = coulomb.CoulombSystem(CircleGeometry(r), mu, sys.k1, sys.branch)
+        s, t = r.as_integer_ratio()
+        exact = (level_num * t * t - limit_num * s * s) / (gap_den * s * s)  # (a)
         if not exact - flat > 0.0:
             raise DomainError(f"exact energy gap is not positive in floats at R = {r:g}")
         energy = coulomb.energy_level(member, n)
@@ -289,13 +295,8 @@ def specfun_reports() -> list[ValidationReport]:
     reports = [_report("specfun/gamma-identity", [1.0] * len(identity), identity, 1e-12)]
 
     rng = np.random.default_rng(20240817)
-    points = []
-    for _ in range(40):
-        re = rng.uniform(-3.0, 3.0)
-        im = rng.uniform(-3.0, 3.0)
-        if abs(re - round(re)) < 0.2 and abs(im) < 0.2:
-            continue
-        points.append(complex(re, im))
+    points = [complex(re, im) for re, im in rng.uniform(-3.0, 3.0, size=(40, 2)).tolist()
+              if not (abs(re - round(re)) < 0.2 and abs(im) < 0.2)]
     recurrence = [
         abs(np.exp(specfun.ln_gamma_complex(z + 1.0) - specfun.ln_gamma_complex(z)) / z - 1.0)
         for z in points
@@ -303,16 +304,16 @@ def specfun_reports() -> list[ValidationReport]:
     reports.append(_report("specfun/gamma-recurrence", [0.0] * len(recurrence),
                            recurrence, 1e-12))
 
+    # four (b, c, x) draws per degree, as (re, im) pairs over 16; re(c) is even
+    draws = rng.integers((-12, -12, 8, -12, -10, -10), (13, 13, 24, 13, 11, 11),
+                         size=(44, 6)).tolist()
     diffs = []
-    for n in range(0, 31, 3):
-        for _ in range(4):
-            b = int(rng.integers(-12, 13)), int(rng.integers(-12, 13))
-            c = 2 * int(rng.integers(8, 24)), int(rng.integers(-12, 13))
-            x = int(rng.integers(-10, 11)), int(rng.integers(-10, 11))
-            exact = _hyp2f1_rational(n, b, c, x)
-            got = specfun.hyp2f1_terminating(
-                n, *(complex(re / 16, im / 16) for re, im in (b, c, x)))
-            diffs.append(abs(got - exact) / max(abs(exact), 1.0))
+    for i, (b_re, b_im, c_half, c_im, x_re, x_im) in enumerate(draws):
+        n, b, c, x = 3 * (i // 4), (b_re, b_im), (2 * c_half, c_im), (x_re, x_im)
+        exact = _hyp2f1_rational(n, b, c, x)
+        got = specfun.hyp2f1_terminating(
+            n, *(complex(re / 16, im / 16) for re, im in (b, c, x)))
+        diffs.append(abs(got - exact) / max(abs(exact), 1.0))
     reports.append(_report("specfun/hyp2f1-rational-oracle", [0.0] * len(diffs),
                            diffs, 1e-12))
 

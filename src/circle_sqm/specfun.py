@@ -14,8 +14,9 @@ once:
 * Terminating hypergeometric series are summed by forward term recurrence
   with compensated (Neumaier) accumulation; no gamma-ratio prefactors are
   formed, so negative-integer upper parameters are handled exactly.  A
-  scalar argument runs the same NumPy operations on ``complex128`` scalars,
-  with no 0-d array built per term.
+  scalar argument gives the bits of a 0-d array with no 0-d array built per
+  term: its factors, magnitudes and corrections are formed as arrays over
+  the terms.
 * Both wavefunctions are Jacobi polynomials, evaluated by the forward
   three-term recurrence in real arithmetic (:func:`jacobi_scaled`).
 """
@@ -137,23 +138,39 @@ def _check_lower_parameter(c: complex, n: int, name: str) -> None:
 def _terminating_sum(n: int, term_factor, x) -> complex | np.ndarray:
     """Sum_{j=0}^{n} t_j with t_0 = 1 and t_{j+1} = t_j * term_factor(j) * x.
 
-    Neumaier-compensated accumulation, vectorized over ``x``; a scalar ``x``
-    runs on ``complex128`` scalars, its branch picked by ``if``, not ``np.where``.
+    Neumaier-compensated accumulation, vectorized over ``x``.  A scalar ``x``
+    gives the bits of the array path on a 0-d ``x``: the factors
+    term_factor(j) x are one array product, the terms are chained on
+    ``complex128`` scalars and the plain running totals accumulated; the
+    compensation's branch test then takes one ``np.abs`` of the totals and
+    one of the terms (an array's ``np.abs`` is the 0-d one elementwise;
+    builtin ``abs`` of a NumPy scalar is not), and its corrections are added
+    in order from 0, as the array path adds them (complex addition is the
+    same IEEE operation in Python and NumPy).
     """
     x_arr = np.asarray(x, dtype=np.complex128)
-    scalar = x_arr.ndim == 0
-    total = term = np.complex128(1.0) if scalar else np.ones_like(x_arr)
-    comp = np.complex128(0.0) if scalar else np.zeros_like(x_arr)
+    if x_arr.ndim == 0:
+        terms = [np.complex128(1.0)]
+        for factor in np.multiply([term_factor(j) for j in range(n)], x_arr):
+            terms.append(terms[-1] * factor)
+        terms = np.array(terms)
+        totals = np.add.accumulate(terms)
+        prev, new, terms = totals[:-1], totals[1:], terms[1:]
+        fixes = np.where(np.abs(prev) >= np.abs(terms), (prev - new) + terms,
+                         (terms - new) + prev)
+        comp = 0j
+        for fix in fixes.tolist():
+            comp += fix
+        return complex(totals[-1] + comp)
+    total = term = np.ones_like(x_arr)
+    comp = np.zeros_like(x_arr)
     for j in range(n):
         term = term * (term_factor(j) * x_arr)
         new_total = total + term
-        bigger = np.abs(total) >= np.abs(term)
-        if not scalar:
-            comp = comp + np.where(bigger, (total - new_total) + term, (term - new_total) + total)
-        else:
-            comp = comp + ((total - new_total) + term if bigger else (term - new_total) + total)
+        comp = comp + np.where(np.abs(total) >= np.abs(term),
+                               (total - new_total) + term, (term - new_total) + total)
         total = new_total
-    return complex(total + comp) if scalar else total + comp
+    return total + comp
 
 
 def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarray:

@@ -4,6 +4,7 @@ Richardson, and the validation/contraction machinery."""
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,6 +305,16 @@ class TestSturmEigenvalues:
         matrix = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.ones(2))
         with pytest.raises(DomainError):
             lowest_eigenvalues(matrix, 2, guess=[1.0])
+
+    def test_distinct_shifts_are_those_of_np_unique(self):
+        # repeats, both signed zeros in either order, and the empty array
+        rng = np.random.default_rng(34)
+        for size in (0, 1, 2, 7, 64):
+            for _ in range(20):
+                values = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300, 7.0], size=size)
+                values = np.concatenate((values, rng.normal(size=size)))
+                got, want = eigensolve._distinct(values), np.unique(values)
+                assert got.tobytes() == want.tobytes(), values
 
     def test_inverted_bracket_refused(self, monkeypatch):
         # counts reversed within a pass are not monotone in the shift: the
@@ -846,6 +857,29 @@ class TestContraction:
                 # dx = (n + nu)/(2 mu) dy
                 norm = float(np.dot(w, phi2)) * (n + nu) / 2.0
                 assert norm == pytest.approx(0.5, abs=1e-7)
+
+    def test_energy_gap_is_the_exact_rational_rounded_once(self):
+        # (n + nu)^2/(2 R^2) - mu^2/(2 (n + nu)^2) of the float parameters, one rounding;
+        # a radius is drawn where the float gap is positive and the y grid's angles,
+        # up to 12 (n + nu)/(mu R), stay below 3
+        radii = [10.0**k for k in range(1, 3)] + [123.456] + [10.0**k for k in range(3, 10)]
+        families = validate._COULOMB_FAMILIES + ((0.3, Branch.MINUS), (0.3, Branch.PLUS))
+        checked = 0
+        for k1, branch in families:
+            for mu in (0.1, 0.5, 1.0, 3.0, 7.3):
+                system = cou.CoulombSystem(CircleGeometry(1.0), mu=mu, k1=k1, branch=branch)
+                for n in range(11):
+                    n_nu = n + Fraction(system.nu)
+                    exact = {r: float(n_nu**2 / (2 * Fraction(r) ** 2)
+                                      - Fraction(mu) ** 2 / (2 * n_nu**2)) for r in radii}
+                    flat = flat_limit_energy(system, n)
+                    drawn = [r for r in radii if exact[r] - flat > 0.0
+                             and 12.0 * float(n_nu) / mu < 3.0 * r]
+                    gap = contraction_check(system, n, drawn)[0]
+                    assert gap.case_id.endswith("/energy-gap")
+                    assert [a.hex() for a in gap.analytic] == [exact[r].hex() for r in drawn]
+                    checked += len(drawn)
+        assert checked == 2402
 
     def test_contraction_check_requires_increasing_radii(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)

@@ -271,6 +271,17 @@ def test_package_import_leaves_numerics_unloaded():
         subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def test_cli_and_a_solve_leave_fractions_and_numpy_ma_unimported():
+    # the contraction gap is exact in integers and the solver sorts its shifts itself
+    code = ("import sys, numpy as np, circle_sqm.cli\n"
+            "from circle_sqm.numerics import TridiagonalMatrix, lowest_eigenvalues\n"
+            "matrix = TridiagonalMatrix(np.arange(16.0), np.ones(15))\n"
+            "lowest_eigenvalues(matrix, 2, guess=lowest_eigenvalues(matrix, 2))\n"
+            "loaded = {'fractions', 'numpy.ma'} & set(sys.modules)\n"
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_closed_forms_dispatch():
     assert closed_forms(OSC) is osc
     assert closed_forms(COU) is cou
