@@ -46,11 +46,11 @@ import numpy as np
 from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
-                      check_shared_fields, finite_result, in_blocks, level_index, open_angles,
-                      real_array, real_scalar)
+                      check_shared_fields, finite_array_result, finite_result, in_blocks,
+                      level_index, open_angles, real_array, real_scalar)
 
 # Largest mu R at which diamond_norm, and so every Coulomb norm report of validate,
-# trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 2.2e-9,
+# trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 5.5e-9,
 # but the rule's endpoint refinement does not follow the e^(-sigma phi) decay
 # beyond it (6.5e-7 at mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
 _NORM_MAX_MU_R = 1e3
@@ -124,7 +124,7 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-@finite_result
+@finite_array_result
 def potential(sys: CoulombSystem, phi) -> float | np.ndarray:
     """Potential energy at angle(s) phi in (-pi, pi) \\ {0}, a ``systems.real_array``.
 
@@ -136,9 +136,8 @@ def potential(sys: CoulombSystem, phi) -> float | np.ndarray:
     if np.any(np.abs(s) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) vanishes")
     r = sys.geometry.radius
-    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-        cot_abs = np.cos(phi) / np.abs(s)
-        return -(sys.mu / r) * cot_abs - (sys.p_squared - 0.25) / (2.0 * r * r * s * s)
+    cot_abs = np.cos(phi) / np.abs(s)
+    return -(sys.mu / r) * cot_abs - (sys.p_squared - 0.25) / (2.0 * r * r * s * s)
 
 
 def duality_parameters(sys: CoulombSystem, energy: float) -> PoschlTellerForm:
@@ -146,8 +145,10 @@ def duality_parameters(sys: CoulombSystem, energy: float) -> PoschlTellerForm:
 
     With k = i mu: epsilon = 2 R^2 E + 2 k R and k0^2 = 2 R^2 E - 2 k R, so
     epsilon - k0^2 = 4 i mu R identically.  The stored k0 is the square root
-    with Re k0 <= 0, matching the root the quantization condition selects.
+    with Re k0 <= 0, matching the root the quantization condition selects.  E is a
+    ``systems.real_scalar``.
     """
+    energy = real_scalar(energy, "energy")
     r = sys.geometry.radius
     epsilon = 2.0 * r * r * energy + 2j * sys.mu * r
     k0 = cmath.sqrt(2.0 * r * r * energy - 2j * sys.mu * r)
@@ -251,24 +252,23 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
         phi_abs = phi if parity is None else np.abs(phi)
         s = np.sin(phi_abs)
         x = np.cos(phi_abs, out=np.empty(phi_abs.shape))  # an array even when 0-d, reused below
-        with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-            w_sq = -s
-            w_sq *= s
-            romanovski = specfun.jacobi_scaled(n, ab_sum, ab_product, x, two_sigma * s, w_sq)
-            # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
-            # on NumPy's scalar power, which rounds unlike the array loop
-            s **= nu
-            s *= c_scale
-            s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
-            s *= romanovski
-            if parity is Parity.ODD:
-                s *= np.sign(phi)
-            return s
+        w_sq = -s
+        w_sq *= s
+        romanovski = specfun.jacobi_scaled(n, ab_sum, ab_product, x, two_sigma * s, w_sq)
+        # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
+        # on NumPy's scalar power, which rounds unlike the array loop
+        s **= nu
+        s *= c_scale
+        s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
+        s *= romanovski
+        if parity is Parity.ODD:
+            s *= np.sign(phi)
+        return s
 
     return in_blocks(block, phi)
 
 
-@finite_result
+@finite_array_result
 def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     """Bound-state wavefunction on (0, pi), as a real float64 value or array.
 
@@ -294,20 +294,23 @@ def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
     the module docstring for why the principal-branch alternative is not a
     normalizable convention).
 
-    It integrates on :func:`quadrature.norm_rule` and refuses mu R > 1e3 with DomainError.
+    It integrates on :func:`quadrature.norm_rule` and refuses mu R > 1e3, and n or m
+    above 100, with DomainError.
     """
     mu_r = sys.mu * sys.geometry.radius
     if mu_r > _NORM_MAX_MU_R:
         raise DomainError(f"the norm rule is not resolved at mu R = {mu_r:g} > {_NORM_MAX_MU_R:g}")
     from .numerics.quadrature import norm_rule
 
-    nodes, weights = norm_rule(sys.motion_domain[1])
+    n = level_index(n)
+    m = n if m is None else level_index(m)
+    nodes, weights = norm_rule(sys.motion_domain[1], max(n, m))
     psi = wavefunction(sys, n, nodes)
-    partner = psi if m is None or level_index(m) == n else wavefunction(sys, m, nodes)
+    partner = psi if m == n else wavefunction(sys, m, nodes)
     return float(sys.geometry.radius * np.dot(weights, psi * partner))
 
 
-@finite_result
+@finite_array_result
 def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> float | np.ndarray:
     """Even/odd extension of the bound state to the full circle (-pi, pi).
 

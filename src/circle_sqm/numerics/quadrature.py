@@ -14,6 +14,13 @@ import numpy as np
 from ..errors import DomainError
 from ..systems import interval, level_index
 
+# Highest level whose norm norm_rule resolves.  Over n <= 100 the norm routines meet 1 or
+# 1/2 within 5.5e-9 wherever they serve: oscillator k1 in {0.05+-, 0.3-, 0.5+-, 0.75, 1.5,
+# 3} at omega R^2 <= 100, Coulomb k1 in {0, 0.1-, 0.5+-, 1, 1.3, 1.41} at mu R <= 1e3; and
+# within 5e-12 at omega R^2 <= 50 and mu R <= 300.  Above it the 12-point panels hold too
+# many oscillations: 4.7e-12 at n = 120, 1.2e-10 at 135 and 5.1e-4 at 300 (omega R^2 = 1).
+_NORM_MAX_N = 100
+
 
 def gauss_legendre_rule(panel_count: int, order: int, a: float, b: float,
                         endpoint_refinement: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -56,6 +63,9 @@ def _rule(panel_count: int, order: int, a: float, b: float, endpoint_refinement:
     return nodes, weights
 
 
-def norm_rule(hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of every norm check on (0, hi): 48 panels of order 12, 40 refinement levels."""
+def norm_rule(hi: float, max_level: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of every norm check on (0, hi): 48 panels of order 12, 40 refinement levels,
+    for states up to the ``systems.level_index`` ``max_level``; DomainError above 100."""
+    if level_index(max_level) > _NORM_MAX_N:
+        raise DomainError(f"the norm rule is not resolved at level {max_level} > {_NORM_MAX_N}")
     return gauss_legendre_rule(48, 12, 0.0, hi, endpoint_refinement=40)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
-from ..systems import (Branch, CircleGeometry, closed_forms, finite_result, level_index,
-                       real_array, spectrum)
+from ..systems import (Branch, CircleGeometry, closed_forms, finite_array_result, finite_result,
+                       level_index, real_array, spectrum)
 from .eigensolve import eigenvalue_with_refinement
 from .residual import residual_rate
 
@@ -163,7 +163,7 @@ def flat_limit_energy(sys: coulomb.CoulombSystem, n: int) -> float:
     return -(sys.mu * sys.mu) / (2.0 * (n + sys.nu) ** 2)
 
 
-@finite_result
+@finite_array_result
 def flat_limit_wavefunction(sys: coulomb.CoulombSystem, n: int, y) -> float | np.ndarray:
     """Flat-space limit profile of the system's level n at y = 2 mu x/(n + nu), a
     ``systems.real_array``; R is not read."""
@@ -178,9 +178,8 @@ def flat_limit_wavefunction(sys: coulomb.CoulombSystem, n: int, y) -> float | np
                  - math.log(2.0)
                  - specfun.ln_gamma_real(n + 1.0))
     )
-    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-        series = np.real(specfun.hyp1f1_terminating(n, complex(2.0 * nu), y_arr.astype(complex)))
-        return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
+    series = np.real(specfun.hyp1f1_terminating(n, complex(2.0 * nu), y_arr.astype(complex)))
+    return math.exp(ln_pref) * y_arr**nu * np.exp(-np.abs(y_arr) / 2.0) * series
 
 
 def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[ValidationReport]:

@@ -26,8 +26,13 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
-                      check_shared_fields, finite_result, in_blocks, level_index, open_angles,
-                      real_array, real_scalar, two_branch)
+                      check_shared_fields, finite_array_result, finite_result, in_blocks,
+                      level_index, open_angles, real_array, real_scalar, two_branch)
+
+# Largest omega R^2 at which l2_norm trusts quadrature.norm_rule: every n <= 100 there is
+# within 1.5e-9 of 1, but the rule does not follow the state, narrowing as 1/sqrt(k0),
+# beyond it (1.7e-6 at omega R^2 = 300 and n <= 100, 3.8e-4 at 1e4 and n = 10).
+_NORM_MAX_OMEGA_R2 = 1e2
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class OscillatorSystem:
         return (0.0, math.pi / 2)
 
 
-@finite_result
+@finite_array_result
 def potential(sys: OscillatorSystem, phi) -> float | np.ndarray:
     """Potential energy at angle(s) phi (radians), a ``systems.real_array``.
 
@@ -74,13 +79,13 @@ def potential(sys: OscillatorSystem, phi) -> float | np.ndarray:
     if np.any(np.abs(s) < _SINGULAR_TOL) or np.any(np.abs(c) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) or cos(phi) vanishes")
     r = sys.geometry.radius
-    with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-        return (0.5 * sys.omega**2 * r * r * (s / c) ** 2
-                + (sys.k1**2 - 0.25) / (2.0 * r * r * s * s))
+    return 0.5 * sys.omega**2 * r * r * (s / c) ** 2 + (sys.k1**2 - 0.25) / (2.0 * r * r * s * s)
 
 
 def reduce_to_poschl_teller(sys: OscillatorSystem, energy: float) -> PoschlTellerForm:
-    """Map (system, E) to the reduced triple: epsilon = 2 R^2 E + omega^2 R^4."""
+    """Map (system, E) to the reduced triple: epsilon = 2 R^2 E + omega^2 R^4, for the
+    ``systems.real_scalar`` E."""
+    energy = real_scalar(energy, "energy")
     r2 = sys.geometry.radius**2
     return PoschlTellerForm(
         epsilon=2.0 * r2 * energy + sys.omega**2 * r2 * r2,
@@ -91,7 +96,9 @@ def reduce_to_poschl_teller(sys: OscillatorSystem, energy: float) -> PoschlTelle
 
 @finite_result
 def energy_from_reduced(sys: OscillatorSystem, epsilon: float) -> float:
-    """Inverse of :func:`reduce_to_poschl_teller`: E = (epsilon - omega^2 R^4) / (2 R^2)."""
+    """Inverse of :func:`reduce_to_poschl_teller`: E = (epsilon - omega^2 R^4) / (2 R^2),
+    for the ``systems.real_scalar`` epsilon."""
+    epsilon = real_scalar(epsilon, "epsilon")
     r2 = sys.geometry.radius**2
     return (epsilon - sys.omega**2 * r2 * r2) / (2.0 * r2)
 
@@ -134,7 +141,7 @@ def _norm_constant(sys: OscillatorSystem, n: int) -> float:
     return math.exp(0.5 * ln_c2)
 
 
-@finite_result
+@finite_array_result
 def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     """Normalized bound-state wavefunction at angle(s) phi.
 
@@ -158,24 +165,29 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
         phi_abs = np.abs(phi, out=np.empty(phi.shape))  # an array even when 0-d; becomes cos 2 phi
         s, c = np.sin(phi_abs), np.cos(phi_abs)
         x = np.cos(np.multiply(phi_abs, 2.0, out=phi_abs), out=phi_abs)
-        with np.errstate(all="ignore"):  # overflow surfaces as the DomainError of finite_result
-            jacobi = specfun.jacobi_scaled(n, ab_sum, ab_product, x, d_w, 1.0)
-            # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s; **= keeps a 0-d s
-            # on NumPy's scalar power, which rounds unlike the array loop
-            s **= 0.5 + a
-            s *= norm
-            c **= 0.5 + k0
-            s *= c
-            s *= jacobi
-            return s
+        jacobi = specfun.jacobi_scaled(n, ab_sum, ab_product, x, d_w, 1.0)
+        # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s; **= keeps a 0-d s
+        # on NumPy's scalar power, which rounds unlike the array loop
+        s **= 0.5 + a
+        s *= norm
+        c **= 0.5 + k0
+        s *= c
+        s *= jacobi
+        return s
 
     return in_blocks(block, phi)
 
 
 def l2_norm(sys: OscillatorSystem, n: int) -> float:
-    """R * integral_0^(pi/2) psi_n^2 dphi on :func:`quadrature.norm_rule` (1 for every n)."""
+    """R * integral_0^(pi/2) psi_n^2 dphi on :func:`quadrature.norm_rule` (1 for every n).
+
+    It refuses omega R^2 > 100 and n > 100 with DomainError."""
+    omega_r2 = sys.omega * sys.geometry.radius**2
+    if omega_r2 > _NORM_MAX_OMEGA_R2:
+        raise DomainError(f"the norm rule is not resolved at omega R^2 = {omega_r2:g} > "
+                          f"{_NORM_MAX_OMEGA_R2:g}")
     from .numerics.quadrature import norm_rule
 
-    nodes, weights = norm_rule(math.pi / 2)
+    nodes, weights = norm_rule(math.pi / 2, n)
     psi = wavefunction(sys, n, nodes)
     return float(sys.geometry.radius * np.dot(weights, psi * psi))

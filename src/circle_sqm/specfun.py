@@ -29,7 +29,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, PoleError
-from .systems import finite_result, level_index, real_array
+from .systems import (complex_array, complex_scalar, finite_result, level_index, real_array,
+                      real_scalar)
 
 # Lanczos parameters (g = 7, 9 terms): the classic double-precision set.  It
 # keeps the relative error of Gamma below ~1e-13 on Re z >= 1/2, which the
@@ -48,13 +49,6 @@ _LANCZOS_COEFFS = (
 )
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
-
-
-def _check_finite(z: complex, name: str = "z") -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name} must have finite components, got {z!r}")
-    return z
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -87,15 +81,20 @@ def ln_gamma_complex(z: complex) -> complex:
     """Log of the gamma function for complex argument.
 
     Raises ``PoleError`` at the poles z = 0, -1, -2, ... and ``DomainError``
-    for non-finite input.
+    unless z is a ``systems.complex_scalar`` or where the reflection's 2 pi z
+    overflows (Re z below about -2.9e307).
     """
-    z = _check_finite(z)
+    z = complex_scalar(z, "z")
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z.real:g}")
     if z.real >= 0.5:
         return _lanczos_ln_gamma(z)
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    return _LN_PI - _ln_sin_pi(z) - _lanczos_ln_gamma(1.0 - z)
+    try:
+        ln_sin = _ln_sin_pi(z)
+    except ValueError:  # cmath.exp of an infinite phase
+        raise DomainError(f"2 pi z overflows in the reflection at z = {z!r}") from None
+    return _LN_PI - ln_sin - _lanczos_ln_gamma(1.0 - z)
 
 
 def ln_gamma_real(x: float) -> float:
@@ -103,8 +102,8 @@ def ln_gamma_real(x: float) -> float:
 
     On 1/2 <= x < inf it runs the Lanczos sum of :func:`ln_gamma_complex` on floats,
     the real parts of the same operations in the same order; non-finite x, the poles
-    and x < 1/2 go through :func:`ln_gamma_complex` itself."""
-    x = float(x)
+    and x < 1/2 go through :func:`ln_gamma_complex` itself.  x is a ``systems.real_scalar``."""
+    x = real_scalar(x, "x")
     if not 0.5 <= x < math.inf:
         return ln_gamma_complex(complex(x)).real
     c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_COEFFS
@@ -135,8 +134,9 @@ def _check_lower_parameter(c: complex, n: int, name: str) -> None:
         )
 
 
-def _terminating_sum(n: int, term_factor, x) -> complex | np.ndarray:
-    """Sum_{j=0}^{n} t_j with t_0 = 1 and t_{j+1} = t_j * term_factor(j) * x.
+def _terminating_sum(n: int, term_factor, x_arr: np.ndarray) -> complex | np.ndarray:
+    """Sum_{j=0}^{n} t_j with t_0 = 1 and t_{j+1} = t_j * term_factor(j) * x, x the
+    complex128 ``x_arr``.
 
     Neumaier-compensated accumulation, vectorized over ``x``.  A scalar ``x``
     gives the bits of the array path on a 0-d ``x``: the factors
@@ -148,7 +148,6 @@ def _terminating_sum(n: int, term_factor, x) -> complex | np.ndarray:
     in order from 0, as the array path adds them (complex addition is the
     same IEEE operation in Python and NumPy).
     """
-    x_arr = np.asarray(x, dtype=np.complex128)
     if x_arr.ndim == 0:
         terms = [np.complex128(1.0)]
         for factor in np.multiply([term_factor(j) for j in range(n)], x_arr):
@@ -176,23 +175,25 @@ def _terminating_sum(n: int, term_factor, x) -> complex | np.ndarray:
 def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarray:
     """Terminating Gauss series sum_{j=0}^{n} (-n)_j (b)_j / ((c)_j j!) x^j.
 
-    ``x`` may be a scalar or an ndarray (complex); parameters are scalars.
-    ``n`` is a ``systems.level_index``; ``c`` must avoid {0, -1, ..., -(n-1)}, or
-    ``DegenerateDenominatorError`` is raised.
+    ``x`` is a ``systems.complex_array``, a scalar or an array, and ``b``, ``c``
+    ``systems.complex_scalar`` values; ``n`` is a ``systems.level_index``; ``c`` must
+    avoid {0, -1, ..., -(n-1)}, or ``DegenerateDenominatorError`` is raised.
     """
     n = level_index(n, 0, "series degree")
-    b = _check_finite(b, "b")
-    c = _check_finite(c, "c")
+    b = complex_scalar(b, "b")
+    c = complex_scalar(c, "c")
     _check_lower_parameter(c, n, "c")
-    return _terminating_sum(n, lambda j: (-n + j) * (b + j) / ((c + j) * (j + 1)), x)
+    return _terminating_sum(n, lambda j: (-n + j) * (b + j) / ((c + j) * (j + 1)),
+                            complex_array(x, "x"))
 
 
 def hyp1f1_terminating(n: int, c: complex, y) -> complex | np.ndarray:
-    """Terminating Kummer series sum_{j=0}^{n} (-n)_j / ((c)_j j!) y^j; ``n`` as in hyp2f1."""
+    """Terminating Kummer series sum_{j=0}^{n} (-n)_j / ((c)_j j!) y^j; ``n``, ``c`` and
+    ``y`` as ``n``, ``c`` and ``x`` in hyp2f1."""
     n = level_index(n, 0, "series degree")
-    c = _check_finite(c, "c")
+    c = complex_scalar(c, "c")
     _check_lower_parameter(c, n, "c")
-    return _terminating_sum(n, lambda j: (-n + j) / ((c + j) * (j + 1)), y)
+    return _terminating_sum(n, lambda j: (-n + j) / ((c + j) * (j + 1)), complex_array(y, "y"))
 
 
 def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> np.ndarray:

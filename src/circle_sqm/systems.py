@@ -1,5 +1,6 @@
 """What both systems share: geometric and branch descriptors, the closed-form contract,
-the rules of every public count, real, array and interval, the dispatch and the spectrum."""
+the rules of every public count, real or complex scalar and array, and interval, the
+dispatch and the spectrum."""
 
 from __future__ import annotations
 
@@ -66,16 +67,40 @@ def real_scalar(value, name: str) -> float:
     raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
+def complex_scalar(value, name: str) -> complex:
+    """``value`` as a complex, the rule of every public complex parameter; DomainError unless
+    it is a number (string and None are not) whose two parts are finite doubles."""
+    if isinstance(value, (complex, float)) or isinstance(value, numbers.Complex):
+        try:
+            z = complex(value)
+        except OverflowError:  # an integer beyond the doubles
+            pass
+        else:
+            if cmath.isfinite(z):
+                return z
+    raise DomainError(f"{name} must be a number with finite parts, got {value!r}")
+
+
 def real_array(values, name: str) -> np.ndarray:
     """``values`` as a float64 array, the rule of every public real array; DomainError unless
     they are real numbers (complex, string, object and ragged nested values are not)."""
+    return _number_array(values, name, "real", "biuf")  # bool, signed, unsigned, float
+
+
+def complex_array(values, name: str) -> np.ndarray:
+    """``values`` as a complex128 array, the rule of every public complex array; DomainError
+    unless they are numbers (string, object and ragged nested values are not)."""
+    return _number_array(values, name, "complex", "biufc")
+
+
+def _number_array(values, name: str, kind: str, dtype_kinds: str) -> np.ndarray:
     try:
         array = np.asarray(values)
     except ValueError:  # NumPy's "inhomogeneous shape"
-        raise DomainError(f"{name} must be real numbers, got a ragged nested sequence") from None
-    if array.dtype.kind not in "biuf":  # bool, signed, unsigned, float
-        raise DomainError(f"{name} must be real numbers, got {array.dtype} values")
-    return array.astype(np.float64, copy=False)
+        raise DomainError(f"{name} must be {kind} numbers, got a ragged nested sequence") from None
+    if array.dtype.kind not in dtype_kinds:
+        raise DomainError(f"{name} must be {kind} numbers, got {array.dtype} values")
+    return array.astype(np.float64 if kind == "real" else np.complex128, copy=False)
 
 
 def open_angles(phi, lo: float, hi: float) -> np.ndarray:
@@ -117,6 +142,14 @@ def finite_result(formula):
         return value
 
     return checked
+
+
+def finite_array_result(formula):
+    """``finite_result`` for a closed form on arrays, run with NumPy's warnings off so that an
+    overflow or a NaN (sin of an infinite angle) surfaces as its DomainError.  Scalar forms
+    keep plain ``finite_result``: ``np.errstate`` costs about 1 us a call, and a spectrum
+    makes up to a few hundred of them."""
+    return finite_result(np.errstate(all="ignore")(formula))
 
 
 def level_index(n, least: int = 0, name: str = "level index") -> int:
@@ -199,7 +232,9 @@ class PoschlTellerForm:
     Both systems meet in the equation
     ``psi'' + [epsilon - (k0^2 - 1/4)/cos^2 - (k1^2 - 1/4)/sin^2] psi = 0``.
     For the oscillator ``epsilon`` and ``k0`` are real with k0 >= 1/2; the
-    Coulomb duality route produces complex values.  Both must be finite.
+    Coulomb duality route produces complex values.  Both must pass
+    ``complex_scalar`` and are kept as given; ``k1`` is stored as a finite
+    ``real_scalar``.
     """
 
     epsilon: complex | float
@@ -207,5 +242,8 @@ class PoschlTellerForm:
     k1: float
 
     def __post_init__(self) -> None:
-        if not (cmath.isfinite(self.epsilon) and cmath.isfinite(self.k0)):
-            raise DomainError(f"epsilon and k0 must be finite, got {self.epsilon!r}, {self.k0!r}")
+        complex_scalar(self.epsilon, "epsilon")
+        complex_scalar(self.k0, "k0")
+        object.__setattr__(self, "k1", real_scalar(self.k1, "k1"))  # frozen
+        if not math.isfinite(self.k1):
+            raise DomainError(f"k1 must be finite, got {self.k1!r}")

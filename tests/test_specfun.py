@@ -67,6 +67,15 @@ class TestLnGamma:
             with pytest.raises(DomainError):
                 specfun.ln_gamma_real(x)
 
+    def test_overflowing_reflection_refused(self):
+        # 2 pi z overflows for Re z below about -2.9e307, where cmath.exp fails
+        for z in (complex(-1e308, 1.0), complex(-3e307, -0.25),
+                  complex(-1.7976931348623157e308, 1e300)):
+            with pytest.raises(DomainError, match="reflection"):
+                specfun.ln_gamma_complex(z)
+            with pytest.raises(DomainError):
+                specfun.gamma_abs(z)
+
     def test_recurrence_on_complex_grid(self):
         rng = np.random.default_rng(11)
         checked = 0

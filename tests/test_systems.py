@@ -1,9 +1,11 @@
 """What both systems share: the branch rule (the minus branch exists exactly
 when 0 < |k1| <= 1/2, checked at the edges of that interval), the contract
 of every real-valued public closed form (a finite double or DomainError, a
-float for a scalar angle), the integer, real-array, domain and interval rules of
-every public argument, the real-scalar, geometry and branch rules of every system
-field, the dispatch on system type and the merged spectrum."""
+float for a scalar angle, an infinite angle refused), the integer, real-array,
+domain and interval rules of every public argument, the real-scalar, geometry and
+branch rules of every system field, the real- and complex-scalar and complex-array
+rules of the parameter map and special functions, the envelope of both norm
+routines, the dispatch on system type and the merged spectrum."""
 
 import contextlib
 import io
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circle_sqm import Branch, CircleGeometry
+from circle_sqm import Branch, CircleGeometry, PoschlTellerForm
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm import cli, specfun
@@ -104,6 +106,10 @@ def test_closed_form_contract(form, args, overflowing):
         call(form, overflowing, None)
     assert type(call(form, args, 0.5)) is float
     if any(arg is PHI for arg in args):
+        # an infinite angle is refused, with no RuntimeWarning (an error under pytest)
+        for infinite in (math.inf, -math.inf, np.array([0.5, math.inf])):
+            with pytest.raises(DomainError):
+                call(form, args, infinite)
         phi = np.linspace(0.2, 1.2, 6).reshape(2, 3)
         values = call(form, args, phi)
         assert type(values) is np.ndarray and values.shape == phi.shape
@@ -249,6 +255,7 @@ FIELD_FORMS = {
     "CoulombSystem.branch": (lambda b: cou.CoulombSystem(UNIT, 1.0, 1.0, b), NOT_BRANCH),
     "OscillatorSystem.geometry": (lambda g: osc.OscillatorSystem(g, 1.0, 1.5), NOT_GEOMETRY),
     "CoulombSystem.geometry": (lambda g: cou.CoulombSystem(g, 1.0, 1.0), NOT_GEOMETRY),
+    "PoschlTellerForm.k1": (lambda x: PoschlTellerForm(1.0, 1.0, x), NOT_SCALAR),
 }
 
 
@@ -262,6 +269,96 @@ def test_system_field_guard(name):
     if refused is NOT_SCALAR:  # a real number is kept as a float
         kept = getattr(form(np.int64(1)), field)
         assert type(kept) is float and kept == 1.0
+
+
+# every other real scalar argument (of the paper's parameter map and of ln_gamma_real)
+REAL_ARGUMENT_FORMS = {
+    "coulomb.duality_parameters[energy]": lambda x: cou.duality_parameters(COU, x),
+    "oscillator.reduce_to_poschl_teller[energy]": lambda x: osc.reduce_to_poschl_teller(OSC, x),
+    "oscillator.energy_from_reduced[epsilon]": lambda x: osc.energy_from_reduced(OSC, x),
+    "specfun.ln_gamma_real[x]": lambda x: specfun.ln_gamma_real(x),
+}
+
+
+def argument_of(name):
+    return name[name.index("[") + 1:-1]
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENT_FORMS, ids=REAL_ARGUMENT_FORMS)
+def test_real_argument_guard(name):
+    form = REAL_ARGUMENT_FORMS[name]
+    for value in (*NOT_SCALAR, [1.0, 2.0]):
+        with pytest.raises(DomainError, match=argument_of(name)):
+            form(value)
+    for value in (math.nan, math.inf):  # no form or value is finite there
+        with pytest.raises(DomainError):
+            form(value)
+    assert form(np.int64(2)) == form(2.0)
+
+
+# every complex scalar argument, called with the value in its place
+COMPLEX_ARGUMENT_FORMS = {
+    "specfun.ln_gamma_complex[z]": lambda z: specfun.ln_gamma_complex(z),
+    "specfun.gamma_abs[z]": lambda z: specfun.gamma_abs(z),
+    "specfun.hyp2f1_terminating[b]": lambda b: specfun.hyp2f1_terminating(3, b, 2.0, 0.5),
+    "specfun.hyp2f1_terminating[c]": lambda c: specfun.hyp2f1_terminating(3, 1.0, c, 0.5),
+    "specfun.hyp1f1_terminating[c]": lambda c: specfun.hyp1f1_terminating(3, c, 0.5),
+    "PoschlTellerForm[epsilon]": lambda epsilon: PoschlTellerForm(epsilon, 1.0, 1.0),
+    "PoschlTellerForm[k0]": lambda k0: PoschlTellerForm(1.0, k0, 1.0),
+}
+# strings, None, a list, an integer beyond the doubles and parts that are not finite
+NOT_COMPLEX = ("2", "1+1j", None, [2.0], 10**400, complex(math.inf, 0.0),
+               complex(0.0, math.nan), math.nan)
+
+
+@pytest.mark.parametrize("name", COMPLEX_ARGUMENT_FORMS, ids=COMPLEX_ARGUMENT_FORMS)
+def test_complex_argument_guard(name):
+    form = COMPLEX_ARGUMENT_FORMS[name]
+    for value in NOT_COMPLEX:
+        with pytest.raises(DomainError, match=argument_of(name)):
+            form(value)
+    assert form(np.int64(2)) == form(2.0) == form(2.0 + 0j)
+
+
+# every complex array argument, called with the values in their place
+COMPLEX_ARRAY_FORMS = {
+    "specfun.hyp2f1_terminating[x]": lambda x: specfun.hyp2f1_terminating(3, 1.0, 2.0, x),
+    "specfun.hyp1f1_terminating[y]": lambda y: specfun.hyp1f1_terminating(3, 2.0, y),
+}
+NOT_NUMBERS = ("0.5", None, [[0.5], [0.6, 0.7]], np.array([0.5, "x"], dtype=object))
+
+
+@pytest.mark.parametrize("name", COMPLEX_ARRAY_FORMS, ids=COMPLEX_ARRAY_FORMS)
+def test_complex_array_guard(name):
+    form = COMPLEX_ARRAY_FORMS[name]
+    for values in NOT_NUMBERS:
+        with pytest.raises(DomainError, match="complex"):
+            form(values)
+    values = form([0.5, 0.25j, 1])
+    assert values.tolist() == [form(0.5), form(0.25j), form(1.0)]
+
+
+# every norm routine: (it at level n and scale omega R^2 or mu R, its target, largest scale)
+NORM_ROUTINES = {
+    "oscillator.l2_norm": (
+        lambda n, scale: osc.l2_norm(osc.OscillatorSystem(UNIT, scale, 1.5), n), 1.0, 1e2),
+    "coulomb.diamond_norm": (
+        lambda n, scale: cou.diamond_norm(cou.CoulombSystem(UNIT, scale, 1.0), n), 0.5, 1e3),
+    "coulomb.diamond_norm[m]": (
+        lambda m, scale: cou.diamond_norm(cou.CoulombSystem(UNIT, scale, 1.0), 0, m), 0.0, 1e3),
+}
+
+
+@pytest.mark.parametrize("name", NORM_ROUTINES, ids=NORM_ROUTINES)
+def test_norm_routines_refuse_what_their_rule_does_not_resolve(name):
+    # served up to n = 100 and the largest scale; above either the fixed rule drifts
+    # silently (1.2e-10 at n = 135, 1.7e-6 at omega R^2 = 300), so it is refused
+    norm, target, largest = NORM_ROUTINES[name]
+    assert norm(100, 1.0) == pytest.approx(target, abs=1e-11)
+    assert norm(100, largest) == pytest.approx(target, abs=1e-8)
+    for n, scale in ((101, 1.0), (135, 1.0), (300, 1.0), (0, math.nextafter(largest, math.inf))):
+        with pytest.raises(DomainError, match="norm rule"):
+            norm(n, scale)
 
 
 def test_package_import_leaves_numerics_unloaded():
