@@ -57,6 +57,11 @@ _NORM_MAX_MU_R = 1e3
 # Largest Im k0 for contour_norm_constant: over n <= 100 and k1/branch 1+, 0.5+-, 1.3+ it
 # is 5.3e-11 off 60-digit mpmath at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
 _CONTOUR_MAX_SIGMA = 1e5
+# e^(-sigma phi) is a normal double while sigma phi <= -ln(DBL_MIN) ~ 708.4; beyond it the
+# evaluator's exponential is off by at most min(e^(-sigma phi), 2^-1075), half the least
+# subnormal (1075 ln 2 ~ 745.1 in the exponent)
+_LN_DBL_MIN = -math.log(np.finfo(np.float64).tiny)
+_LN_HALF_SUBNORMAL = 1075.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -247,6 +252,8 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
     c_scale = norm_constant(sys, n) * scale
     big_n = n + nu
     ab_sum, ab_product, two_sigma = -2.0 * big_n, big_n**2 + sigma**2, 2.0 * sigma
+    # a state normalized to R int_0^pi psi^2 = 1/2 peaks at or above 1/sqrt(2 pi R)
+    ln_tolerance = math.log(1e-10 / math.sqrt(2.0 * math.pi * sys.geometry.radius))
 
     def block(phi):
         phi_abs = phi if parity is None else np.abs(phi)
@@ -255,6 +262,14 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
         w_sq = -s
         w_sq *= s
         romanovski = specfun.jacobi_scaled(n, ab_sum, ab_product, x, two_sigma * s, w_sq)
+        if sigma * math.pi > _LN_DBL_MIN:  # the bound of the exponential's error, in logs
+            far = phi_abs * sigma > _LN_DBL_MIN
+            ln_error = (np.log(abs(c_scale)) + nu * np.log(s[far])
+                        + np.log(np.abs(romanovski[far]))
+                        - np.maximum(phi_abs[far] * sigma, _LN_HALF_SUBNORMAL))
+            if np.any(ln_error > ln_tolerance):
+                raise DomainError(f"e^(-sigma phi) underflows at sigma = {sigma:g} and n = {n}: "
+                                  "the state is not resolved to 1e-10 of its peak")
         # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
         # on NumPy's scalar power, which rounds unlike the array loop
         s **= nu

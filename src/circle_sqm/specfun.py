@@ -13,10 +13,9 @@ once:
   real part, on the real axis ``ln_gamma_real``, are consumed by this package).
 * Terminating hypergeometric series are summed by forward term recurrence
   with compensated (Neumaier) accumulation; no gamma-ratio prefactors are
-  formed, so negative-integer upper parameters are handled exactly.  A
-  scalar argument gives the bits of a 0-d array with no 0-d array built per
-  term: its factors, magnitudes and corrections are formed as arrays over
-  the terms.
+  formed, so negative-integer upper parameters are handled exactly.  One
+  vectorized body serves a scalar and an array argument alike, holding the
+  n + 1 terms of every point at once (:func:`_terminating_sum`).
 * Both wavefunctions are Jacobi polynomials, evaluated by the forward
   three-term recurrence in real arithmetic (:func:`jacobi_scaled`).
 """
@@ -81,20 +80,25 @@ def ln_gamma_complex(z: complex) -> complex:
     """Log of the gamma function for complex argument.
 
     Raises ``PoleError`` at the poles z = 0, -1, -2, ... and ``DomainError``
-    unless z is a ``systems.complex_scalar`` or where the reflection's 2 pi z
-    overflows (Re z below about -2.9e307).
+    unless z is a ``systems.complex_scalar``, where the reflection's 2 pi z
+    overflows (Re z below about -2.9e307) and where the result is not finite off
+    the real axis (|z| above about 2.5e305, where ln Gamma overflows).  On the
+    real axis it overflows to +inf there, the value :func:`ln_gamma_real` shares.
     """
     z = complex_scalar(z, "z")
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z.real:g}")
     if z.real >= 0.5:
-        return _lanczos_ln_gamma(z)
-    # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    try:
-        ln_sin = _ln_sin_pi(z)
-    except ValueError:  # cmath.exp of an infinite phase
-        raise DomainError(f"2 pi z overflows in the reflection at z = {z!r}") from None
-    return _LN_PI - ln_sin - _lanczos_ln_gamma(1.0 - z)
+        value = _lanczos_ln_gamma(z)
+    else:  # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
+        try:
+            ln_sin = _ln_sin_pi(z)
+        except ValueError:  # cmath.exp of an infinite phase
+            raise DomainError(f"2 pi z overflows in the reflection at z = {z!r}") from None
+        value = _LN_PI - ln_sin - _lanczos_ln_gamma(1.0 - z)
+    if cmath.isfinite(value) or (z.imag == 0.0 and value.real == math.inf):
+        return value
+    raise DomainError(f"ln Gamma is not a finite complex at z = {z!r}")
 
 
 def ln_gamma_real(x: float) -> float:
@@ -135,41 +139,32 @@ def _check_lower_parameter(c: complex, n: int, name: str) -> None:
 
 
 def _terminating_sum(n: int, term_factor, x_arr: np.ndarray) -> complex | np.ndarray:
-    """Sum_{j=0}^{n} t_j with t_0 = 1 and t_{j+1} = t_j * term_factor(j) * x, x the
-    complex128 ``x_arr``.
+    """Sum_{j=0}^{n} t_j, t_0 = 1, t_{j+1} = t_j term_factor(j) x, Neumaier-compensated, at
+    each point of the complex128 ``x_arr`` (a complex if 0-d); DomainError if not finite.
 
-    Neumaier-compensated accumulation, vectorized over ``x``.  A scalar ``x``
-    gives the bits of the array path on a 0-d ``x``: the factors
-    term_factor(j) x are one array product, the terms are chained on
-    ``complex128`` scalars and the plain running totals accumulated; the
-    compensation's branch test then takes one ``np.abs`` of the totals and
-    one of the terms (an array's ``np.abs`` is the 0-d one elementwise;
-    builtin ``abs`` of a NumPy scalar is not), and its corrections are added
-    in order from 0, as the array path adds them (complex addition is the
-    same IEEE operation in Python and NumPy).
+    One block of (n + 2) x ``x_arr.shape`` values holds a 0 row, t_0 and the factors
+    term_factor(j) x; the working set is a few such blocks.  A ufunc accumulate runs
+    row after row, so the terms, the totals from 0 and the sum of the corrections
+    (t_0's is 0) are those of the recurrence at each point alone, bit for bit, with
+    unfused products (NumPy's elementwise complex multiply may fuse them).
     """
-    if x_arr.ndim == 0:
-        terms = [np.complex128(1.0)]
-        for factor in np.multiply([term_factor(j) for j in range(n)], x_arr):
-            terms.append(terms[-1] * factor)
-        terms = np.array(terms)
+    with np.errstate(all="ignore"):  # an overflow surfaces as the DomainError below
+        terms = np.empty((n + 2,) + x_arr.shape, np.complex128)
+        terms[0], terms[1] = 0.0, 1.0
+        np.multiply.outer([term_factor(j) for j in range(n)], x_arr, out=terms[2:])
+        np.multiply.accumulate(terms[1:], out=terms[1:])
         totals = np.add.accumulate(terms)
         prev, new, terms = totals[:-1], totals[1:], terms[1:]
         fixes = np.where(np.abs(prev) >= np.abs(terms), (prev - new) + terms,
                          (terms - new) + prev)
-        comp = 0j
-        for fix in fixes.tolist():
-            comp += fix
-        return complex(totals[-1] + comp)
-    total = term = np.ones_like(x_arr)
-    comp = np.zeros_like(x_arr)
-    for j in range(n):
-        term = term * (term_factor(j) * x_arr)
-        new_total = total + term
-        comp = comp + np.where(np.abs(total) >= np.abs(term),
-                               (total - new_total) + term, (term - new_total) + total)
-        total = new_total
-    return total + comp
+        total = totals[-1] + np.add.accumulate(fixes)[-1]
+    if x_arr.ndim == 0:
+        total = complex(total)
+        if cmath.isfinite(total):
+            return total
+    elif np.isfinite(total).all():
+        return total
+    raise DomainError(f"the degree-{n} series is not finite at this x")
 
 
 def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarray:
@@ -177,7 +172,8 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, x) -> complex | np.ndarra
 
     ``x`` is a ``systems.complex_array``, a scalar or an array, and ``b``, ``c``
     ``systems.complex_scalar`` values; ``n`` is a ``systems.level_index``; ``c`` must
-    avoid {0, -1, ..., -(n-1)}, or ``DegenerateDenominatorError`` is raised.
+    avoid {0, -1, ..., -(n-1)}, or ``DegenerateDenominatorError`` is raised.  A sum
+    that is not finite (an infinite ``x``, or terms that overflow) raises DomainError.
     """
     n = level_index(n, 0, "series degree")
     b = complex_scalar(b, "b")

@@ -6,7 +6,8 @@ cross-checks do not share a code path with what they verify:
 * exact complex-rational terminating hypergeometric sums (Fraction arithmetic,
   zero roundoff);
 * the terminating hypergeometric sum on 0-d arrays, one new array per
-  operation, whose results the scalar summation must match bit for bit;
+  operation, whose results the scalar and array sums must match bit for bit,
+  element by element;
 * a plain trapezoid-with-Richardson integrator for smooth integrands;
 * a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
 * the float LDL^T recurrence of the Sturm kernels, shift and log-determinant

@@ -190,13 +190,16 @@ class TestWavefunctionCommand:
           "--samples", "5"), "wavefunction"),
         (("--system", "oscillator", "--omega", "1e6", "--radius", "1", "--k1", "1.5",
           "--n", "500", "--samples", "5"), "wavefunction"),
+        # sigma = 600: it wrote 0 at phi = 1.4399, where the state is 2.77e-3, and exited 0
+        (("--system", "coulomb", "--mu", "300600", "--radius", "1", "--k1", "1", "--n", "500",
+          "--samples", "12", "--format", "csv"), "underflows"),
     ], ids=["coulomb-constant-overflow", "coulomb-sigma-inf", "coulomb-values-nan",
-            "oscillator-values-nan"])
+            "oscillator-values-nan", "coulomb-decay-underflow"])
     def test_non_finite_wavefunction_exits_2(self, capsys, system_args, quantity):
         code, out, err = run_cli(["wavefunction", *system_args], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and quantity in err
+        assert err.startswith("error:") and err.count("\n") == 1 and quantity in err
 
     def test_values_match_library(self, capsys):
         import numpy as np

@@ -25,6 +25,23 @@ def case_ii(branch, mu=1.0, radius=1.0):
     return cou.CoulombSystem(CircleGeometry(radius), mu=mu, k1=0.5, branch=branch)
 
 
+def gauss_series_state(system, n, phis, dps):
+    """The state at each angle by its complex Gauss-series closed form, at ``dps`` digits
+    in mpmath (not the recurrence): C (sin phi)^nu e^(-i phi (n - i sigma))
+    2F1(-n, nu + i sigma; 2 nu; 1 - e^(2 i phi)), C with 1/sqrt(R)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        qn = cou.quantize(system, n)
+        nu, sigma = mp.mpf(qn.nu), mp.mpf(qn.sigma)
+        c = (mp.exp(sigma * mp.pi / 2) * 2**nu * abs(mp.gamma(nu + 1j * sigma))
+             / mp.gamma(2 * nu)
+             * mp.sqrt(((n + nu) ** 2 + sigma**2) * mp.gamma(n + 2 * nu)
+                       / (4 * mp.pi * system.geometry.radius * (n + nu) * mp.factorial(n))))
+        return [complex(c * mp.sin(phi) ** nu * mp.exp(-1j * phi * (n - 1j * sigma))
+                        * mp.hyp2f1(-n, nu + 1j * sigma, 2 * nu, 1 - mp.exp(2j * phi)))
+                for phi in phis]
+
+
 class TestSystemInvariants:
     def test_mu_positive(self):
         with pytest.raises(DomainError):
@@ -271,21 +288,47 @@ class TestWavefunction:
     @pytest.mark.parametrize("system", [case_i(), case_ii(Branch.MINUS), case_i(mu=10.0)],
                              ids=["nu=1", "nu=0.25", "nu=1,muR=10"])
     def test_high_n_against_mpmath(self, system):
-        # the complex Gauss-series closed form at 50 digits, not the recurrence
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            for n in (40, 100):
-                qn = cou.quantize(system, n)
-                nu, sigma = mp.mpf(qn.nu), mp.mpf(qn.sigma)
-                c = (mp.exp(sigma * mp.pi / 2) * 2**nu * abs(mp.gamma(nu + 1j * sigma))
-                     / mp.gamma(2 * nu)
-                     * mp.sqrt(((n + nu) ** 2 + sigma**2) * mp.gamma(n + 2 * nu)
-                               / (4 * mp.pi * (n + nu) * mp.factorial(n))))
-                for phi in (0.3, 1.5, 2.8):
-                    want = (c * mp.sin(phi) ** nu * mp.exp(-1j * phi * (n - 1j * sigma))
-                            * mp.hyp2f1(-n, nu + 1j * sigma, 2 * nu, 1 - mp.exp(2j * phi)))
-                    got = cou.wavefunction(system, n, phi)
-                    assert abs(got - complex(want)) <= 1e-11 * max(1.0, abs(complex(want)))
+        for n in (40, 100):
+            phis = (0.3, 1.5, 2.8)
+            for phi, want in zip(phis, gauss_series_state(system, n, phis, 50)):
+                got = cou.wavefunction(system, n, phi)
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    # sigma = mu R/(n + nu) with nu = 1: sigma pi > -ln(DBL_MIN), so e^(-sigma phi) leaves
+    # the normal doubles on part of (0, pi); these rows returned 6.1e-6 (sigma = 400) and
+    # 1.0 of the peak (zeros) before the evaluator bounded that error
+    @pytest.mark.parametrize("n, sigma", [(500, 400), (500, 600), (500, 700), (1000, 400)])
+    def test_underflowing_decay_refused_or_within_1e_10_of_the_peak(self, n, sigma):
+        system = case_i(mu=sigma * (n + 1))
+        phis = np.linspace(0.0, math.pi, 26)[1:-1]
+        try:
+            got = cou.wavefunction(system, n, phis)
+        except DomainError as exc:
+            assert "underflows" in str(exc)
+            return
+        want = np.array(gauss_series_state(system, n, phis, 80)).real
+        peak = max(np.abs(want).max(), np.abs(got).max())  # a small got cannot relax it
+        assert np.abs(got - want).max() <= 1e-10 * peak
+
+    def test_underflowing_decay_refused_where_the_state_is_of_order_its_peak(self):
+        # the state is 0.398 at phi = 1.3 (peak about 1.03) and was returned as 0.0
+        system = case_i(mu=300600.0)
+        with pytest.raises(DomainError, match="underflows"):
+            cou.wavefunction(system, 500, 1.3)
+        with pytest.raises(DomainError, match="underflows"):
+            cou.extend_parity(system, 500, -1.3, Parity.EVEN)
+
+    @pytest.mark.parametrize("mu, n", [(1e4, 0), (1e4, 10), (700.0 * 301, 300),
+                                       (1000.0 * 301, 300)])
+    def test_decay_below_the_normal_doubles_served(self, mu, n):
+        # sigma pi > -ln(DBL_MIN) here too, but where e^(-sigma phi) underflows the state
+        # is far below 1e-10 of its peak, so the values are served (accurate zeros at n = 0)
+        system = case_i(mu=mu)
+        phis = np.concatenate((np.geomspace(1e-5, 0.05, 12), np.linspace(0.0, math.pi, 14)[1:-1]))
+        got = cou.wavefunction(system, n, phis)
+        want = np.array(gauss_series_state(system, n, phis, 80)).real
+        peak = max(np.abs(want).max(), np.abs(got).max())
+        assert np.abs(got - want).max() <= 1e-10 * peak
 
     def test_returns_float64(self):
         values = cou.wavefunction(case_ii(Branch.PLUS), 3, np.linspace(0.1, 3.0, 7))

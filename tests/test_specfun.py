@@ -1,5 +1,6 @@
 """Special-function layer: spot values, identities, and the exact-rational oracle."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -75,6 +76,26 @@ class TestLnGamma:
                 specfun.ln_gamma_complex(z)
             with pytest.raises(DomainError):
                 specfun.gamma_abs(z)
+
+    def test_non_finite_values_refused_off_the_real_axis(self):
+        # every part one of +-{0.25 ... DBL_MAX}: 142 of these 256 points returned an
+        # infinite or NaN part with no error, on both half-planes
+        magnitudes = (0.25, 1.0, 1e3, 1e100, 1e300, 1e306, 1e307, 1.7976931348623157e308)
+        parts = [sign * m for m in magnitudes for sign in (1.0, -1.0)]
+        refused = 0
+        for z in (complex(re, im) for re in parts for im in parts):
+            try:
+                value = specfun.ln_gamma_complex(z)
+            except DomainError:
+                refused += 1
+            else:
+                assert cmath.isfinite(value), z
+        assert refused == 156  # 14 of them where the reflection's 2 pi z overflows
+        for z in (1 + 1e306j, 0.25 + 1e306j, complex(-6e307, 3e307)):
+            with pytest.raises(DomainError):
+                specfun.ln_gamma_complex(z)
+        # on the real axis ln Gamma overflows to +inf, as ln_gamma_real does
+        assert specfun.ln_gamma_complex(1e306) == complex(math.inf, 0.0)
 
     def test_recurrence_on_complex_grid(self):
         rng = np.random.default_rng(11)
@@ -195,6 +216,16 @@ class TestHyp1F1Terminating:
             assert abs(got - exact) <= 1e-12 * max(abs(exact), 1.0)
 
 
+@pytest.mark.parametrize("x", [math.inf, np.array([0.5, math.inf]), complex(1e300, 1e300)],
+                         ids=["inf", "array-with-inf", "overflowing-terms"])
+def test_non_finite_sums_refused(x):
+    # NumPy's warnings used to escape untyped (an error under pytest), and NaN without them
+    with pytest.raises(DomainError, match="not finite"):
+        specfun.hyp2f1_terminating(3, 1.0, 2.0, x)
+    with pytest.raises(DomainError, match="not finite"):
+        specfun.hyp1f1_terminating(3, 2.0, x)
+
+
 class TestScalarSummation:
     def test_scalar_sums_match_the_0d_array_reference_bit_for_bit(self):
         # NumPy's complex multiply and abs differ from Python complex arithmetic in
@@ -217,6 +248,22 @@ class TestScalarSummation:
                 factor, got = (lambda j: (-n + j) * (b + j) / ((c + j) * (j + 1)),
                                specfun.hyp2f1_terminating(n, b, c, x))
             assert repr(got) == repr(terminating_sum_allocating(n, factor, x)), (i, n, b, c, x)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)])
+    def test_array_sums_match_the_0d_reference_bit_for_bit(self, shape):
+        # each element carries the bits of its own scalar sum: the terms are chained by a
+        # ufunc accumulate, whose products are unfused where NumPy's array multiply may fuse
+        rng = np.random.default_rng(len(shape))
+        for n in range(0, 41, 4):
+            b, c = (complex(*rng.uniform(-4.0, 4.0, 2)) for _ in range(2))
+            xs = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+            for factor, got in ((lambda j: (-n + j) * (b + j) / ((c + j) * (j + 1)),
+                                 specfun.hyp2f1_terminating(n, b, c, xs)),
+                                (lambda j: (-n + j) / ((c + j) * (j + 1)),
+                                 specfun.hyp1f1_terminating(n, c, xs))):
+                assert got.shape == shape
+                for x, value in zip(xs.ravel().tolist(), got.ravel().tolist()):
+                    assert repr(value) == repr(terminating_sum_allocating(n, factor, x)), (n, x)
 
 
     def test_integer_oracle_matches_fraction_arithmetic(self, monkeypatch):
