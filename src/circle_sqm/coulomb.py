@@ -47,7 +47,7 @@ from . import specfun
 from .errors import BranchError, DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
                       check_shared_fields, finite_array_result, finite_result, in_blocks,
-                      level_index, open_angles, real_array, real_scalar)
+                      level_index, real_array, real_scalar)
 
 # Largest mu R at which diamond_norm, and so every Coulomb norm report of validate,
 # trusts quadrature.norm_rule: every n <= 100 there gives |norm - 1/2| <= 5.5e-9,
@@ -55,7 +55,7 @@ from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
 # beyond it (6.5e-7 at mu R = 3e3 and n = 20, 1.2e-2 at mu R = 1e4 and n = 50).
 _NORM_MAX_MU_R = 1e3
 # Largest Im k0 for contour_norm_constant: over n <= 100 and k1/branch 1+, 0.5+-, 1.3+ it
-# is 5.3e-11 off 60-digit mpmath at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
+# is 5.3e-11 off mpmath (60 digits) at 1e5, 1.5e-10 at 2e5, and reads 2.0 at 1e300 (overflow).
 _CONTOUR_MAX_SIGMA = 1e5
 # e^(-sigma phi) is a normal double while sigma phi <= -ln(DBL_MIN) ~ 708.4; beyond it the
 # evaluator's exponential is off by at most min(e^(-sigma phi), 2^-1075), half the least
@@ -245,8 +245,8 @@ def contour_norm_constant(sys: CoulombSystem, n: int) -> complex:
 
 
 def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -> np.ndarray:
-    """The closed form of :func:`wavefunction` at angles phi in [0, pi), unchecked; with
-    a ``parity``, that of :func:`extend_parity` at angles in (-pi, pi)."""
+    """The closed form of :func:`wavefunction` at angles phi in (0, pi); with a ``parity``,
+    that of :func:`extend_parity` at angles in (-pi, pi)."""
     n, nu, sigma = qn.n, qn.nu, qn.sigma
     scale = math.prod(-2.0 * (m + 1) / (2.0 * nu + m) for m in range(n))  # (-2)^n n!/(2 nu)_n
     c_scale = norm_constant(sys, n) * scale
@@ -258,7 +258,7 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
     def block(phi):
         phi_abs = phi if parity is None else np.abs(phi)
         s = np.sin(phi_abs)
-        x = np.cos(phi_abs, out=np.empty(phi_abs.shape))  # an array even when 0-d, reused below
+        x = np.cos(phi_abs)  # reused below
         w_sq = -s
         w_sq *= s
         romanovski = specfun.jacobi_scaled(n, ab_sum, ab_product, x, two_sigma * s, w_sq)
@@ -270,8 +270,7 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
             if np.any(ln_error > ln_tolerance):
                 raise DomainError(f"e^(-sigma phi) underflows at sigma = {sigma:g} and n = {n}: "
                                   "the state is not resolved to 1e-10 of its peak")
-        # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s; **= keeps a 0-d s
-        # on NumPy's scalar power, which rounds unlike the array loop
+        # (((C scale) s^nu) e^(-sigma phi)) Q in the buffer of s
         s **= nu
         s *= c_scale
         s *= np.exp(np.multiply(phi_abs, -sigma, out=x), out=x)
@@ -280,7 +279,8 @@ def _evaluate(sys: CoulombSystem, qn: CoulombQuantumNumbers, phi, parity=None) -
             s *= np.sign(phi)
         return s
 
-    return in_blocks(block, phi)
+    domain = sys.motion_domain if parity is None else (-math.pi, math.pi)
+    return in_blocks(block, phi, *domain)
 
 
 @finite_array_result
@@ -296,8 +296,7 @@ def wavefunction(sys: CoulombSystem, n: int, phi) -> float | np.ndarray:
     work buffers of the block's size.  Values that are not finite doubles raise
     DomainError.
     """
-    qn = quantize(sys, n)
-    return _evaluate(sys, qn, open_angles(phi, *sys.motion_domain))
+    return _evaluate(sys, quantize(sys, n), phi)
 
 
 def diamond_norm(sys: CoulombSystem, n: int, m: int | None = None) -> float:
@@ -341,4 +340,4 @@ def extend_parity(sys: CoulombSystem, n: int, phi, parity: Parity) -> float | np
         )
     if not isinstance(parity, Parity):
         raise DomainError(f"parity must be a Parity, got {parity!r}")
-    return _evaluate(sys, quantize(sys, n), open_angles(phi, -math.pi, math.pi), parity)
+    return _evaluate(sys, quantize(sys, n), phi, parity)

@@ -19,7 +19,7 @@ import numpy as np
 from .. import coulomb, oscillator, specfun
 from ..errors import DomainError
 from ..systems import (Branch, CircleGeometry, closed_forms, finite_array_result, finite_result,
-                       level_index, real_array, spectrum)
+                       level_index, real_array, real_scalar, spectrum)
 from .eigensolve import eigenvalue_with_refinement
 from .residual import residual_rate
 
@@ -94,8 +94,12 @@ def validate_system(system, n_max: int, grid: int, tolerance: float,
     Level errors are relative to max(|E|, 1/(2 R^2)), so energies far below 1
     (large R) are judged in the system's own unit.  FD level and ODE residual
     orders must reach RATE_FLOOR.  ``label``
-    defaults to the module name, ``oscillator`` or ``coulomb``.
+    defaults to the module name, ``oscillator`` or ``coulomb``.  ``tolerance`` is a
+    ``systems.real_scalar``; DomainError unless it is finite and > 0.
     """
+    tolerance = real_scalar(tolerance, "tolerance")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
     module = closed_forms(system)
     if module is coulomb and system.nu < 1.0:
         raise DomainError(
@@ -191,15 +195,17 @@ def contraction_check(sys: coulomb.CoulombSystem, n: int, radii) -> list[Validat
     (c) the sup-norm deviation of the rescaled wavefunction from the
     flat-space profile, whose consecutive ratios must stay at or below
     ``SHAPE_TOLERANCE`` (one positive scale is fitted per radius, per the
-    normalization-matching convention).  ``radii``: a ``systems.real_array``.  A radius
-    at which the exact level's float gap is not positive (it rounds onto its limit), or
-    the scaled grid leaves (0, pi), is refused with DomainError; a shipped level whose
+    normalization-matching convention).  ``radii``: a one-dimensional ``systems.real_array``.
+    A radius at which the exact level's float gap is not positive (it rounds onto its limit),
+    or the scaled grid leaves (0, pi), is refused with DomainError; a shipped level whose
     gap is not positive fails (a), and its NaN log fails (b).  ``n``: a ``level_index``.
     """
     n = level_index(n)
     radii = real_array(radii, "radii")
-    if radii.size < 2 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii).all():
-        raise DomainError(f"need >= 2 finite, strictly increasing radii, got {radii.tolist()}")
+    if (radii.ndim != 1 or radii.size < 2 or not np.all(np.diff(radii) > 0.0)
+            or not np.isfinite(radii).all()):
+        raise DomainError("need a one-dimensional array of >= 2 finite, strictly increasing "
+                          f"radii, got {radii.tolist()}")
     mu, nu = sys.mu, sys.nu
     tag = f"contraction[nu={nu:g},n={n}]"
     # (a) in integers: n + nu = big_n/q and mu = a/b, so at R = s/t the gap is

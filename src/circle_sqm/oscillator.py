@@ -27,7 +27,7 @@ from . import specfun
 from .errors import DomainError, SingularPointError
 from .systems import (_SINGULAR_TOL, Branch, CircleGeometry, PoschlTellerForm,
                       check_shared_fields, finite_array_result, finite_result, in_blocks,
-                      level_index, open_angles, real_array, real_scalar, two_branch)
+                      level_index, real_array, real_scalar, two_branch)
 
 # Largest omega R^2 at which l2_norm trusts quadrature.norm_rule: every n <= 100 there is
 # within 1.5e-9 of 1, but the rule does not follow the state, narrowing as 1/sqrt(k0),
@@ -79,7 +79,8 @@ def potential(sys: OscillatorSystem, phi) -> float | np.ndarray:
     if np.any(np.abs(s) < _SINGULAR_TOL) or np.any(np.abs(c) < _SINGULAR_TOL):
         raise SingularPointError("potential is singular where sin(phi) or cos(phi) vanishes")
     r = sys.geometry.radius
-    return 0.5 * sys.omega**2 * r * r * (s / c) ** 2 + (sys.k1**2 - 0.25) / (2.0 * r * r * s * s)
+    t = s / c
+    return 0.5 * sys.omega**2 * r * r * (t * t) + (sys.k1**2 - 0.25) / (2.0 * r * r * s * s)
 
 
 def reduce_to_poschl_teller(sys: OscillatorSystem, energy: float) -> PoschlTellerForm:
@@ -155,19 +156,17 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
     buffers of the block's size.
     """
     n = level_index(n)
-    phi = open_angles(phi, *sys.motion_domain)
     a = sys.branch.sign * sys.k1
     k0 = sys.k0
     norm = _norm_constant(sys, n)
     ab_sum, ab_product, d_w = a + k0, a * k0, a - k0
 
     def block(phi):
-        phi_abs = np.abs(phi, out=np.empty(phi.shape))  # an array even when 0-d; becomes cos 2 phi
+        phi_abs = np.abs(phi)  # becomes cos 2 phi
         s, c = np.sin(phi_abs), np.cos(phi_abs)
         x = np.cos(np.multiply(phi_abs, 2.0, out=phi_abs), out=phi_abs)
         jacobi = specfun.jacobi_scaled(n, ab_sum, ab_product, x, d_w, 1.0)
-        # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s; **= keeps a 0-d s
-        # on NumPy's scalar power, which rounds unlike the array loop
+        # ((C s^(1/2 + a)) c^(1/2 + k0)) P in the buffer of s
         s **= 0.5 + a
         s *= norm
         c **= 0.5 + k0
@@ -175,7 +174,7 @@ def wavefunction(sys: OscillatorSystem, n: int, phi) -> float | np.ndarray:
         s *= jacobi
         return s
 
-    return in_blocks(block, phi)
+    return in_blocks(block, phi, *sys.motion_domain)
 
 
 def l2_norm(sys: OscillatorSystem, n: int) -> float:

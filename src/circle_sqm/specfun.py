@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -126,8 +127,12 @@ def ln_gamma_real(x: float) -> float:
 
 @finite_result
 def gamma_abs(z: complex) -> float:
-    """|Gamma(z)|, strictly positive away from the poles; DomainError if not a finite double."""
-    return math.exp(ln_gamma_complex(z).real)
+    """|Gamma(z)|, strictly positive away from the poles; DomainError if not a finite double
+    or below the normal doubles, where it underflows (|Im z| > 453.5 at Re z = 1)."""
+    value = math.exp(ln_gamma_complex(z).real)
+    if value < sys.float_info.min:
+        raise DomainError(f"|Gamma| underflows below the normal doubles at z = {z!r}")
+    return value
 
 
 def _check_lower_parameter(c: complex, n: int, name: str) -> None:

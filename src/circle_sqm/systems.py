@@ -103,26 +103,21 @@ def _number_array(values, name: str, kind: str, dtype_kinds: str) -> np.ndarray:
     return array.astype(np.float64 if kind == "real" else np.complex128, copy=False)
 
 
-def open_angles(phi, lo: float, hi: float) -> np.ndarray:
-    """``phi`` as a float array; DomainError unless every angle lies strictly inside (lo, hi)."""
-    phi_arr = real_array(phi, "phi")
-    if phi_arr.size and not (lo < phi_arr.min() and phi_arr.max() < hi):  # NaN fails both
+def in_blocks(evaluate, phi, lo: float, hi: float) -> np.ndarray:
+    """The elementwise ``evaluate`` at the ``real_array`` angles ``phi``, in ``phi``'s shape;
+    DomainError unless every angle lies strictly inside (lo, hi).  ``evaluate`` gets only
+    one-dimensional slices of at most ``_BLOCK`` angles of the flat view, so that one slice's
+    work buffers stay in cache and a scalar angle, a block of one, takes an array's path."""
+    phi = real_array(phi, "phi")
+    if phi.size and not (lo < phi.min() and phi.max() < hi):  # NaN fails both
         raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
-    return phi_arr
-
-
-def in_blocks(evaluate, phi: np.ndarray) -> np.ndarray:
-    """The elementwise ``evaluate`` over contiguous slices of at most ``_BLOCK`` angles
-    of ``phi``, gathered into one new array of ``phi``'s shape, so that one slice's
-    work buffers stay in cache.  Up to ``_BLOCK`` angles, 0-d included, are one block:
-    ``phi`` itself, whose ``evaluate`` value is returned as it is."""
-    if phi.size <= _BLOCK:
-        return evaluate(phi)
-    out = np.empty(phi.shape)
-    flat, flat_out = phi.reshape(-1), out.reshape(-1)
+    flat = phi.reshape(-1)
+    if flat.size <= _BLOCK:  # one block, returned without the gathering copy
+        return evaluate(flat).reshape(phi.shape)
+    out = np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK):
-        flat_out[start:start + _BLOCK] = evaluate(flat[start:start + _BLOCK])
-    return out
+        out[start:start + _BLOCK] = evaluate(flat[start:start + _BLOCK])
+    return out.reshape(phi.shape)
 
 
 def finite_result(formula):

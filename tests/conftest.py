@@ -1,5 +1,7 @@
-"""Shared pytest config: collect acceptance pass/fail lines and print them in
-the terminal summary so they are visible regardless of capture mode.
+"""Shared pytest config: load the one hypothesis profile of every property test
+(derandomized, no example database, no deadline), and collect acceptance
+pass/fail lines and print them in the terminal summary so they are visible
+regardless of capture mode.
 
 pyproject.toml puts ``src`` on this process's path; it is also put on
 PYTHONPATH so that tests which start a fresh interpreter import the same
@@ -7,6 +9,12 @@ checkout."""
 
 import os
 from pathlib import Path
+
+from hypothesis import settings
+
+# every property test draws the same examples on each run, and keeps no example database
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(

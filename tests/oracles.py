@@ -14,6 +14,8 @@ cross-checks do not share a code path with what they verify:
   included, which their serial loops must match bit for bit;
 * the closed-form wavefunctions with one new array per operation, whose
   order of operations the in-place evaluators must match bit for bit;
+* both states in mpmath by their Gauss-series closed forms, not the
+  recurrence, with nu, sigma and k0 taken from the system's fields;
 * closed-form spot values frozen from well-known identities;
 * the CLI's JSON and CSV text of records and validation payloads, rendered
   one value at a time (CSV through the standard ``csv`` writer).
@@ -211,6 +213,56 @@ def coulomb_wavefunction_allocating(norm: float, n: int, nu: float, sigma: float
     romanovski = jacobi_scaled_allocating(n, -2.0 * big_n, big_n**2 + sigma**2,
                                           np.cos(phi_abs), 2.0 * sigma * s, -s * s)
     return norm * scale * s**nu * np.exp(-sigma * phi_abs) * romanovski
+
+
+def coulomb_state_mpmath(system, n: int, phis, dps: int) -> list[complex]:
+    """The Coulomb state at each angle at ``dps`` digits: C (sin phi)^nu
+    e^(-i phi (n - i sigma)) 2F1(-n, nu + i sigma; 2 nu; 1 - e^(2 i phi)), with
+    nu = (1 +- k1)/2, sigma = mu R/(n + nu) and C with 1/sqrt(R)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        radius = mp.mpf(system.geometry.radius)
+        nu = (1 + system.branch.sign * mp.mpf(system.k1)) / 2
+        sigma = mp.mpf(system.mu) * radius / (n + nu)
+        c = (mp.exp(sigma * mp.pi / 2) * 2**nu * abs(mp.gamma(nu + 1j * sigma))
+             / mp.gamma(2 * nu)
+             * mp.sqrt(((n + nu) ** 2 + sigma**2) * mp.gamma(n + 2 * nu)
+                       / (4 * mp.pi * radius * (n + nu) * mp.factorial(n))))
+        return [complex(c * mp.sin(phi) ** nu * mp.exp(-1j * phi * (n - 1j * sigma))
+                        * mp.hyp2f1(-n, nu + 1j * sigma, 2 * nu, 1 - mp.exp(2j * phi)))
+                for phi in phis]
+
+
+def oscillator_state_mpmath(system, n: int, phis) -> list[float]:
+    """The oscillator state at each |angle|: C s^(1/2 + a) c^(1/2 + k0)
+    2F1(-n, n + k0 + a + 1; 1 + a; s^2), with a = +-k1, k0^2 = omega^2 R^4 + 1/4 and
+    C with 1/sqrt(R), at the least 40 * 2^j digits whose values agree within 1e-15 of
+    their peak with those at twice the digits (up to 1280)."""
+    import mpmath as mp
+
+    def values(dps):
+        with mp.workdps(dps):
+            radius = mp.mpf(system.geometry.radius)
+            a = system.branch.sign * mp.mpf(system.k1)
+            k0 = mp.sqrt((mp.mpf(system.omega) * radius**2) ** 2 + mp.mpf(1) / 4)
+            ln_c2 = (mp.log(2 * (2 * n + k0 + a + 1)) + mp.loggamma(n + a + 1)
+                     + mp.loggamma(n + k0 + a + 1) - mp.loggamma(n + k0 + 1)
+                     - mp.loggamma(n + 1) - 2 * mp.loggamma(1 + a) - mp.log(radius))
+            half = mp.mpf(1) / 2
+            return [mp.exp(ln_c2 / 2) * mp.sin(abs(phi)) ** (half + a)
+                    * mp.cos(phi) ** (half + k0)
+                    * mp.hyp2f1(-n, n + k0 + a + 1, 1 + a, mp.sin(phi) ** 2) for phi in phis]
+
+    dps, coarse = 40, values(40)
+    while dps < 1280:
+        dps *= 2
+        fine = values(dps)
+        peak = max(abs(v) for v in fine)
+        if all(abs(u - v) <= 1e-15 * peak for u, v in zip(coarse, fine)):
+            return [float(v) for v in fine]
+        coarse = fine
+    raise AssertionError(f"the oscillator oracle does not settle at n = {n} by {dps} digits")
 
 
 def _fmt(value: float) -> str:

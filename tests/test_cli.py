@@ -288,7 +288,7 @@ ALTERNATING = [("coulomb" if n % 3 else "oscillator", n, "plus", *((None, None) 
                 else (0.5 + n, 1.0 / (n + 1.0))), (n + 0.25) ** 2 / 3.0) for n in range(60)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(job=st.sampled_from(JOBS), data=st.data())
 @example(job=("json", "spectrum"), data=None)
 @example(job=("csv", "wavefunction"), data=None)
@@ -376,7 +376,7 @@ def assert_parses_back(fmt, kind, header, rows, text, key="records", **envelope)
 NON_FINITE = np.array([[0.5, math.nan, 0.0], [1.0, math.inf, 0.0], [1.5, -math.inf, 0.0]])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(job=st.sampled_from(JOBS), data=st.data())
 @example(job=("json", "wavefunction"), data=WAVEFUNCTION)
 @example(job=("json", "spectrum"), data=ALTERNATING)

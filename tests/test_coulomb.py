@@ -14,6 +14,8 @@ from circle_sqm.errors import BranchError, DomainError, SingularPointError
 from circle_sqm.numerics.quadrature import gauss_legendre_rule, norm_rule
 from circle_sqm.systems import spectrum
 
+from oracles import coulomb_state_mpmath
+
 UNIT = CircleGeometry(1.0)
 
 
@@ -23,23 +25,6 @@ def case_i(mu=1.0, radius=1.0):
 
 def case_ii(branch, mu=1.0, radius=1.0):
     return cou.CoulombSystem(CircleGeometry(radius), mu=mu, k1=0.5, branch=branch)
-
-
-def gauss_series_state(system, n, phis, dps):
-    """The state at each angle by its complex Gauss-series closed form, at ``dps`` digits
-    in mpmath (not the recurrence): C (sin phi)^nu e^(-i phi (n - i sigma))
-    2F1(-n, nu + i sigma; 2 nu; 1 - e^(2 i phi)), C with 1/sqrt(R)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(dps):
-        qn = cou.quantize(system, n)
-        nu, sigma = mp.mpf(qn.nu), mp.mpf(qn.sigma)
-        c = (mp.exp(sigma * mp.pi / 2) * 2**nu * abs(mp.gamma(nu + 1j * sigma))
-             / mp.gamma(2 * nu)
-             * mp.sqrt(((n + nu) ** 2 + sigma**2) * mp.gamma(n + 2 * nu)
-                       / (4 * mp.pi * system.geometry.radius * (n + nu) * mp.factorial(n))))
-        return [complex(c * mp.sin(phi) ** nu * mp.exp(-1j * phi * (n - 1j * sigma))
-                        * mp.hyp2f1(-n, nu + 1j * sigma, 2 * nu, 1 - mp.exp(2j * phi)))
-                for phi in phis]
 
 
 class TestSystemInvariants:
@@ -290,7 +275,7 @@ class TestWavefunction:
     def test_high_n_against_mpmath(self, system):
         for n in (40, 100):
             phis = (0.3, 1.5, 2.8)
-            for phi, want in zip(phis, gauss_series_state(system, n, phis, 50)):
+            for phi, want in zip(phis, coulomb_state_mpmath(system, n, phis, 50)):
                 got = cou.wavefunction(system, n, phi)
                 assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
@@ -306,7 +291,7 @@ class TestWavefunction:
         except DomainError as exc:
             assert "underflows" in str(exc)
             return
-        want = np.array(gauss_series_state(system, n, phis, 80)).real
+        want = np.array(coulomb_state_mpmath(system, n, phis, 80)).real
         peak = max(np.abs(want).max(), np.abs(got).max())  # a small got cannot relax it
         assert np.abs(got - want).max() <= 1e-10 * peak
 
@@ -326,7 +311,7 @@ class TestWavefunction:
         system = case_i(mu=mu)
         phis = np.concatenate((np.geomspace(1e-5, 0.05, 12), np.linspace(0.0, math.pi, 14)[1:-1]))
         got = cou.wavefunction(system, n, phis)
-        want = np.array(gauss_series_state(system, n, phis, 80)).real
+        want = np.array(coulomb_state_mpmath(system, n, phis, 80)).real
         peak = max(np.abs(want).max(), np.abs(got).max())
         assert np.abs(got - want).max() <= 1e-10 * peak
 
@@ -336,12 +321,11 @@ class TestWavefunction:
         assert type(cou.wavefunction(case_ii(Branch.PLUS), 3, 0.5)) is float
 
     def test_vectorized_matches_scalar(self):
-        # batched numpy ufuncs may take SIMD paths one ulp off the scalar ones
         system = case_i()
         phis = np.linspace(0.3, 2.8, 6)
         vec = cou.wavefunction(system, 2, phis)
         for phi, value in zip(phis, vec):
-            assert abs(cou.wavefunction(system, 2, float(phi)) - value) <= 1e-14 * abs(value)
+            assert cou.wavefunction(system, 2, float(phi)) == value
 
 
 class TestDiamond:

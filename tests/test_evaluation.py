@@ -1,9 +1,10 @@
 """The closed-form wavefunctions are evaluated in place, block by block: the
 Jacobi recurrence rotates three buffers, the prefactors multiply into the
 buffer of sin, and ``systems.in_blocks`` runs that chain over contiguous
-slices of at most ``systems._BLOCK`` angles.  Every result must equal, bit
-for bit, the allocating formulas kept in ``oracles.py``, for arrays of any
-size and shape and for scalar angles alike, and no input may be written."""
+one-dimensional slices of at most ``systems._BLOCK`` angles, a scalar angle
+being a slice of one.  Every result must equal, bit for bit, the allocating
+formulas kept in ``oracles.py`` on the angles as a flat array, for arrays of
+any size and shape and for scalar angles alike, and no input may be written."""
 
 import math
 import tracemalloc
@@ -15,7 +16,8 @@ from circle_sqm import Branch, CircleGeometry, specfun, systems
 from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm.errors import DomainError
-from circle_sqm.systems import open_angles, two_branch
+from circle_sqm.numerics import validate
+from circle_sqm.systems import two_branch
 
 from oracles import (coulomb_wavefunction_allocating, jacobi_scaled_allocating,
                      oscillator_wavefunction_allocating)
@@ -30,6 +32,13 @@ def angles(lo: float, hi: float, seed: int) -> tuple[np.ndarray, list[float]]:
     """1001 angles (an odd count, so vector loops end in a partial block) and 8 scalars."""
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, 1001), rng.uniform(lo, hi, 8).tolist()
+
+
+def on_flat(allocating, *args):
+    """``allocating(*args)`` with its last argument, the angles, as a flat array, and the
+    values in the angles' shape: a scalar angle's reference is its one-element array's."""
+    *args, phi = args
+    return allocating(*args, np.reshape(phi, -1)).reshape(np.shape(phi))
 
 
 def assert_same(got, want):
@@ -70,7 +79,7 @@ def test_oscillator_wavefunction_matches_the_allocating_formula(k1, branch):
         for n in DEGREES:
             norm = osc._norm_constant(system, n)
             for angle in [phi] + scalars:
-                want = oscillator_wavefunction_allocating(norm, n, a, system.k0, angle)
+                want = on_flat(oscillator_wavefunction_allocating, norm, n, a, system.k0, angle)
                 assert_same(osc.wavefunction(system, n, angle), want)
         assert np.array_equal(phi, before)
 
@@ -85,11 +94,12 @@ def test_coulomb_wavefunction_matches_the_allocating_formula(k1, branch):
         qn = cou.quantize(system, n)
         norm = cou.norm_constant(system, n)
         for angle in [phi] + scalars:
-            want = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, angle)
+            want = on_flat(coulomb_wavefunction_allocating, norm, n, qn.nu, qn.sigma, angle)
             assert_same(cou.wavefunction(system, n, angle), want)
         if system.two_sided:
             for angle in [full] + full_scalars:
-                even = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, np.abs(angle))
+                even = on_flat(coulomb_wavefunction_allocating, norm, n, qn.nu, qn.sigma,
+                               np.abs(angle))
                 assert_same(cou.extend_parity(system, n, angle, cou.Parity.EVEN), even)
                 assert_same(cou.extend_parity(system, n, angle, cou.Parity.ODD),
                             np.sign(angle) * even)
@@ -116,14 +126,14 @@ def test_block_boundaries_match_the_allocating_formulas(shape):
     positive, full = rng.uniform(0.0, math.pi, shape), rng.uniform(-math.pi, math.pi, shape)
     inputs = [v.copy() for v in (phi, positive, full)]
     for n in (2, 18):
-        want = oscillator_wavefunction_allocating(osc._norm_constant(oscillator, n), n, -0.5,
-                                                  oscillator.k0, phi)
+        want = on_flat(oscillator_wavefunction_allocating, osc._norm_constant(oscillator, n), n,
+                       -0.5, oscillator.k0, phi)
         assert_same(osc.wavefunction(oscillator, n, phi), want)
         qn = cou.quantize(coulomb, n)
         norm = cou.norm_constant(coulomb, n)
-        want = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, positive)
+        want = on_flat(coulomb_wavefunction_allocating, norm, n, qn.nu, qn.sigma, positive)
         assert_same(cou.wavefunction(coulomb, n, positive), want)
-        even = coulomb_wavefunction_allocating(norm, n, qn.nu, qn.sigma, np.abs(full))
+        even = on_flat(coulomb_wavefunction_allocating, norm, n, qn.nu, qn.sigma, np.abs(full))
         assert_same(cou.extend_parity(coulomb, n, full, cou.Parity.EVEN), even)
         assert_same(cou.extend_parity(coulomb, n, full, cou.Parity.ODD), np.sign(full) * even)
     for before, after in zip(inputs, (phi, positive, full)):
@@ -162,15 +172,50 @@ def test_peak_memory_of_a_large_odd_extension():
     assert peak < 3e6
 
 
-def test_open_angles_refuses_nan_and_accepts_no_angles():
-    for phi in (math.nan, np.array([0.5, math.nan, 1.0]), np.array([math.nan])):
-        with pytest.raises(DomainError):
-            open_angles(phi, 0.0, math.pi)
-    assert open_angles(np.array([]), 0.0, math.pi).shape == (0,)
-    system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
-    assert cou.wavefunction(system, 3, np.array([])).shape == (0,)
-    with pytest.raises(DomainError):
-        cou.wavefunction(system, 3, np.array([1.0, math.nan]))
+def test_evaluators_refuse_nan_and_accept_no_angles():
+    oscillator = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)
+    coulomb = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)  # two-sided
+    evaluations = (lambda phi: osc.wavefunction(oscillator, 3, phi),
+                   lambda phi: cou.wavefunction(coulomb, 3, phi),
+                   lambda phi: cou.extend_parity(coulomb, 3, phi, cou.Parity.ODD))
+    for evaluate in evaluations:
+        for phi in (math.nan, np.array([0.5, math.nan, 1.0]), np.array([math.nan])):
+            with pytest.raises(DomainError, match="strictly inside"):
+                evaluate(phi)
+        for shape in ((0,), (2, 0)):
+            assert evaluate(np.empty(shape)).shape == shape
+
+
+OSC = osc.OscillatorSystem(CircleGeometry(0.8), omega=1.3, k1=0.5, branch=Branch.MINUS)
+COU = cou.CoulombSystem(CircleGeometry(0.9), mu=1.3, k1=1.0)  # two-sided
+# the six closed forms that finite_array_result wraps, each with an interval of its angles
+ARRAY_FORMS = {
+    "oscillator.potential": (lambda phi: osc.potential(OSC, phi), (0.01, 1.56)),
+    "oscillator.wavefunction": (lambda phi: osc.wavefunction(OSC, 11, phi), OSC.motion_domain),
+    "coulomb.potential": (lambda phi: cou.potential(COU, phi), (0.01, 3.13)),
+    "coulomb.wavefunction": (lambda phi: cou.wavefunction(COU, 18, phi), COU.motion_domain),
+    "coulomb.extend_parity": (lambda phi: cou.extend_parity(COU, 18, phi, cou.Parity.ODD),
+                              (-math.pi, math.pi)),
+    "validate.flat_limit_wavefunction": (lambda y: validate.flat_limit_wavefunction(COU, 5, y),
+                                         (0.05, 24.0)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_FORMS, ids=ARRAY_FORMS)
+def test_a_scalar_angle_has_its_bits_in_every_array(name, monkeypatch):
+    # NumPy runs 0-d work on its scalar loops, whose powers round unlike the array loops:
+    # 84 of these oscillator values and 5 of its potential's differed from the array's
+    # before every angle went through a one-dimensional block and tan^2 became t * t
+    form, (lo, hi) = ARRAY_FORMS[name]
+    phi = np.random.default_rng(3).uniform(lo, hi, 2000)
+    alone = [form(angle) for angle in phi.tolist()]
+    assert all(type(value) is float for value in alone)
+    alone = np.array(alone)
+    for shape, block in (((2000,), systems._BLOCK), ((40, 50), systems._BLOCK), ((2000,), 64)):
+        monkeypatch.setattr(systems, "_BLOCK", block)  # 2000 = 31 * 64 + 16: 32 blocks
+        values = form(phi.reshape(shape))
+        assert values.shape == shape
+        assert np.array_equal(values.reshape(-1).view(np.int64), alone.view(np.int64))
 
 
 def test_evaluators_refuse_angles_that_are_not_real():

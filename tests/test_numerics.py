@@ -584,7 +584,7 @@ def _tridiagonals(draw):
     return np.array(diag), np.array(off), np.array(signs)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(matrix=_tridiagonals())
 def test_reduction_reads_off_diagonal_magnitudes(matrix):
     # both kernels read |off|, so neither sees the signs; midway between
@@ -777,6 +777,14 @@ class TestValidationReports:
         assert report.passed
         assert report.rel_err[0] == pytest.approx(5e-9)
 
+    def test_validate_system_refuses_a_tolerance_that_is_not_finite_and_positive(self):
+        # "x" raised an untyped TypeError from the levels report, and NaN or -1 made it
+        # fail whatever the levels were
+        system = osc.OscillatorSystem(CircleGeometry(1.0), omega=1.0, k1=1.5)
+        for tolerance in ("x", None, 1j, math.nan, -1.0, 0.0, math.inf):
+            with pytest.raises(DomainError, match="tolerance"):
+                validate_system(system, 1, 64, tolerance, residual_levels=())
+
     def test_validate_system_rejects_sublinear_coulomb(self):
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=0.5, branch=Branch.PLUS)
         with pytest.raises(DomainError):
@@ -885,6 +893,13 @@ class TestContraction:
         system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
         for radii in ((1e4, 1e3), (1e3,), (), (0.0, 1e3), (1e2, 1e9)):
             with pytest.raises(DomainError):
+                contraction_check(system, 0, radii)
+
+    def test_contraction_check_requires_one_dimensional_radii(self):
+        # a 2-d list was read row by row and refused as "radius must be a real number"
+        system = cou.CoulombSystem(CircleGeometry(1.0), mu=1.0, k1=1.0)
+        for radii in ([[1e2, 1e3]], [[1e2, 1e3], [1e4, 1e5]], 1e2):
+            with pytest.raises(DomainError, match="one-dimensional"):
                 contraction_check(system, 0, radii)
 
     def test_contraction_check_requires_finite_radii(self):

@@ -12,6 +12,8 @@ from circle_sqm.errors import BranchError, DomainError, SingularPointError
 from circle_sqm.numerics.quadrature import norm_rule
 from circle_sqm.systems import spectrum
 
+from oracles import oscillator_state_mpmath
+
 UNIT = CircleGeometry(1.0)
 SQRT5_HALF = math.sqrt(5.0) / 2.0
 
@@ -238,23 +240,13 @@ class TestWavefunction:
     @pytest.mark.parametrize("omega,k1,branch", [
         (1.0, 1.5, Branch.PLUS), (1.0, 0.3, Branch.MINUS), (10.0, 0.5, Branch.PLUS)])
     def test_high_n_against_mpmath(self, omega, k1, branch):
-        # the Gauss-series closed form at 50 digits, not the Jacobi recurrence
-        mp = pytest.importorskip("mpmath")
+        # the Gauss-series closed form in mpmath, not the Jacobi recurrence
         system = osc.OscillatorSystem(UNIT, omega=omega, k1=k1, branch=branch)
-        with mp.workdps(50):
-            a = branch.sign * mp.mpf(k1)
-            k0 = mp.sqrt(mp.mpf(omega) ** 2 + mp.mpf(1) / 4)
-            for n in (40, 100):
-                ln_c2 = (mp.log(2 * (2 * n + k0 + a + 1)) + mp.loggamma(n + a + 1)
-                         + mp.loggamma(n + k0 + a + 1) - mp.loggamma(n + k0 + 1)
-                         - mp.loggamma(n + 1) - 2 * mp.loggamma(1 + a))
-                for phi in (0.1, 0.7, 1.3):
-                    s, c = mp.sin(phi), mp.cos(phi)
-                    want = float(mp.exp(ln_c2 / 2) * s ** (mp.mpf(1) / 2 + a)
-                                 * c ** (mp.mpf(1) / 2 + k0)
-                                 * mp.hyp2f1(-n, n + k0 + a + 1, 1 + a, s * s))
-                    got = osc.wavefunction(system, n, phi)
-                    assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+        phis = (0.1, 0.7, 1.3)
+        for n in (40, 100):
+            for phi, want in zip(phis, oscillator_state_mpmath(system, n, phis)):
+                got = osc.wavefunction(system, n, phi)
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_large_n_prefactor_stays_finite(self):
         # naive gamma products overflow doubles near n ~ 170; the log-space

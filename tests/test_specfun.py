@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,14 @@ class TestGammaAbs:
     def test_at_one_quarter(self):
         assert specfun.gamma_abs(0.25) == pytest.approx(GAMMA_QUARTER, rel=1e-13)
         assert specfun.gamma_abs(0.25) == pytest.approx(math.gamma(0.25), rel=1e-13)
+
+    def test_underflow_refused(self):
+        # |Gamma(1 + i y)| ~ sqrt(2 pi y) e^(-pi y / 2) leaves the normal doubles at
+        # y = 453.5; 1 + 500i returned 0.0, 1 + 455i a subnormal, and so did the real axis
+        for z in (complex(1.0, 500.0), complex(1.0, 455.0), complex(0.5, -470.0), -180.5):
+            with pytest.raises(DomainError, match="underflows"):
+                specfun.gamma_abs(z)
+        assert specfun.gamma_abs(complex(1.0, 453.0)) >= sys.float_info.min
 
     def test_identity_over_sigma_range(self):
         for sigma in np.logspace(-3, 1, 100):

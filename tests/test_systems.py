@@ -25,7 +25,7 @@ from circle_sqm import cli, specfun
 from circle_sqm.errors import BranchError, DomainError
 from circle_sqm.numerics import (TridiagonalMatrix, build_hamiltonian, gauss_legendre_rule,
                                  lowest_eigenvalues, ode_residual, residual_rate, validate)
-from circle_sqm.systems import closed_forms, finite_result, open_angles, spectrum, two_branch
+from circle_sqm.systems import closed_forms, finite_result, in_blocks, spectrum, two_branch
 
 UNIT = CircleGeometry(1.0)
 ABOVE_HALF = float(np.nextafter(0.5, 1.0))
@@ -194,7 +194,7 @@ ARRAY_FORMS = {
     "validate.contraction_check": lambda radii: validate.contraction_check(COU, 0, radii),
     "eigensolve.lowest_eigenvalues[guess]": lambda guess: lowest_eigenvalues(
         MATRIX, 1, guess=guess),
-    "systems.open_angles": lambda phi: open_angles(phi, 0.0, 1.0),
+    "systems.in_blocks": lambda phi: in_blocks(np.negative, phi, 0.0, 1.0),
     "eigensolve.TridiagonalMatrix[diagonal]": lambda d: TridiagonalMatrix(d, [0.5]),
     "eigensolve.TridiagonalMatrix[off_diagonal]": lambda e: TridiagonalMatrix([1.0, 2.0], e),
 }
@@ -277,6 +277,8 @@ REAL_ARGUMENT_FORMS = {
     "oscillator.reduce_to_poschl_teller[energy]": lambda x: osc.reduce_to_poschl_teller(OSC, x),
     "oscillator.energy_from_reduced[epsilon]": lambda x: osc.energy_from_reduced(OSC, x),
     "specfun.ln_gamma_real[x]": lambda x: specfun.ln_gamma_real(x),
+    "validate.validate_system[tolerance]": lambda x: validate.validate_system(
+        OSC, 0, 64, x, residual_levels=()),
 }
 
 
@@ -390,7 +392,7 @@ def test_closed_forms_dispatch():
         validate.validate_system(None, 2, 64, 1e-4)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(system_type=st.sampled_from([osc.OscillatorSystem, cou.CoulombSystem]),
        radius=st.floats(0.1, 10.0), coupling=st.floats(0.0, 10.0, exclude_min=True),
        k1=st.floats(0.0, 1.4), minus=st.booleans(), n_max=st.integers(0, 20))
