@@ -11,11 +11,14 @@ once:
   the imaginary part may differ from the analytic continuation by a multiple
   of ``2*pi`` (``exp`` of the result is unaffected, and only ``exp`` and the
   real part, on the real axis ``ln_gamma_real``, are consumed by this package).
+  One Lanczos sum serves both: ``ln_gamma_real`` runs it on a float, so it is
+  the real part of the complex path's own operations.
 * Terminating hypergeometric series are summed by forward term recurrence
   with compensated (Neumaier) accumulation; no gamma-ratio prefactors are
   formed, so negative-integer upper parameters are handled exactly.  One
   vectorized body serves a scalar and an array argument alike, holding the
-  n + 1 terms of every point at once (:func:`_terminating_sum`).
+  n + 1 terms of a block of at most ``systems._BLOCK // (n + 2)`` points at
+  once (:func:`_terminating_sum`).
 * Both wavefunctions are Jacobi polynomials, evaluated by the forward
   three-term recurrence in real arithmetic (:func:`jacobi_scaled`).
 """
@@ -29,8 +32,8 @@ import sys
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, PoleError
-from .systems import (complex_array, complex_scalar, finite_result, level_index, real_array,
-                      real_scalar)
+from .systems import (blockwise, complex_array, complex_scalar, finite_result, level_index,
+                      real_array, real_scalar)
 
 # Lanczos parameters (g = 7, 9 terms): the classic double-precision set.  It
 # keeps the relative error of Gamma below ~1e-13 on Re z >= 1/2, which the
@@ -55,11 +58,11 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
-def _lanczos_ln_gamma(z: complex) -> complex:
-    # valid for Re z >= 0.5
-    series = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[k] / (z + (k - 1))
+def _lanczos_ln_gamma(z: complex | float) -> complex:
+    # valid for Re z >= 0.5; a float z runs the real parts of a complex z's operations
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_COEFFS
+    series = (c0 + c1 / z + c2 / (z + 1) + c3 / (z + 2) + c4 / (z + 3) + c5 / (z + 4)
+              + c6 / (z + 5) + c7 / (z + 6) + c8 / (z + 7))  # summed left to right
     t = z + _LANCZOS_G - 0.5
     return _LN_SQRT_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(series)
 
@@ -103,26 +106,13 @@ def ln_gamma_complex(z: complex) -> complex:
 
 
 def ln_gamma_real(x: float) -> float:
-    """ln|Gamma(x)| for real x, exactly the real part of :func:`ln_gamma_complex`.
-
-    On 1/2 <= x < inf it runs the Lanczos sum of :func:`ln_gamma_complex` on floats,
-    the real parts of the same operations in the same order; non-finite x, the poles
-    and x < 1/2 go through :func:`ln_gamma_complex` itself.  x is a ``systems.real_scalar``."""
+    """ln|Gamma(x)| for real x, exactly the real part of :func:`ln_gamma_complex`: its own
+    Lanczos sum run on the float x on 1/2 <= x < inf, and itself at non-finite x, the poles
+    and x < 1/2.  x is a ``systems.real_scalar``."""
     x = real_scalar(x, "x")
     if not 0.5 <= x < math.inf:
         return ln_gamma_complex(complex(x)).real
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_COEFFS
-    series = (c0 + c1 / x + c2 / (x + 1) + c3 / (x + 2) + c4 / (x + 3) + c5 / (x + 4)
-              + c6 / (x + 5) + c7 / (x + 6) + c8 / (x + 7))  # summed left to right
-    t = x + _LANCZOS_G - 0.5
-    # cmath.log(complex(v)).real: CPython's c_log takes log1p((v - 1)(v + 1))/2 for
-    # 0.71 <= v <= 1.73 and log(v) otherwise (t >= 7; above DBL_MAX/4, where it halves
-    # its argument first, (x - 1/2) log t is inf either way)
-    if 0.71 <= series <= 1.73:
-        ln_series = math.log1p((series - 1.0) * (series + 1.0)) / 2.0
-    else:
-        ln_series = math.log(series)
-    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + ln_series
+    return _lanczos_ln_gamma(x).real
 
 
 @finite_result
@@ -147,23 +137,32 @@ def _terminating_sum(n: int, term_factor, x_arr: np.ndarray) -> complex | np.nda
     """Sum_{j=0}^{n} t_j, t_0 = 1, t_{j+1} = t_j term_factor(j) x, Neumaier-compensated, at
     each point of the complex128 ``x_arr`` (a complex if 0-d); DomainError if not finite.
 
-    One block of (n + 2) x ``x_arr.shape`` values holds a 0 row, t_0 and the factors
-    term_factor(j) x; the working set is a few such blocks.  A ufunc accumulate runs
+    ``systems.blockwise`` hands an array over in blocks of at most max(1, _BLOCK // (n + 2))
+    points; a 0-d x is summed as one block, and a block of one point as a 0-d x.  One
+    array of (n + 2) x block values holds a 0 row, t_0 and the factors term_factor(j) x;
+    the working set is a few such arrays.  A ufunc accumulate runs
     row after row, so the terms, the totals from 0 and the sum of the corrections
     (t_0's is 0) are those of the recurrence at each point alone, bit for bit, with
     unfused products (NumPy's elementwise complex multiply may fuse them).
     """
-    with np.errstate(all="ignore"):  # an overflow surfaces as the DomainError below
-        terms = np.empty((n + 2,) + x_arr.shape, np.complex128)
+    factors = [term_factor(j) for j in range(n)]
+
+    def block_sum(x: np.ndarray) -> np.ndarray:
+        if x.shape == (1,):  # NumPy multiplies a 1 x 1 outer product by another loop
+            x = x.reshape(())
+        terms = np.empty((n + 2,) + x.shape, np.complex128)
         terms[0], terms[1] = 0.0, 1.0
-        np.multiply.outer([term_factor(j) for j in range(n)], x_arr, out=terms[2:])
+        np.multiply.outer(factors, x, out=terms[2:])
         np.multiply.accumulate(terms[1:], out=terms[1:])
         totals = np.add.accumulate(terms)
         prev, new, terms = totals[:-1], totals[1:], terms[1:]
         fixes = np.where(np.abs(prev) >= np.abs(terms), (prev - new) + terms,
                          (terms - new) + prev)
-        total = totals[-1] + np.add.accumulate(fixes)[-1]
-    if x_arr.ndim == 0:
+        return totals[-1] + np.add.accumulate(fixes)[-1]
+
+    with np.errstate(all="ignore"):  # an overflow surfaces as the DomainError below
+        total = blockwise(block_sum, x_arr, n + 2) if x_arr.ndim else block_sum(x_arr)
+    if total.ndim == 0:
         total = complex(total)
         if cmath.isfinite(total):
             return total
@@ -205,7 +204,9 @@ def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> n
     when they are: w = 1 gives P_n at real x for real alpha, beta, and
     alpha, beta = -N +- i sigma at x = i cot(phi) with w = -i sin(phi) gives the
     real Romanovski form of the Coulomb states, finite where cot(phi) is not.
-    ``n`` is a ``systems.level_index`` and the arrays ``systems.real_array`` values.
+    ``n`` is a ``systems.level_index`` and the arrays ``systems.real_array`` values;
+    an ``ab_sum`` that makes a step's denominator vanish (an integer in [-n, -2], or an
+    even one in [-2(n - 1), -2]) raises ``DegenerateDenominatorError``.
     The result has the shape of ``x_w``, for every n; ``d_w`` and ``w_sq``
     must broadcast to it, or DomainError is raised.  The inputs are never
     written: the recurrence runs in three buffers of that shape (and a fourth
@@ -213,6 +214,12 @@ def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> n
     (a x_w + b d_w) P_m - (c w_sq) P_(m-1) in that order of operations.
     """
     n = level_index(n, 0, "polynomial degree")
+    # the steps 1 <= m < n divide by 2 (m + 1)(m + ab_sum + 1)(2m + ab_sum): zero at the
+    # integers -2 ... -n and the even integers -2 ... -2(n - 1)
+    if (-2.0 * (n - 1) <= ab_sum <= -2.0 and ab_sum == math.floor(ab_sum)
+            and (ab_sum >= -n or ab_sum % 2.0 == 0.0)):
+        raise DegenerateDenominatorError(
+            f"alpha + beta = {ab_sum:g} makes a denominator of the degree-{n} recurrence vanish")
     x_w, d_w, w_sq = real_array(x_w, "x_w"), real_array(d_w, "d_w"), real_array(w_sq, "w_sq")
     try:
         shape = np.broadcast(x_w, d_w, w_sq).shape

@@ -16,10 +16,11 @@ import numpy as np
 
 from .errors import BranchError, DomainError
 
-# Most angles that in_blocks evaluates at once.  A block's 6 (oscillator) or 8 (Coulomb)
-# work buffers, 0.8-1.0 MB at 16384 angles, stay in a 2 MiB L2: on 1e5 angles (2-core
-# Xeon, numpy 2.4.6) 16384 was as fast as 8192 and 5-25% faster than 4096 or 32768, and
-# it keeps the 1e4-angle grids in one block, which runs without the gathering copy.
+# Most angles that in_blocks evaluates at once (blockwise divides it by a width).  A block's
+# 6 (oscillator) or 8 (Coulomb) work buffers, 0.8-1.0 MB at 16384 angles, stay in a 2 MiB
+# L2: on 1e5 angles (2-core Xeon, numpy 2.4.6) 16384 was as fast as 8192 and 5-25% faster
+# than 4096 or 32768, and it keeps the 1e4-angle grids in one block, which runs without
+# the gathering copy.
 _BLOCK = 16384
 _SINGULAR_TOL = 1e-12  # both potentials refuse an angle this close to a zero of sin or cos
 
@@ -111,13 +112,21 @@ def in_blocks(evaluate, phi, lo: float, hi: float) -> np.ndarray:
     phi = real_array(phi, "phi")
     if phi.size and not (lo < phi.min() and phi.max() < hi):  # NaN fails both
         raise DomainError(f"phi must lie strictly inside ({lo:g}, {hi:g})")
-    flat = phi.reshape(-1)
-    if flat.size <= _BLOCK:  # one block, returned without the gathering copy
-        return evaluate(flat).reshape(phi.shape)
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK):
-        out[start:start + _BLOCK] = evaluate(flat[start:start + _BLOCK])
-    return out.reshape(phi.shape)
+    return blockwise(evaluate, phi, 1)
+
+
+def blockwise(evaluate, values: np.ndarray, width: int) -> np.ndarray:
+    """The elementwise ``evaluate`` at ``values``, in their shape and dtype.  ``evaluate`` gets
+    only one-dimensional slices of at most max(1, ``_BLOCK // width``) values of the flat
+    view, ``width`` being the rows of work values it holds per value, so that one slice's
+    buffers stay in cache and a 0-d value, a block of one, takes an array's path."""
+    flat, size = values.reshape(-1), max(1, _BLOCK // width)
+    if flat.size <= size:  # one block, returned without the gathering copy
+        return evaluate(flat).reshape(values.shape)
+    out = np.empty(flat.size, values.dtype)
+    for start in range(0, flat.size, size):
+        out[start:start + size] = evaluate(flat[start:start + size])
+    return out.reshape(values.shape)
 
 
 def finite_result(formula):

@@ -8,6 +8,8 @@ cross-checks do not share a code path with what they verify:
 * the terminating hypergeometric sum on 0-d arrays, one new array per
   operation, whose results the scalar and array sums must match bit for bit,
   element by element;
+* the Lanczos log-gamma sum as a loop over its coefficients, whose bits the
+  package's written-out sum must give for a complex and a real argument;
 * a plain trapezoid-with-Richardson integrator for smooth integrands;
 * a high-precision LDL^T Sturm count for symmetric tridiagonal matrices;
 * the float LDL^T recurrence of the Sturm kernels, shift and log-determinant
@@ -23,6 +25,7 @@ cross-checks do not share a code path with what they verify:
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -109,6 +112,16 @@ def terminating_sum_allocating(n: int, term_factor, x):
         total = new_total
     result = total + comp
     return complex(result[()]) if scalar else result
+
+
+def lanczos_ln_gamma_loop(z: complex, coeffs, g: float) -> complex:
+    """ln Gamma(z) on Re z >= 1/2 by the Lanczos sum with parameter ``g``: the series
+    coeffs[0] + sum_k coeffs[k] / (z + k - 1) added term by term in a loop."""
+    series = coeffs[0]
+    for k in range(1, len(coeffs)):
+        series += coeffs[k] / (z + (k - 1))
+    t = z + g - 0.5
+    return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(series)
 
 
 def trapezoid_romberg(fn, a: float, b: float, levels: int = 14) -> float:

@@ -44,6 +44,8 @@ ROWS = [
     ("oscillator._norm_constant", "times", 1e-7, "norms", "norms/oscillator["),
     ("specfun.jacobi_scaled", "times at n >= 3", 1e-6, "norms", "norms/coulomb["),
     ("specfun.ln_gamma_complex", "plus", 1e-12, "specfun", "specfun/gamma-identity"),
+    # the one Lanczos sum: the oscillator's Gamma ratios run it through ln_gamma_real
+    ("specfun._lanczos_ln_gamma", "times", 1e-7, "norms", "norms/oscillator["),
 ]
 
 

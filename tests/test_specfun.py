@@ -2,17 +2,20 @@
 
 import cmath
 import math
+import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from circle_sqm import specfun
+from circle_sqm import specfun, systems
 from circle_sqm.errors import DegenerateDenominatorError, DomainError, PoleError
 from circle_sqm.numerics import validate
 
-from oracles import hyp1f1_exact, hyp2f1_exact, qc, terminating_sum_allocating
+from oracles import (hyp1f1_exact, hyp2f1_exact, lanczos_ln_gamma_loop, qc,
+                     terminating_sum_allocating)
 
 # frozen with mpmath.gamma(0.25) at 40 digits
 GAMMA_QUARTER = 3.6256099082219083
@@ -45,8 +48,33 @@ class TestLnGamma:
             with pytest.raises(PoleError):
                 specfun.ln_gamma_real(z)
 
+    def test_lanczos_sum_has_the_loop_bits(self):
+        # the written-out sum divides by z where the loop divided by z + 0, which turns an
+        # imaginary -0.0 into +0.0: both parts must have the loop's bytes, zeros' signs
+        # included, for a complex z, the reflection's 1 - z and (real part) a float z
+        rng = np.random.default_rng(38)
+        signs = rng.choice([-1.0, 1.0], 4000)
+        re = 0.5 + 10.0 ** rng.uniform(-3.0, 6.0, 4000)
+        points = [complex(x, y) for x, y in
+                  zip(re.tolist(), (signs * 10.0 ** rng.uniform(-3.0, 300.0, 4000)).tolist())]
+        points += [complex(x, zero) for x in re[:1000].tolist() for zero in (0.0, -0.0)]
+        lower = rng.uniform(-60.0, 0.5, 1000) + 1j * rng.uniform(-300.0, 300.0, 1000)
+        points += [1.0 - z for z in lower.tolist() + [complex(x, -0.0) for x in lower.real]]
+        points += [0.5, 1.0, 1e300, 1.7976931348623157e308 + 1e300j]
+
+        def pack(w):
+            return struct.pack("<dd", w.real, w.imag)
+
+        coeffs, g = specfun._LANCZOS_COEFFS, specfun._LANCZOS_G
+        for z in points:
+            assert pack(specfun._lanczos_ln_gamma(z)) == pack(
+                lanczos_ln_gamma_loop(z, coeffs, g)), z
+        for x in re.tolist():
+            assert pack(specfun._lanczos_ln_gamma(x).real) == pack(
+                lanczos_ln_gamma_loop(complex(x), coeffs, g).real), x
+
     def test_ln_gamma_real_is_the_real_part(self):
-        # bit for bit, over (0, 200], the band [0.71, 1.73] where cmath.log takes its
+        # byte for byte, over (0, 200], the band [0.71, 1.73] where cmath.log takes its
         # log1p branch, negative non-integers, and magnitudes up to DBL_MAX
         rng = np.random.default_rng(24)
         xs = np.concatenate((rng.uniform(0.0, 200.0, 3999), [200.0],
@@ -54,7 +82,8 @@ class TestLnGamma:
                              10.0 ** rng.uniform(2.0, 308.0, 2000),
                              [0.5, 1e15, 1e300, 4.5e307, 1.7976931348623157e308]))
         assert not np.any((xs <= 0.0) & (xs == np.floor(xs)))  # no pole drawn
-        assert all(specfun.ln_gamma_real(x) == specfun.ln_gamma_complex(complex(x)).real
+        assert all(struct.pack("<d", specfun.ln_gamma_real(x))
+                   == struct.pack("<d", specfun.ln_gamma_complex(complex(x)).real)
                    for x in xs.tolist())
         assert specfun.ln_gamma_real(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
         assert specfun.ln_gamma_real(-2.5) == pytest.approx(
@@ -274,6 +303,36 @@ class TestScalarSummation:
                 for x, value in zip(xs.ravel().tolist(), got.ravel().tolist()):
                     assert repr(value) == repr(terminating_sum_allocating(n, factor, x)), (n, x)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 20])
+    def test_blocks_keep_each_elements_0d_bits(self, monkeypatch, n):
+        # with _BLOCK = 12 a block holds max(1, 12 // (n + 2)) points, 4 at n = 1, so nine
+        # points end in a block of one; a lone point must sum as the 0-d one does, which a
+        # 1 x 1 outer product at n = 1 did not
+        monkeypatch.setattr(systems, "_BLOCK", 12)
+        rng = np.random.default_rng(n)
+        b, c = (complex(*rng.uniform(-4.0, 4.0, 2)) for _ in range(2))
+        for shape in [(1,)] * 16 + [(9,), (3, 5), (40,)]:
+            xs = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+            for factor, got in ((lambda j: (-n + j) * (b + j) / ((c + j) * (j + 1)),
+                                 specfun.hyp2f1_terminating(n, b, c, xs)),
+                                (lambda j: (-n + j) / ((c + j) * (j + 1)),
+                                 specfun.hyp1f1_terminating(n, c, xs))):
+                assert got.shape == shape
+                for x, value in zip(xs.ravel().tolist(), got.ravel().tolist()):
+                    assert repr(value) == repr(terminating_sum_allocating(n, factor, x)), (n, x)
+
+    def test_peak_memory_of_a_long_series_on_many_points(self):
+        # numpy reports its buffers to tracemalloc: 0.3 MB of result and a few blocks of
+        # _BLOCK values, where (n + 2) x 20,000 values at once took 34.7 MB
+        rng = np.random.default_rng(20)
+        ys = rng.uniform(-3.0, 3.0, 20_000) + 1j * rng.uniform(-3.0, 3.0, 20_000)
+        tracemalloc.start()
+        try:
+            specfun.hyp1f1_terminating(20, 2.0, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_integer_oracle_matches_fraction_arithmetic(self, monkeypatch):
         drawn, integer_oracle = [], validate._hyp2f1_rational
@@ -315,6 +374,19 @@ class TestJacobiScaled:
             specfun.jacobi_scaled(n, 1.0, 0.2, xs, np.ones(2), 1.0)  # does not broadcast
         with pytest.raises(DomainError, match="shape"):
             specfun.jacobi_scaled(n, 1.0, 0.2, xs, 0.3, xs[:, None])
+
+    def test_vanishing_denominators_refused(self):
+        # 2 (m + 1)(m + alpha + beta + 1)(2m + alpha + beta) vanishes at some 1 <= m < n:
+        # these raised an untyped ZeroDivisionError (mpmath has values at alpha, beta = -1, -2)
+        for n, a, b in ((3, -2.0, 0.0), (6, -1.0, -2.0), (3, -1.5, -2.5), (5, -4.0, -4.0),
+                        (2, -1.0, -1.0)):
+            with pytest.raises(DegenerateDenominatorError, match=r"alpha \+ beta"):
+                specfun.jacobi_scaled(n, a + b, a * b, [0.3, 0.5], a - b, 1.0)
+        # next to them every step divides by a non-zero number
+        for n, a, b in ((3, -2.5, -2.5), (3, -3.0, -3.0), (1, -1.0, -1.0), (2, -1.5, -1.5),
+                        (6, -1.25, -1.25), (6, -11.0, 0.0)):
+            got = specfun.jacobi_scaled(n, a + b, a * b, [0.3, 0.5], a - b, 1.0)
+            assert np.isfinite(got).all()
 
     @pytest.mark.parametrize("a,b", [(0.3, 1.2), (-0.5, 0.5), (1.5, math.sqrt(1.25)),
                                      (-0.3, 10.0)])
