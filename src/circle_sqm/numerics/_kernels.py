@@ -85,21 +85,20 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray,
     e = np.abs(np.asarray(off, dtype=np.float64))[None, :]
     off_max = e.max(initial=0.0)
     pivmin = _pivmin(off_max)
-    widest = np.maximum(diag.max() - shifts, shifts - diag.min())  # max |d - s|
-    bound = _GROWTH * np.maximum(widest, off_max)
     counts = np.zeros(shifts.shape[0], dtype=np.int64)
     logdet = np.zeros(shifts.shape[0])
     largest = np.zeros(shifts.shape[0])
     # Every entry is a pivot at some step or an entry of the serial tail, so
     # the largest of them measures the growth; overflow and inf - inf stay
-    # within a shift that it then marks.
+    # within a shift that it then marks (the bound of a shift past about 1.8e304 is inf).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        widest = np.maximum(diag.max() - shifts, shifts - diag.min())  # max |d - s|
+        bound = _GROWTH * np.maximum(widest, off_max)
         while t.size > _TAIL:  # t: the Schur complement left to count, its rows shifted
             even, kept = t[:, 0::2], t[:, 1::2]
             size = np.abs(even)
             largest = np.maximum(largest, size.max(axis=1))
-            tiny = size < pivmin  # a pivot of magnitude < pivmin counts as -pivmin
-            p = np.where(tiny, -pivmin, even) if tiny.any() else even
+            p = np.where(size < pivmin, -pivmin, even)  # |pivot| < pivmin counts as -pivmin
             counts += (p < 0.0).sum(axis=1)
             logdet += np.log(np.maximum(size, pivmin, out=size), out=size).sum(axis=1)
             left, right = e[:, 0::2], e[:, 1::2]

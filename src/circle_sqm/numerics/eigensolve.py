@@ -7,12 +7,13 @@ the potential callable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError, SingularPointError
-from ..systems import CircleGeometry, half_offset_grid, level_index, real_array
+from ..systems import CircleGeometry, half_offset_grid, level_index, node_values, real_array
 from ._kernels import _serial_counts, sturm_counts
 from .residual import richardson_extrapolate
 
@@ -55,14 +56,19 @@ def build_hamiltonian(potential, radius: float, domain: tuple[float, float],
     finite on the grid); Dirichlet boundaries are closed with antisymmetric
     ghost values, i.e. the endpoint diagonal entries gain one extra
     1/(2 R^2 h^2).  Plainly truncating instead would shift the effective box by h and
-    degrade eigenvalue convergence from O(h^2) to O(h).  ``n_nodes`` >= 16 half-offset nodes.
+    degrade eigenvalue convergence from O(h^2) to O(h).  ``n_nodes`` >= 16 half-offset nodes;
+    ``potential`` returns one real value per node.  DomainError where 2 R^2 h^2 is 0 or
+    inf, which would leave no kinetic term or an infinite one.
     """
     CircleGeometry(radius)  # refuses a radius that is not finite and > 0
     phi, h = half_offset_grid(domain, n_nodes, 16, "n_nodes")
-    v = real_array(potential(phi), "potential values")
+    v = node_values(real_array(potential(phi), "potential values"), phi, "potential")
     if not np.all(np.isfinite(v)):
         raise SingularPointError("potential not finite on the grid")
-    c = 1.0 / (2.0 * radius * radius * h * h)
+    scale = 2.0 * radius * radius * h * h
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"2 R^2 h^2 is {scale!r} at radius {radius!r} and step {h!r}")
+    c = 1.0 / scale
     diag = 2.0 * c + v
     diag[0] += c
     diag[-1] += c

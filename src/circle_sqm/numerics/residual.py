@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..systems import half_offset_grid
+from ..errors import DomainError
+from ..systems import half_offset_grid, node_values, real_array
 
 
 def richardson_extrapolate(coarse, fine):
-    """Eliminate the leading O(h^2) error term, the stencil's, from a coarse/fine pair."""
+    """Eliminate the leading O(h^2) error term, the stencil's, from a coarse/fine pair of
+    ``systems.real_array`` levels; DomainError unless they have one shape."""
+    coarse, fine = real_array(coarse, "coarse"), real_array(fine, "fine")
+    if coarse.shape != fine.shape:
+        raise DomainError(f"coarse {coarse.shape} and fine {fine.shape} must have one shape")
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -20,12 +27,18 @@ def ode_residual(wavefn, bracket, domain: tuple[float, float], n_nodes: int) -> 
     returned residual decays as O(h^2) wherever psi has bounded fourth
     derivative.  Pass a ``domain`` safely inside the motion domain: near
     singular endpoints the higher derivatives of psi are unbounded and the
-    max residual there does not converge.  ``n_nodes`` >= 8 half-offset nodes.
+    max residual there does not converge.  ``n_nodes`` >= 8 half-offset nodes; ``wavefn``
+    returns one real or complex value per node and ``bracket`` one per interior node.
+    DomainError where h^2 is 0 or inf.
     """
     phi, h = half_offset_grid(domain, n_nodes, 8, "n_nodes")
-    psi = np.asarray(wavefn(phi))
-    second = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h)
-    residual = second + np.asarray(bracket(phi[1:-1])) * psi[1:-1]
+    h_sq = h * h
+    if not 0.0 < h_sq < math.inf:
+        raise DomainError(f"the squared grid step of {domain!r} is {h_sq!r}")
+    psi = node_values(np.asarray(wavefn(phi)), phi, "wavefn")
+    second = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h_sq
+    inner = phi[1:-1]
+    residual = second + node_values(np.asarray(bracket(inner)), inner, "bracket") * psi[1:-1]
     return float(np.max(np.abs(residual)))
 
 

@@ -204,9 +204,11 @@ def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> n
     when they are: w = 1 gives P_n at real x for real alpha, beta, and
     alpha, beta = -N +- i sigma at x = i cot(phi) with w = -i sin(phi) gives the
     real Romanovski form of the Coulomb states, finite where cot(phi) is not.
-    ``n`` is a ``systems.level_index`` and the arrays ``systems.real_array`` values;
-    an ``ab_sum`` that makes a step's denominator vanish (an integer in [-n, -2], or an
-    even one in [-2(n - 1), -2]) raises ``DegenerateDenominatorError``.
+    ``n`` is a ``systems.level_index``, ``ab_sum`` and ``ab_product`` finite
+    ``systems.real_scalar`` values (DomainError otherwise) and the arrays
+    ``systems.real_array`` values; an ``ab_sum`` that makes a step's denominator
+    vanish (an integer in [-n, -2], or an even one in [-2(n - 1), -2]) raises
+    ``DegenerateDenominatorError``.
     The result has the shape of ``x_w``, for every n; ``d_w`` and ``w_sq``
     must broadcast to it, or DomainError is raised.  The inputs are never
     written: the recurrence runs in three buffers of that shape (and a fourth
@@ -214,6 +216,9 @@ def jacobi_scaled(n: int, ab_sum: float, ab_product: float, x_w, d_w, w_sq) -> n
     (a x_w + b d_w) P_m - (c w_sq) P_(m-1) in that order of operations.
     """
     n = level_index(n, 0, "polynomial degree")
+    ab_sum, ab_product = real_scalar(ab_sum, "ab_sum"), real_scalar(ab_product, "ab_product")
+    if not (math.isfinite(ab_sum) and math.isfinite(ab_product)):
+        raise DomainError(f"ab_sum and ab_product must be finite, got {ab_sum!r}, {ab_product!r}")
     # the steps 1 <= m < n divide by 2 (m + 1)(m + ab_sum + 1)(2m + ab_sum): zero at the
     # integers -2 ... -n and the even integers -2 ... -2(n - 1)
     if (-2.0 * (n - 1) <= ab_sum <= -2.0 and ab_sum == math.floor(ab_sum)

@@ -1,6 +1,6 @@
 """What both systems share: geometric and branch descriptors, the closed-form contract,
-the rules of every public count, real or complex scalar and array, and interval, the
-dispatch and the spectrum."""
+the rules of every public count, real or complex scalar and array, interval and
+callable's values, the dispatch and the spectrum."""
 
 from __future__ import annotations
 
@@ -169,10 +169,11 @@ def level_index(n, least: int = 0, name: str = "level index") -> int:
 
 
 def interval(a, b, name: str) -> tuple[float, float]:
-    """(a, b) as floats, the rule of every public interval; DomainError unless finite a < b."""
+    """(a, b) as floats, the rule of every public interval; DomainError unless a < b and
+    the width b - a is finite, so that both ends are too (1e308 - -1e308 is not)."""
     a, b = real_scalar(a, name), real_scalar(b, name)
-    if not (math.isfinite(a) and a < b < math.inf):  # NaN fails too
-        raise DomainError(f"{name} must have finite ends a < b, got ({a!r}, {b!r})")
+    if not 0.0 < b - a < math.inf:  # NaN, and inf - inf, fail too
+        raise DomainError(f"{name} must have ends a < b and a finite width, got ({a!r}, {b!r})")
     return a, b
 
 
@@ -186,6 +187,15 @@ def half_offset_grid(domain, count, least: int, name: str) -> tuple[np.ndarray, 
     count = level_index(count, least, name)
     h = (b - a) / count
     return a + (np.arange(count) + 0.5) * h, h
+
+
+def node_values(values: np.ndarray, nodes: np.ndarray, name: str) -> np.ndarray:
+    """``values``, the array the callable ``name`` returned at ``nodes``; DomainError unless
+    it holds one value per node (a scalar, a wrong length or an added axis does not)."""
+    if values.shape != nodes.shape:
+        raise DomainError(f"{name} must return one value per node, shape {nodes.shape}, "
+                          f"got shape {values.shape}")
+    return values
 
 
 def closed_forms(system):

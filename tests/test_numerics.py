@@ -281,7 +281,7 @@ class TestSturmEigenvalues:
             assert np.max(np.abs(got - dense[:count])) <= resolution
 
     @pytest.mark.parametrize("name", ["half", "one-and-a-half", "reversed", "all-equal",
-                                      "with-inf", "all-nan"])
+                                      "with-inf", "all-nan", "beyond-the-growth-bound"])
     def test_warm_start_returns_cold_levels(self, name):
         # the guess only chooses the first pass's shifts; every count still
         # tightens every bracket, so a wrong guess cannot move a level
@@ -297,6 +297,8 @@ class TestSturmEigenvalues:
             "all-equal": np.full(5, cold[2]),
             "with-inf": np.where(np.arange(5) == 1, np.inf, cold),
             "all-nan": np.full(5, np.nan),
+            # finite, but _GROWTH times it overflows the kernel's growth bound
+            "beyond-the-growth-bound": np.where(np.arange(5) == 1, 1e305, cold),
         }[name]
         warm = lowest_eigenvalues(matrix, 5, guess=guess)
         assert np.max(np.abs(warm - cold) / cold) <= 1e-12
@@ -698,6 +700,17 @@ class TestRichardson:
         assert richardson_extrapolate(energy + 4 * delta, energy + delta) == pytest.approx(
             energy, abs=1e-13
         )
+
+    def test_arrays_keep_their_bits(self):
+        coarse, fine = np.array([1.1, 2.3, 7.9]), np.array([1.0, 2.2, 7.7])
+        expected = (4.0 * fine - coarse) / 3.0
+        assert richardson_extrapolate(coarse, fine).tobytes() == expected.tobytes()
+
+    def test_unequal_shapes_refused(self):
+        for coarse, fine in ((np.ones(3), np.ones(4)), (np.ones(2), 1.0),
+                             ([[1.0, 2.0]], [1.0, 2.0])):
+            with pytest.raises(DomainError, match="shape"):
+                richardson_extrapolate(coarse, fine)
 
 
 class TestOdeResidual:

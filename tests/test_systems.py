@@ -2,10 +2,10 @@
 when 0 < |k1| <= 1/2, checked at the edges of that interval), the contract
 of every real-valued public closed form (a finite double or DomainError, a
 float for a scalar angle, an infinite angle refused), the integer, real-array,
-domain and interval rules of every public argument, the real-scalar, geometry and
-branch rules of every system field, the real- and complex-scalar and complex-array
-rules of the parameter map and special functions, the envelope of both norm
-routines, the dispatch on system type and the merged spectrum."""
+domain, interval, grid-step and callable-values rules of every public argument, the
+real-scalar, geometry and branch rules of every system field, the real- and
+complex-scalar and complex-array rules of the parameter map and special functions, the
+envelope of both norm routines, the dispatch on system type and the merged spectrum."""
 
 import contextlib
 import io
@@ -23,9 +23,12 @@ from circle_sqm import coulomb as cou
 from circle_sqm import oscillator as osc
 from circle_sqm import cli, specfun
 from circle_sqm.errors import BranchError, DomainError
-from circle_sqm.numerics import (TridiagonalMatrix, build_hamiltonian, gauss_legendre_rule,
-                                 lowest_eigenvalues, ode_residual, residual_rate, validate)
-from circle_sqm.systems import closed_forms, finite_result, in_blocks, spectrum, two_branch
+from circle_sqm.numerics import (TridiagonalMatrix, build_hamiltonian,
+                                 eigenvalue_with_refinement, gauss_legendre_rule,
+                                 lowest_eigenvalues, ode_residual, residual_rate,
+                                 richardson_extrapolate, validate)
+from circle_sqm.systems import (closed_forms, finite_result, half_offset_grid, in_blocks,
+                                interval, spectrum, two_branch)
 
 UNIT = CircleGeometry(1.0)
 ABOVE_HALF = float(np.nextafter(0.5, 1.0))
@@ -197,6 +200,8 @@ ARRAY_FORMS = {
     "systems.in_blocks": lambda phi: in_blocks(np.negative, phi, 0.0, 1.0),
     "eigensolve.TridiagonalMatrix[diagonal]": lambda d: TridiagonalMatrix(d, [0.5]),
     "eigensolve.TridiagonalMatrix[off_diagonal]": lambda e: TridiagonalMatrix([1.0, 2.0], e),
+    "residual.richardson_extrapolate[coarse]": lambda x: richardson_extrapolate(x, 0.5),
+    "residual.richardson_extrapolate[fine]": lambda x: richardson_extrapolate(0.5, x),
 }
 # a complex array, a complex scalar, a string and a ragged list
 NOT_REAL = (np.array([0.5 + 0.1j]), 0.5 + 0.1j, "0.5", [[0.5], [0.6, 0.7]])
@@ -221,9 +226,9 @@ INTERVAL_FORMS = {
     **{name: lambda a, b, form=form: form((a, b)) for name, form in DOMAIN_FORMS.items()},
     "quadrature.gauss_legendre_rule": lambda a, b: gauss_legendre_rule(4, 4, a, b),
 }
-# complex, string, infinite, NaN, reversed and empty ends
+# complex, string, infinite, NaN, reversed and empty ends, and finite ends whose width is not
 NOT_INTERVALS = ((0, 1j), (1j, 1.0), ("0", 1.0), (0.0, math.inf), (-math.inf, 0.0),
-                 (math.nan, 1.0), (0.0, math.nan), (1.0, 0.5), (1.0, 1.0))
+                 (math.nan, 1.0), (0.0, math.nan), (1.0, 0.5), (1.0, 1.0), (-1e308, 1e308))
 
 
 @pytest.mark.parametrize("name", INTERVAL_FORMS, ids=INTERVAL_FORMS)
@@ -231,6 +236,47 @@ def test_interval_guard(name):
     for a, b in NOT_INTERVALS:
         with pytest.raises(DomainError, match="domain|interval"):
             INTERVAL_FORMS[name](a, b)
+
+
+def test_interval_keeps_finite_widths():
+    assert interval(1e308, 1.7e308, "domain") == (1e308, 1.7e308)
+    nodes, h = half_offset_grid((1e308, 1.7e308), 16, 2, "n")
+    assert np.all(np.isfinite(nodes)) and 0.0 < h < math.inf
+
+
+def test_grid_step_guard():
+    # 2 R^2 h^2 (and h^2) that overflow would drop the second difference, and ones that
+    # underflow would divide by zero
+    for radius, domain in ((1.0, (1e308, 1.7e308)), (1e200, (0.0, 1.0)), (1.0, (0.0, 1e-170))):
+        with pytest.raises(DomainError, match=r"2 R\^2 h\^2"):
+            build_hamiltonian(np.cos, radius, domain, 16)
+    for domain in ((0.0, 1e200), (0.0, 1e-170)):
+        with pytest.raises(DomainError, match="step"):
+            ode_residual(np.sin, np.cos, domain, 16)
+
+
+# every public callable, called with it in its place
+CALLABLE_FORMS = {
+    "eigensolve.build_hamiltonian[potential]": lambda f: build_hamiltonian(
+        f, 1.0, (0.1, 1.0), 16).diagonal.tolist(),
+    "eigensolve.eigenvalue_with_refinement[potential]": lambda f: [
+        levels.tolist() for levels in eigenvalue_with_refinement(f, 1.0, (0.1, 1.0), 16, 2)],
+    "residual.ode_residual[wavefn]": lambda f: ode_residual(f, np.cos, (0.1, 1.0), 16),
+    "residual.ode_residual[bracket]": lambda f: ode_residual(np.sin, f, (0.1, 1.0), 16),
+    "residual.residual_rate[wavefn]": lambda f: residual_rate(f, np.cos, (0.1, 1.0), 16),
+    "residual.residual_rate[bracket]": lambda f: residual_rate(np.sin, f, (0.1, 1.0), 16),
+}
+# a scalar, a wrong length and an added axis
+NOT_NODE_VALUES = (lambda phi: 1.0, lambda phi: np.ones(5), lambda phi: phi[:, None])
+
+
+@pytest.mark.parametrize("name", CALLABLE_FORMS, ids=CALLABLE_FORMS)
+def test_callable_values_guard(name):
+    form = CALLABLE_FORMS[name]
+    for function in NOT_NODE_VALUES:
+        with pytest.raises(DomainError, match=argument_of(name)):
+            form(function)
+    assert form(lambda phi: np.cos(phi).tolist()) == form(np.cos)
 
 
 @pytest.mark.parametrize("name", DOMAIN_FORMS, ids=DOMAIN_FORMS)
@@ -277,6 +323,10 @@ REAL_ARGUMENT_FORMS = {
     "oscillator.reduce_to_poschl_teller[energy]": lambda x: osc.reduce_to_poschl_teller(OSC, x),
     "oscillator.energy_from_reduced[epsilon]": lambda x: osc.energy_from_reduced(OSC, x),
     "specfun.ln_gamma_real[x]": lambda x: specfun.ln_gamma_real(x),
+    "specfun.jacobi_scaled[ab_sum]": lambda x: specfun.jacobi_scaled(
+        3, x, 0.2, [0.3, 0.5], 0.1, 1.0).tolist(),
+    "specfun.jacobi_scaled[ab_product]": lambda x: specfun.jacobi_scaled(
+        3, 1.0, x, [0.3, 0.5], 0.1, 1.0).tolist(),
     "validate.validate_system[tolerance]": lambda x: validate.validate_system(
         OSC, 0, 64, x, residual_levels=()),
 }
